@@ -5,8 +5,9 @@ predictions track reality, so this harness closes the loop on this
 machine: calibrate a :class:`~repro.perfmodel.GateCostModel` from real
 bootstraps (random-mask inputs, the same discipline as ``repro
 calibrate``), certify the fig10 benchmark workload with that
-calibration, then actually execute the workload under the ``single``,
-``batched``, and request x level ``2d`` engines and compare.
+calibration, then actually execute the workload at one request
+(``batched``) and stacked ``--instances`` deep (request x level
+``2d@R``) and compare.
 
 Run as a script it writes a ``BENCH_cost_model.json`` artifact and
 **fails** if any engine's predicted latency diverges from the measured
@@ -71,7 +72,6 @@ def measure_engines(keys, workload_name, instances, repeats=2):
     )
 
     batched = CpuBackend(cloud)
-    single = CpuBackend(cloud, batched=False)
     batched.run(netlist, ct, schedule)  # warm FFT plans + key cache
 
     def best(run, per_request=1):
@@ -83,19 +83,16 @@ def measure_engines(keys, workload_name, instances, repeats=2):
             elapsed = min(elapsed, time.perf_counter() - t0)
         return elapsed * 1e3 / per_request, out
 
-    single_ms, out_s = best(lambda: single.run(netlist, ct, schedule))
     batched_ms, out_b = best(lambda: batched.run(netlist, ct, schedule))
     two_d_ms, out_m = best(
         lambda: batched.run_many(netlist, stacked, schedule),
         per_request=instances,
     )
-    assert np.array_equal(decrypt_bits(secret, out_s), want)
     assert np.array_equal(decrypt_bits(secret, out_b), want)
     assert np.array_equal(
         decrypt_bits(secret, LweCiphertext(out_m.a[0], out_m.b[0])), want
     )
     return netlist, schedule, {
-        "single": single_ms,
         "batched": batched_ms,
         f"2d@{instances}": two_d_ms,
     }

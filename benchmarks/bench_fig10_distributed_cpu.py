@@ -11,16 +11,19 @@ claims checked:
   little or no benefit, some even slowing down.
 
 Beyond the simulator series, this file measures the *real* distributed
-backend's communication bill: ``--transport shm`` (zero-copy shared
-ciphertext plane) vs ``--transport pickle`` (pipe shipping), with a
-persistent pool reused across runs.  Run it as a script for the CI
-benchmark-smoke job::
+backend's communication bill on a persistent pool reused across runs,
+for a boolean and a multi-bit LUT program, and holds the shared-memory
+plane to its invariants: no ciphertext byte crosses a pipe, the cloud
+key is broadcast exactly once, the output equals the in-process
+engine's ciphertext for ciphertext and decrypts correctly.  Run it as
+a script for the CI benchmark-smoke job::
 
     PYTHONPATH=src python benchmarks/bench_fig10_distributed_cpu.py \
-        --transport both --runs 2 --json fig10_transport.json
+        --runs 2 --json fig10_distributed.json
 """
 
 import numpy as np
+import pytest
 
 from conftest import print_table
 from repro.perfmodel import ClusterSimulator, TABLE_II_CLUSTER, single_node
@@ -97,122 +100,110 @@ def test_fig10_four_nodes_never_worse_than_one_for_wide(
 
 
 # ----------------------------------------------------------------------
-# Real execution: shared-memory vs pickle ciphertext transport
+# Real execution: the shared-memory plane's invariants
 # ----------------------------------------------------------------------
-def _compare_transports(
-    keys,
-    workload_name="hamming_distance",
-    runs=2,
-    workers=3,
-    transports=("pickle", "shm"),
-):
-    """Run one VIP kernel on both transports with a reused pool.
+MODES = ("boolean", "mblut")
 
-    Returns per-transport run reports plus cross-transport output
-    equality, the data behind the ``shm`` claims: ciphertext traffic
-    collapses to control messages, and the cloud key is broadcast only
-    once per pool lifetime.
-    """
+
+def _measure_distributed(
+    keys, mode, workload_name="hamming_distance", runs=2, workers=3
+):
+    """Run one VIP kernel on a reused pool; report what moved where."""
     from repro.bench import vip_workload
-    from repro.runtime import DistributedCpuBackend, build_schedule
+    from repro.runtime import (
+        CpuBackend,
+        DistributedCpuBackend,
+        build_schedule,
+    )
     from repro.tfhe import decrypt_bits, encrypt_bits
 
     secret, cloud = keys
     workload = vip_workload(workload_name)
-    netlist = workload.netlist
-    schedule = build_schedule(netlist)
+    source = workload.netlist
     rng = np.random.default_rng(7)
     bits = workload.compiled.encode_inputs(*workload.sample_inputs())
-    ciphertext = encrypt_bits(secret, bits, rng)
-    want = netlist.evaluate(bits)
+    want = source.evaluate(bits)
+    if mode == "mblut":
+        from repro.mblut import (
+            decrypt_mb_outputs,
+            encrypt_mb_inputs,
+            synthesize,
+        )
 
-    results = {}
-    raw_outputs = {}
-    for transport in transports:
-        with DistributedCpuBackend(
-            cloud, num_workers=workers, transport=transport
-        ) as backend:
-            run_rows = []
-            for _ in range(runs):
-                out, report = backend.run(netlist, ciphertext, schedule)
-                run_rows.append(
-                    {
-                        "wall_time_s": report.wall_time_s,
-                        "ciphertext_bytes_moved": (
-                            report.ciphertext_bytes_moved
-                        ),
-                        "control_bytes_moved": int(
-                            report.extra.get("control_bytes_moved", 0)
-                        ),
-                        "key_bytes_moved": report.key_bytes_moved,
-                        "pool_reused": report.pool_reused,
-                        "tasks_submitted": report.tasks_submitted,
-                    }
-                )
-            raw_outputs[transport] = out
-            results[transport] = {
-                "backend": backend.name,
-                "runs": run_rows,
-                "decrypt_ok": bool(
-                    np.array_equal(decrypt_bits(secret, out), want)
-                ),
-            }
-    comparison = {
+        netlist = synthesize(source, modulus=8)
+        ciphertext = encrypt_mb_inputs(secret, netlist, bits, rng)
+    else:
+        netlist = source
+        ciphertext = encrypt_bits(secret, bits, rng)
+    schedule = build_schedule(netlist)
+    reference, _ = CpuBackend(cloud).run(netlist, ciphertext, schedule)
+
+    with DistributedCpuBackend(cloud, num_workers=workers) as backend:
+        run_rows = []
+        for _ in range(runs):
+            out, report = backend.run(netlist, ciphertext, schedule)
+            run_rows.append(
+                {
+                    "wall_time_s": report.wall_time_s,
+                    "ciphertext_bytes_moved": report.ciphertext_bytes_moved,
+                    "control_bytes_moved": int(
+                        report.extra["control_bytes_moved"]
+                    ),
+                    "key_bytes_moved": report.key_bytes_moved,
+                    "pool_reused": report.pool_reused,
+                    "tasks_submitted": report.tasks_submitted,
+                }
+            )
+        name = backend.name
+    got = (
+        decrypt_mb_outputs(secret, netlist, out)
+        if mode == "mblut"
+        else decrypt_bits(secret, out)
+    )
+    return {
         "workload": workload_name,
+        "mode": mode,
+        "backend": name,
         "gates_bootstrapped": schedule.num_bootstrapped,
         "levels": schedule.depth,
         "workers": workers,
-        "transports": results,
+        "runs": run_rows,
+        "decrypt_ok": bool(np.array_equal(got, want)),
+        "matches_in_process": bool(
+            np.array_equal(out.a, reference.a)
+            and np.array_equal(out.b, reference.b)
+        ),
     }
-    if len(raw_outputs) == 2:
-        comparison["outputs_bit_identical"] = bool(
-            np.array_equal(raw_outputs["pickle"].a, raw_outputs["shm"].a)
-            and np.array_equal(
-                raw_outputs["pickle"].b, raw_outputs["shm"].b
-            )
-        )
-    return comparison
 
 
-def test_fig10_shm_transport_beats_pickle_on_bytes_moved(test_keys):
-    """Acceptance: >=10x less ciphertext traffic, key broadcast once,
-    bit-identical outputs across transports."""
-    comparison = _compare_transports(test_keys, runs=2, workers=3)
-    pickle_runs = comparison["transports"]["pickle"]["runs"]
-    shm_runs = comparison["transports"]["shm"]["runs"]
+def _check_invariants(result):
+    runs = result["runs"]
+    for run in runs:
+        assert run["ciphertext_bytes_moved"] == 0, run
+        assert 0 < run["control_bytes_moved"] < 64 * 1024, run
+    # The key is broadcast at pool start and never re-sent.
+    assert runs[0]["key_bytes_moved"] > 0 and not runs[0]["pool_reused"]
+    for run in runs[1:]:
+        assert run["key_bytes_moved"] == 0 and run["pool_reused"], run
+    assert result["decrypt_ok"], result
+    assert result["matches_in_process"], result
 
+
+@pytest.mark.parametrize("mode", MODES)
+def test_fig10_shared_plane_invariants(test_keys, mode):
+    result = _measure_distributed(test_keys, mode, runs=2, workers=3)
     print_table(
-        "Fig. 10 (measured): ciphertext transport comparison "
-        f"({comparison['workload']}, {comparison['workers']} workers)",
-        ("transport", "run", "wall ms", "ct bytes", "key bytes", "reused"),
+        f"Fig. 10 (measured): distributed {mode} run "
+        f"({result['workload']}, {result['workers']} workers)",
+        ("run", "wall ms", "ct bytes", "control bytes", "key bytes", "reused"),
         [
-            (name, i, f"{r['wall_time_s'] * 1e3:.0f}",
-             r["ciphertext_bytes_moved"], r["key_bytes_moved"],
-             r["pool_reused"])
-            for name, rows in (("pickle", pickle_runs), ("shm", shm_runs))
-            for i, r in enumerate(rows)
+            (i, f"{r['wall_time_s'] * 1e3:.0f}",
+             r["ciphertext_bytes_moved"], r["control_bytes_moved"],
+             r["key_bytes_moved"], r["pool_reused"])
+            for i, r in enumerate(result["runs"])
         ],
     )
-
-    # Zero ciphertext bytes cross the pipe on the shared-memory plane:
-    # >= 10x less traffic than the pickle baseline, trivially.
-    for shm_run, pickle_run in zip(shm_runs, pickle_runs):
-        moved = shm_run["ciphertext_bytes_moved"]
-        assert moved * 10 <= pickle_run["ciphertext_bytes_moved"]
-        # Control traffic exists but is tiny next to the baseline.
-        assert (
-            shm_run["control_bytes_moved"] * 10
-            <= pickle_run["ciphertext_bytes_moved"]
-        )
-
-    # The key is broadcast at pool start and never re-sent.
-    assert shm_runs[0]["key_bytes_moved"] > 0
-    assert shm_runs[1]["key_bytes_moved"] == 0
-    assert shm_runs[1]["pool_reused"]
-
-    assert comparison["outputs_bit_identical"]
-    assert comparison["transports"]["pickle"]["decrypt_ok"]
-    assert comparison["transports"]["shm"]["decrypt_ok"]
+    _check_invariants(result)
 
 
 def main(argv=None):
@@ -223,12 +214,6 @@ def main(argv=None):
     from repro.tfhe import TFHE_TEST, generate_keys
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--transport",
-        choices=("pickle", "shm", "both"),
-        default="both",
-        help="which transports to measure (default: both)",
-    )
     parser.add_argument("--workload", default="hamming_distance")
     parser.add_argument("--runs", type=int, default=2)
     parser.add_argument("--workers", type=int, default=3)
@@ -238,23 +223,23 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     keys = generate_keys(TFHE_TEST, seed=42)
-    transports = (
-        ("pickle", "shm")
-        if args.transport == "both"
-        else (args.transport,)
-    )
-    comparison = _compare_transports(
-        keys,
-        workload_name=args.workload,
-        runs=args.runs,
-        workers=args.workers,
-        transports=transports,
-    )
-    text = json.dumps(comparison, indent=2, sort_keys=True)
+    results = {
+        mode: _measure_distributed(
+            keys,
+            mode,
+            workload_name=args.workload,
+            runs=args.runs,
+            workers=args.workers,
+        )
+        for mode in MODES
+    }
+    text = json.dumps(results, indent=2, sort_keys=True)
     print(text)
     if args.json:
         with open(args.json, "w") as handle:
             handle.write(text + "\n")
+    for result in results.values():
+        _check_invariants(result)
     return 0
 
 

@@ -85,7 +85,7 @@ def _measure(repeats: int = REPEATS):
     rng = np.random.default_rng(0)
     bits = rng.integers(0, 2, netlist.num_inputs).astype(bool)
     ciphertext = encrypt_bits(secret, bits, rng)
-    backend = CpuBackend(cloud, batched=True)
+    backend = CpuBackend(cloud)
 
     for _ in range(2):  # warm-up: FFT plans, caches, frequency ramp
         backend.run(netlist, ciphertext, schedule)

@@ -61,7 +61,7 @@ def main():
     print(f"server-side table: ids {EMPLOYEE_IDS}")
 
     client = Client(TFHE_TEST, seed=9)
-    backend = CpuBackend(client.cloud_key, batched=True)
+    backend = CpuBackend(client.cloud_key)
 
     for key in (12, 23, 5):
         ct = client.encrypt(compiled, np.asarray(float(key)))

@@ -52,7 +52,7 @@ def run(name):
         client = Client(TFHE_TEST, seed=1)
         bits = workload.compiled.encode_inputs(*inputs)
         ct = client.encrypt_bits(bits)
-        backend = CpuBackend(client.cloud_key, batched=True)
+        backend = CpuBackend(client.cloud_key)
         start = time.perf_counter()
         out_ct, report = backend.run(netlist, ct)
         elapsed = time.perf_counter() - start

@@ -13,8 +13,6 @@ CI cost gate all consume.
 
 Latency is predicted per engine:
 
-* ``single`` — the legacy per-gate engine: every bootstrapped gate
-  costs the full calibrated ``gate_ms``;
 * ``batched`` — the level-batched SIMD engine: each bootstrapped level
   is one fused call with a fixed startup plus a small marginal
   per-gate cost (the amortization the batched engine measures);
@@ -323,10 +321,8 @@ def _predict_latency(
     free_ms = free_total * cost.linear_ms
     overhead_ms = config.batched_overhead_factor * gate_ms
     marginal_ms = config.batched_marginal_fraction * gate_ms
-    total_boot = float(widths.sum())
 
     predictions: Dict[str, float] = {
-        "single": total_boot * gate_ms + free_ms,
         "batched": float(
             np.sum(overhead_ms + widths * marginal_ms)
         )
@@ -458,8 +454,8 @@ def _apply_budgets(
             f"{certificate.mean_width:.1f}), so the requested "
             f"{config.backend!r} backend degenerates to serial "
             f"execution plus overhead",
-            fix_hint="run this program on the single engine, or "
-            "recompile with adder_style='prefix' to widen levels",
+            fix_hint="recompile with adder_style='prefix' to widen "
+            "levels",
         )
 
 

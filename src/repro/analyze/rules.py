@@ -209,7 +209,7 @@ _CATALOG: List[Rule] = [
         "CA003", Severity.WARNING, "degenerate parallelism for backend",
         "The program's work/span bound is too low for the requested "
         "parallel backend to help; batching or distributing it only "
-        "adds overhead over the single engine.",
+        "adds overhead.",
     ),
     # ------------------------------------------------------------ multi-bit
     Rule(

@@ -10,10 +10,10 @@ A small operator toolbox around the library:
 * ``disasm``   — textual listing of a PyTFHE binary;
 * ``stats``    — gate statistics of a binary;
 * ``estimate`` — backend runtime estimates for a binary (paper model);
-* ``run``      — execute a workload under real FHE on a chosen
-  backend/transport (default ``batched``: the level-batched SIMD
-  bootstrapping engine; ``single`` is the legacy per-gate baseline),
-  reusing one worker pool across ``--runs``; ``--trace-out`` /
+* ``run``      — execute a workload under real FHE on a chosen backend
+  (default ``batched``: the in-process level-batched SIMD
+  bootstrapping engine; ``distributed`` shards each level over a
+  shared-memory worker pool, reused across ``--runs``); ``--trace-out`` /
   ``--metrics-out`` / ``--noise`` capture the run through the
   observability layer; ``--mode mblut`` (also on ``check``, ``cost``
   and ``bench-gate``) compiles matched arithmetic onto multi-bit LUT
@@ -29,8 +29,8 @@ A small operator toolbox around the library:
   key + program, send encrypted inputs, verify the decrypted reply;
 * ``keygen``   — generate and save a (secret, cloud) key pair;
 * ``bench-gate`` — measure this machine's bootstrapped-gate cost:
-  single-gate phase breakdown plus (by default) the batched engine's
-  fused-bootstrap gates/s and its speedup over the per-gate baseline.
+  single-gate phase breakdown plus the batched engine's
+  fused-bootstrap gates/s and its speedup over one gate alone.
 """
 
 from __future__ import annotations
@@ -519,21 +519,24 @@ def _finish_observability(ob, args) -> None:
         )
 
 
+def _execution_backend(args, cloud):
+    """The backend ``--backend`` / ``--workers`` ask for."""
+    from .runtime import CpuBackend, DistributedCpuBackend
+
+    if args.backend == "distributed":
+        return DistributedCpuBackend(cloud, num_workers=args.workers)
+    return CpuBackend(cloud)
+
+
 def cmd_run(args) -> int:
     import numpy as np
 
     from . import obs as obslib
-    from .runtime import CpuBackend, DistributedCpuBackend, build_schedule
+    from .runtime import build_schedule
     from .tfhe import decrypt_bits, encrypt_bits, generate_keys
 
     params = _resolve_params(args.params)
     mblut = args.mode == "mblut"
-    transport = args.transport
-    if mblut and args.backend == "distributed" and transport == "shm":
-        # The shared-memory plane is boolean-only; fall back rather
-        # than let the transport refuse the netlist mid-run.
-        print("mblut mode: distributed transport switched to pickle")
-        transport = "pickle"
     observed = _wants_observability(args)
     ctx = (
         obslib.observe(noise_params=params if args.noise else None)
@@ -578,12 +581,7 @@ def cmd_run(args) -> int:
                     f"--params tfhe-mb-128"
                 )
 
-        if args.backend == "distributed":
-            backend = DistributedCpuBackend(
-                cloud, num_workers=args.workers, transport=transport
-            )
-        else:
-            backend = CpuBackend(cloud, batched=args.backend == "batched")
+        backend = _execution_backend(args, cloud)
         status = 0
         try:
             for index in range(args.runs):
@@ -616,8 +614,6 @@ def cmd_profile(args) -> int:
 
     from . import obs as obslib
     from .runtime import (
-        CpuBackend,
-        DistributedCpuBackend,
         build_schedule,
         profile_gate,
         render_trace,
@@ -653,12 +649,7 @@ def cmd_profile(args) -> int:
         ciphertext = encrypt_bits(secret, bits, rng)
         want = netlist.evaluate(bits)
 
-        if args.backend == "distributed":
-            backend = DistributedCpuBackend(
-                cloud, num_workers=args.workers, transport=args.transport
-            )
-        else:
-            backend = CpuBackend(cloud, batched=args.backend == "batched")
+        backend = _execution_backend(args, cloud)
         try:
             out, report = backend.run(netlist, ciphertext, schedule)
         finally:
@@ -713,7 +704,6 @@ def cmd_serve(args) -> int:
         port=args.port,
         backend=args.backend,
         num_workers=args.workers,
-        transport=args.transport,
         max_pending=args.max_pending,
         max_batch=args.max_batch,
         linger_s=args.linger_ms / 1e3,
@@ -965,23 +955,21 @@ def cmd_bench_gate(args) -> int:
     for phase, ms, fraction in profile.rows():
         print(f"  {phase:20s} {ms:8.2f} ms  ({fraction * 100:5.1f}%)")
     print(f"  {'total':20s} {profile.total_ms:8.2f} ms")
-    single_rate = 1e3 / profile.total_ms
-    print(f"  single engine: {single_rate:8.1f} gates/s (per-gate legacy)")
-    batched_rate = None
-    if args.backend == "batched":
-        batch = args.batch
-        ca = _random_samples(batch)
-        codes = np.full(batch, int(Gate.NAND))
-        best = float("inf")
-        for _ in range(max(1, args.repetitions)):
-            t0 = _time.perf_counter()
-            evaluate_gates_batch(cloud, codes, ca, ca)
-            best = min(best, _time.perf_counter() - t0)
-        batched_rate = batch / best
-        print(
-            f"  batched engine: {batched_rate:7.1f} gates/s at batch "
-            f"{batch} ({batched_rate / single_rate:.1f}x over single)"
-        )
+    alone_rate = 1e3 / profile.total_ms
+    print(f"  one gate alone: {alone_rate:7.1f} gates/s")
+    batch = args.batch
+    ca = _random_samples(batch)
+    codes = np.full(batch, int(Gate.NAND))
+    best = float("inf")
+    for _ in range(max(1, args.repetitions)):
+        t0 = _time.perf_counter()
+        evaluate_gates_batch(cloud, codes, ca, ca)
+        best = min(best, _time.perf_counter() - t0)
+    batched_rate = batch / best
+    print(
+        f"  batched engine: {batched_rate:7.1f} gates/s at batch "
+        f"{batch} ({batched_rate / alone_rate:.1f}x over one alone)"
+    )
     if args.mode == "mblut":
         # A programmable (multi-bit LUT) bootstrap is the same blind
         # rotation with a table-shaped test polynomial; measure it so
@@ -994,7 +982,6 @@ def cmd_bench_gate(args) -> int:
         row = _digit_test_poly(table, p, p, params.tlwe_degree).astype(
             np.int32
         )
-        batch = args.batch
         rows = np.tile(row, (batch, 1))
         post = np.zeros(batch, dtype=np.int32)
         ct = _random_samples(batch)
@@ -1004,14 +991,10 @@ def cmd_bench_gate(args) -> int:
             mb_bootstrap_batch(cloud, ct, rows, post)
             best = min(best, _time.perf_counter() - t0)
         lut_rate = batch / best
-        # Compare against the same engine shape: a fused boolean batch
-        # when one was measured, else the per-gate baseline.
-        base_rate = batched_rate if batched_rate else single_rate
-        base_name = "batched" if batched_rate else "single"
         print(
             f"  mblut engine:   {lut_rate:7.1f} LUT bootstraps/s at "
-            f"batch {batch}, p={p} ({base_rate / lut_rate:.2f}x a "
-            f"{base_name} boolean gate's cost)"
+            f"batch {batch}, p={p} ({batched_rate / lut_rate:.2f}x a "
+            f"batched boolean gate's cost)"
         )
     return 0
 
@@ -1117,7 +1100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cost-backend",
         default=None,
-        choices=("single", "batched", "2d", "distributed"),
+        choices=("batched", "2d", "distributed"),
         help="backend the latency budget applies to (also arms CA003 "
         "degenerate-parallelism warnings)",
     )
@@ -1212,7 +1195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend",
         default=None,
-        choices=("single", "batched", "2d", "distributed"),
+        choices=("batched", "2d", "distributed"),
         help="backend the budget applies to (arms CA003 checks)",
     )
     p.add_argument(
@@ -1270,20 +1253,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("workload")
     p.add_argument(
         "--backend",
-        choices=("single", "batched", "distributed"),
+        choices=("batched", "distributed"),
         default="batched",
-        help="execution engine (default: batched — level-batched SIMD "
-        "bootstrapping, each BFS level bootstraps as one fused "
-        "vectorized call; 'single' is the legacy per-gate engine "
-        "kept as a baseline; 'distributed' fans levels out over a "
-        "worker pool)",
-    )
-    p.add_argument(
-        "--transport",
-        choices=("pickle", "shm"),
-        default="shm",
-        help="distributed ciphertext transport: pipe pickling or the "
-        "zero-copy shared-memory plane",
+        help="where levels bootstrap (default: batched — in-process "
+        "level-batched SIMD bootstrapping, each BFS level one fused "
+        "vectorized call; 'distributed' shards each level over a "
+        "worker pool sharing the ciphertext plane)",
     )
     p.add_argument("--workers", type=int, default=None)
     p.add_argument(
@@ -1306,11 +1281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("workload")
     p.add_argument(
         "--backend",
-        choices=("single", "batched", "distributed"),
+        choices=("batched", "distributed"),
         default="batched",
-    )
-    p.add_argument(
-        "--transport", choices=("pickle", "shm"), default="shm"
     )
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--params", default="tfhe-test")
@@ -1338,13 +1310,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=7478)
     p.add_argument(
         "--backend",
-        choices=("single", "batched", "distributed"),
+        choices=("batched", "distributed"),
         default="batched",
-        help="per-tenant executor; 'batched' enables cross-request "
-        "SIMD coalescing",
-    )
-    p.add_argument(
-        "--transport", choices=("pickle", "shm"), default=None
+        help="per-tenant executor; cross-request batches stack onto "
+        "its level batches either way",
     )
     p.add_argument("--workers", type=int, default=None)
     p.add_argument(
@@ -1474,17 +1443,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench-gate", help="measure local gate cost")
     p.add_argument("--params", default="tfhe-test")
     p.add_argument(
-        "--backend",
-        choices=("single", "batched"),
-        default="batched",
-        help="engine to measure (default: batched — also reports the "
-        "legacy per-gate 'single' baseline for comparison)",
-    )
-    p.add_argument(
         "--batch",
         type=int,
         default=64,
-        help="gates per fused SIMD bootstrap in batched mode",
+        help="gates per fused SIMD bootstrap",
     )
     p.add_argument("--repetitions", type=int, default=3)
     p.add_argument(

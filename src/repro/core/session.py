@@ -75,18 +75,15 @@ class Client:
 class Server:
     """Cloud evaluator: runs PyTFHE binaries over ciphertexts.
 
-    ``backend`` selects the engine: ``"batched"`` (the default) is the
-    level-batched SIMD bootstrapping engine — whole BFS levels fuse
-    their blind rotations and key switches into single vectorized
-    calls, and :meth:`execute_many` stacks cross-request batches on
-    top (request × level 2-D batching).  ``"single"`` is the legacy
-    per-gate engine kept as an explicit baseline.
-
-    A ``distributed`` server keeps its worker pool warm across
-    ``execute()`` calls: the cloud key is broadcast once when the pool
-    starts, and later runs report ``key_bytes_moved == 0``.
-    ``transport`` picks how ciphertexts reach the workers
-    (``"shm"`` zero-copy plane, or the ``"pickle"`` pipe baseline).
+    ``backend`` selects where levels bootstrap: ``"batched"`` (the
+    default) is the in-process level-batched SIMD bootstrapping engine
+    — whole BFS levels fuse their blind rotations and key switches
+    into single vectorized calls, and :meth:`execute_many` stacks
+    cross-request batches on top (request × level 2-D batching).
+    ``"distributed"`` runs the same level loop with each level sharded
+    over a pool of worker processes sharing the ciphertext plane; the
+    pool stays warm across calls, the cloud key is broadcast once when
+    it starts, and later runs report ``key_bytes_moved == 0``.
 
     ``check_programs=True`` runs the static analyzer (structural lint,
     hazard detection, and — with the server key's parameter set —
@@ -100,7 +97,6 @@ class Server:
         cloud_key: CloudKey,
         backend: str = "batched",
         num_workers: Optional[int] = None,
-        transport: Optional[str] = None,
         check_programs: bool = False,
     ):
         self.cloud_key = cloud_key
@@ -111,14 +107,10 @@ class Server:
             self._check_config = AnalyzerConfig(
                 params=cloud_key.params
             )
-        if backend == "single":
-            self._backend = CpuBackend(cloud_key, batched=False)
-        elif backend == "batched":
-            self._backend = CpuBackend(cloud_key, batched=True)
+        if backend == "batched":
+            self._backend: CpuBackend = CpuBackend(cloud_key)
         elif backend == "distributed":
-            self._backend = DistributedCpuBackend(
-                cloud_key, num_workers, transport=transport
-            )
+            self._backend = DistributedCpuBackend(cloud_key, num_workers)
         else:
             raise ValueError(f"unknown backend {backend!r}")
         self.backend_name = backend
@@ -144,73 +136,21 @@ class Server:
         """Evaluate one program over many encrypted input sets.
 
         ``inputs`` has batch shape ``(instances, num_inputs)`` and the
-        result ``(instances, num_outputs)``.  Backends with SIMD
-        batching (``backend="batched"``) fold the whole batch into a
-        single :meth:`CpuBackend.run_many` call — the amortization the
-        serving layer's cross-request batcher relies on; other
-        backends fall back to one ``run`` per instance and return an
-        aggregated report.
+        result ``(instances, num_outputs)``.  The whole batch folds
+        into one ``run_many`` call — every level bootstraps all
+        instances at once, the amortization the serving layer's
+        cross-request batcher relies on.
         """
         netlist = self._checked_netlist(program)
-        if getattr(self._backend, "supports_run_many", False):
-            with _get_obs().tracer.span(
-                "session:execute_many", cat="session",
-                backend=self.backend_name, gates=netlist.num_gates,
-                instances=inputs.batch_shape[0] if inputs.a.ndim == 3
-                else -1,
-            ):
-                return self._backend.run_many(
-                    netlist, inputs, schedule=schedule
-                )
-        if inputs.a.ndim != 3:
-            raise ValueError(
-                f"inputs must have batch shape (instances, num_inputs);"
-                f" got batch shape {inputs.batch_shape}"
-            )
-        if inputs.batch_shape[1] != netlist.num_inputs:
-            raise ValueError(
-                f"heterogeneous input width: this netlist takes "
-                f"{netlist.num_inputs} input bits per instance, got "
-                f"{inputs.batch_shape[1]}"
-            )
-        instances = inputs.batch_shape[0]
-        if instances == 0:
-            raise ValueError(
-                "execute_many needs at least one instance (empty batch)"
-            )
-        from ..runtime.scheduler import build_schedule
-
-        schedule = schedule or build_schedule(netlist)
         with _get_obs().tracer.span(
             "session:execute_many", cat="session",
             backend=self.backend_name, gates=netlist.num_gates,
-            instances=instances,
+            instances=inputs.batch_shape[0] if inputs.a.ndim == 3
+            else -1,
         ):
-            outs = []
-            reports = []
-            for i in range(instances):
-                out, rep = self._backend.run(
-                    netlist, inputs[i], schedule
-                )
-                outs.append(out)
-                reports.append(rep)
-        merged = ExecutionReport(
-            backend=f"{reports[0].backend}-seq-x{instances}",
-            gates_total=sum(r.gates_total for r in reports),
-            gates_bootstrapped=sum(
-                r.gates_bootstrapped for r in reports
-            ),
-            levels=reports[0].levels,
-            wall_time_s=sum(r.wall_time_s for r in reports),
-            ciphertext_bytes_moved=sum(
-                r.ciphertext_bytes_moved for r in reports
-            ),
-            tasks_submitted=sum(r.tasks_submitted for r in reports),
-            key_bytes_moved=sum(r.key_bytes_moved for r in reports),
-            pool_reused=reports[-1].pool_reused,
-            transport=reports[0].transport,
-        )
-        return LweCiphertext.stack(outs), merged
+            return self._backend.run_many(
+                netlist, inputs, schedule=schedule
+            )
 
     def _checked_netlist(
         self, program: Union[Netlist, bytes, CompiledCircuit]

@@ -25,13 +25,14 @@ Test-polynomial construction per op:
 
 from __future__ import annotations
 
+import time
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ..gatetypes import OP_B2D, OP_D2B, OP_LIN, OP_LUT
 from ..tfhe.bootstrap import blind_rotate
-from ..tfhe.gates import MU_GATE
+from ..tfhe.gates import MU_GATE, _ambient_obs
 from ..tfhe.keys import CloudKey
 from ..tfhe.keyswitch import keyswitch_apply
 from ..tfhe.lut import IntegerEncoding
@@ -76,9 +77,11 @@ def mb_test_poly_rows(
 
     Returns ``(rows, post)`` with ``rows`` of shape ``(m, N)`` int32 and
     ``post`` of shape ``(m,)`` int32, for the multi-bit bootstrapped
-    gates ``gate_indices`` of an :class:`MbNetlist`.
+    gates ``gate_indices`` of an :class:`MbNetlist` (or of its
+    :func:`repro.serialization.load_netlist_plan` columns).
     """
     m = len(gate_indices)
+    n_in = netlist.num_inputs
     rows = np.zeros((m, big_n), dtype=np.int32)
     post = np.zeros(m, dtype=np.int32)
     cache = {}
@@ -86,7 +89,12 @@ def mb_test_poly_rows(
         code = int(netlist.ops[idx])
         tid = int(netlist.table_id[idx])
         table = netlist.tables[tid]
-        in_prec = int(netlist.node_prec(int(netlist.in0[idx])))
+        src = int(netlist.in0[idx])
+        in_prec = int(
+            netlist.input_prec[src]
+            if src < n_in
+            else netlist.prec[src - n_in]
+        )
         out_prec = int(netlist.prec[idx])
         key = (code, tid, in_prec, out_prec)
         hit = cache.get(key)
@@ -118,22 +126,31 @@ def mb_bootstrap_batch(
 ) -> LweCiphertext:
     """One fused blind rotation for a level's multi-bit bootstraps.
 
-    ``ct`` has batch shape ``(m,)`` or ``(m, instances)``; ``rows`` /
-    ``post`` are per-gate and broadcast across instances.
+    ``ct`` has batch shape ``(m,)``; ``rows`` ``(m, N)`` and ``post``
+    ``(m,)`` give each sample its test polynomial and post-rotation
+    offset.  Under observability the two phases land in
+    ``bootstrap_phase_ms`` exactly as
+    :func:`repro.tfhe.gates.bootstrap_binary` records them.
     """
     params = cloud.params
-    if ct.a.ndim == 3:  # (m, instances, n): add the instance axis
-        rows = rows[:, None, :]
-        post_b = post[:, None]
-    else:
-        post_b = post
+    t0 = time.perf_counter()
     acc = blind_rotate(rows, ct, cloud.bootstrap_fft(), params)
     extracted = tlwe_extract_lwe(acc, params)
+    t1 = time.perf_counter()
     out = keyswitch_apply(cloud.keyswitching_key, extracted)
+    obs = _ambient_obs()
+    if obs.active:
+        t2 = time.perf_counter()
+        obs.metrics.observe(
+            "bootstrap_phase_ms", (t1 - t0) * 1e3, phase="blind_rotate"
+        )
+        obs.metrics.observe(
+            "bootstrap_phase_ms", (t2 - t1) * 1e3, phase="keyswitch"
+        )
     if not np.any(post):
         return out
     return LweCiphertext(
-        out.a, wrap_int32(out.b.astype(np.int64) + post_b)
+        out.a, wrap_int32(out.b.astype(np.int64) + post)
     )
 
 

@@ -4,7 +4,7 @@ One :class:`Tracer` collects :class:`Span` records (named, categorized
 time intervals on a shared monotonic clock) from every layer of the
 framework: synthesis passes, netlist elaboration, key generation,
 encryption, per-level backend execution, and per-worker chunks of the
-distributed transports.  Spans carry the emitting process/thread ids
+distributed backend.  Spans carry the emitting process/thread ids
 plus an optional logical *track* (e.g. ``worker-3``), which the Chrome
 trace exporter maps to its own timeline row.
 

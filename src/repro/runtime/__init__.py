@@ -1,11 +1,7 @@
 """Execution backends for PyTFHE programs."""
 
 from .distributed import (
-    DEFAULT_TRANSPORT,
     DistributedCpuBackend,
-    PickleActorPool,
-    RayActorPool,
-    make_pool,
     shared_pool,
     shutdown_shared_pools,
 )
@@ -25,21 +21,17 @@ __all__ = [
     "render_trace",
     "summarize_trace",
     "CpuBackend",
-    "DEFAULT_TRANSPORT",
     "DistributedCpuBackend",
     "ExecutionReport",
     "GateProfile",
     "Level",
     "MAX_FHE_NODES",
-    "PickleActorPool",
     "PlaintextBackend",
-    "RayActorPool",
     "Schedule",
     "SharedCiphertextPlane",
     "ShmActorPool",
     "build_schedule",
     "default_mp_context",
-    "make_pool",
     "profile_gate",
     "shard_level",
     "shared_pool",

@@ -2,180 +2,49 @@
 
 The paper wraps the TFHE library with pybind11 and drives it with Ray
 actors, broadcasting the cloud key once and then submitting gate
-evaluations as tasks (Section IV-D).  Two transports reproduce that
-here, behind the same :class:`DistributedCpuBackend` API:
+evaluations as tasks (Section IV-D).  Here the actors are the
+persistent workers of a :class:`~repro.runtime.shm.ShmActorPool`: the
+run's ciphertext plane lives in shared memory, each worker runs
+:func:`~repro.runtime.executors.bootstrap_level` on its shard of every
+level in place, and only level indices cross the pipes.
 
-* ``pickle`` — the historical baseline: each BFS level's input and
-  output ciphertext batches are pickled through ``multiprocessing``
-  pipes, exactly as Ray would ship them between nodes.
-* ``shm`` — a zero-copy shared-memory ciphertext plane
-  (:mod:`repro.runtime.shm`): workers attach to the per-run LWE value
-  array once and read inputs / write outputs in place, so only chunk
-  indices cross the pipe.
+:class:`DistributedCpuBackend` is :class:`CpuBackend` with two things
+replaced — where the plane lives and who runs the bootstrap step — so
+it runs the same level loop, takes the same ``(R, num_inputs)``
+batches, and executes multi-bit programs like the in-process engine.
 
-Both transports run on persistent worker pools that receive the
-serialized cloud key exactly once per pool lifetime; reuse a pool
-across runs (``DistributedCpuBackend.pool()`` or :func:`shared_pool`)
-and subsequent runs report ``key_bytes_moved == 0``.
+A pool receives the serialized cloud key exactly once per lifetime;
+reuse it across runs (``DistributedCpuBackend.pool()`` or
+:func:`shared_pool`) and subsequent runs report
+``key_bytes_moved == 0``.
 """
 
 from __future__ import annotations
 
 import atexit
 import contextlib
-import os
-import time
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from ..obs import Observability
-from ..obs import get as _get_obs
-from ..tfhe.gates import evaluate_gates_batch
 from ..tfhe.keys import CloudKey
-from ..tfhe.lwe import LweCiphertext
-from .executors import (
-    MAX_FHE_NODES,
-    CpuBackend,
-    ExecutionReport,
-    _NodeStore,
-    emit_execution_observability,
-)
-from .scheduler import Schedule, build_schedule, shard_level
-from .shm import ShmActorPool, default_mp_context
-from .trace import TraceEvent
+from .executors import Chunk, CpuBackend, ExecutionReport, Plane
+from .scheduler import Level, Schedule
+from .shm import ShmActorPool
 
-#: Transport used when a backend creates its own pool.
-DEFAULT_TRANSPORT = "shm"
-
-# Worker-side cloud key, installed by the pool initializer.  Passing
-# the serialized key through the initializer (instead of relying on
-# fork inheritance) keeps the pickle transport spawn-safe.
-_WORKER_KEY: Optional[CloudKey] = None
-
-
-def _pickle_pool_init(key_blob: bytes) -> None:
-    global _WORKER_KEY
-    from ..serialization import load_cloud_key
-
-    _WORKER_KEY = load_cloud_key(key_blob)
-
-
-def _evaluate_chunk(payload) -> Tuple[np.ndarray, np.ndarray]:
-    """Worker-side task: evaluate one batch of bootstrapped gates.
-
-    Two payload shapes: the boolean 5-tuple ``(codes, ca_a, ca_b, cb_a,
-    cb_b)``, and the multi-bit tagged form ``("mb", rows, post, a, b)``
-    whose per-gate test polynomials blind-rotate in one fused call.
-    """
-    if isinstance(payload[0], str) and payload[0] == "mb":
-        from ..mblut.kernels import mb_bootstrap_batch
-
-        _tag, rows, post, a, b = payload
-        out = mb_bootstrap_batch(
-            _WORKER_KEY, LweCiphertext(a, b), rows, post
-        )
-        return out.a, out.b
-    codes, ca_a, ca_b, cb_a, cb_b = payload
-    out = evaluate_gates_batch(
-        _WORKER_KEY,
-        codes,
-        LweCiphertext(ca_a, ca_b),
-        LweCiphertext(cb_a, cb_b),
-    )
-    return out.a, out.b
-
-
-class PickleActorPool:
-    """A pool of persistent worker processes holding the cloud key.
-
-    The key is broadcast once, serialized, through the pool
-    initializer — never re-sent on later runs.
-    """
-
-    transport = "pickle"
-
-    def __init__(
-        self,
-        cloud_key: CloudKey,
-        num_workers: Optional[int] = None,
-        context=None,
-    ):
-        from ..serialization import save_cloud_key
-
-        self.num_workers = num_workers or max(1, (os.cpu_count() or 2) - 1)
-        self.fingerprint = cloud_key.fingerprint()
-        context = context or default_mp_context()
-        self.start_method = context.get_start_method()
-        key_blob = save_cloud_key(cloud_key)
-        self.key_bytes_pending = len(key_blob) * self.num_workers
-        self.run_count = 0
-        self.closed = False
-        self._pool = context.Pool(
-            processes=self.num_workers,
-            initializer=_pickle_pool_init,
-            initargs=(key_blob,),
-        )
-
-    def consume_key_bytes(self) -> int:
-        """Key bytes broadcast since last asked (non-zero once only)."""
-        pending = self.key_bytes_pending
-        self.key_bytes_pending = 0
-        return pending
-
-    def map(self, payloads: List) -> List:
-        return self._pool.map(_evaluate_chunk, payloads)
-
-    def shutdown(self) -> None:
-        if self.closed:
-            return
-        self._pool.close()
-        self._pool.join()
-        self.closed = True
-
-    def __enter__(self) -> "PickleActorPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-
-#: Backwards-compatible name from the fork-only implementation.
-RayActorPool = PickleActorPool
-
-
-def make_pool(
-    transport: str,
-    cloud_key: CloudKey,
-    num_workers: Optional[int] = None,
-    context=None,
-):
-    """Build a worker pool for the given transport."""
-    if transport == "pickle":
-        return PickleActorPool(cloud_key, num_workers, context=context)
-    if transport == "shm":
-        return ShmActorPool(cloud_key, num_workers, context=context)
-    raise ValueError(
-        f"unknown transport {transport!r}; choose 'pickle' or 'shm'"
-    )
-
-
-# A process-wide pool per (cloud key, transport, workers), created
-# lazily and reused across backends — the "broadcast the key once per
-# deployment" amortization the paper's Ray actors provide.
-_SHARED_POOLS: Dict[Tuple[str, str, Optional[int]], object] = {}
+# A process-wide pool per (cloud key, workers), created lazily and
+# reused across backends — the "broadcast the key once per deployment"
+# amortization the paper's Ray actors provide.
+_SHARED_POOLS: Dict[Tuple[str, Optional[int]], ShmActorPool] = {}
 
 
 def shared_pool(
-    cloud_key: CloudKey,
-    num_workers: Optional[int] = None,
-    transport: str = DEFAULT_TRANSPORT,
-):
+    cloud_key: CloudKey, num_workers: Optional[int] = None
+) -> ShmActorPool:
     """Lazily create (or reuse) a process-wide pool for this key."""
-    key = (cloud_key.fingerprint(), transport, num_workers)
+    key = (cloud_key.fingerprint(), num_workers)
     pool = _SHARED_POOLS.get(key)
     if pool is None or pool.closed:
-        pool = make_pool(transport, cloud_key, num_workers)
+        pool = ShmActorPool(cloud_key, num_workers)
         _SHARED_POOLS[key] = pool
     return pool
 
@@ -190,65 +59,34 @@ def shutdown_shared_pools() -> None:
 atexit.register(shutdown_shared_pools)
 
 
-class DistributedCpuBackend:
+class DistributedCpuBackend(CpuBackend):
     """Executes each BFS level across a process pool (Algorithm 1).
 
-    ``transport`` selects how ciphertexts reach the workers:
-    ``"pickle"`` ships batches through pipes, ``"shm"`` shares one
-    ciphertext plane (see module docstring).  Pass an existing pool to
-    share it between backends; ``DistributedCpuBackend.pool()`` builds
-    one with a context-managed lifetime.
+    Pass an existing pool to share it between backends;
+    ``DistributedCpuBackend.pool()`` builds one with a context-managed
+    lifetime.
     """
-
-    #: Cross-request SIMD batching (``run_many``) stays on the
-    #: in-process batched backend; the distributed pool already
-    #: parallelizes across workers, so callers (e.g. the serving
-    #: layer's batcher) fall back to per-instance ``run`` here.
-    supports_run_many = False
 
     def __init__(
         self,
         cloud_key: CloudKey,
         num_workers: Optional[int] = None,
-        pool=None,
-        transport: Optional[str] = None,
+        pool: Optional[ShmActorPool] = None,
         trace: bool = False,
         obs: Optional[Observability] = None,
     ):
-        self.cloud_key = cloud_key
-        self.trace_enabled = trace
-        #: Explicit observability bundle; ``None`` means the ambient
-        #: one (see :func:`repro.obs.observe`) is consulted per run.
-        self.obs = obs
+        super().__init__(cloud_key, trace=trace, obs=obs)
         self._own_pool = pool is None
-        if pool is None:
-            pool = make_pool(
-                transport or DEFAULT_TRANSPORT, cloud_key, num_workers
-            )
-        elif transport is not None and transport != pool.transport:
-            raise ValueError(
-                f"pool transport {pool.transport!r} != requested "
-                f"{transport!r}"
-            )
-        self.pool = pool
-        self.transport = pool.transport
+        self.pool = pool or ShmActorPool(cloud_key, num_workers)
         self.name = (
-            f"cpu-distributed-{self.pool.num_workers}w-{self.transport}"
+            f"cpu-distributed-{self.pool.num_workers}w-{self.pool.transport}"
         )
-        # One explicit free-gate helper shared by both transports and
-        # every run.  Free gates never bootstrap, but constructing the
-        # helper with an explicit engine (rather than inheriting
-        # whatever CpuBackend's default is) keeps its behavior pinned.
-        self._free_helper = CpuBackend(self.cloud_key, batched=True)
 
     @classmethod
     @contextlib.contextmanager
     def pool(
-        cls,
-        cloud_key: CloudKey,
-        num_workers: Optional[int] = None,
-        transport: str = DEFAULT_TRANSPORT,
-    ):
+        cls, cloud_key: CloudKey, num_workers: Optional[int] = None
+    ) -> Iterator[ShmActorPool]:
         """A persistent pool to share across backends and runs.
 
         The cloud key is broadcast when the pool starts and never
@@ -256,7 +94,7 @@ class DistributedCpuBackend:
         warm workers, so multi-inference sessions stop paying key
         transfer and process startup per run.
         """
-        pool = make_pool(transport, cloud_key, num_workers)
+        pool = ShmActorPool(cloud_key, num_workers)
         try:
             yield pool
         finally:
@@ -272,261 +110,40 @@ class DistributedCpuBackend:
     def __exit__(self, *exc) -> None:
         self.shutdown()
 
-    def run(
-        self,
-        netlist,
-        inputs: LweCiphertext,
-        schedule: Optional[Schedule] = None,
-    ) -> Tuple[LweCiphertext, ExecutionReport]:
-        if netlist.num_nodes > MAX_FHE_NODES:
-            raise ValueError(
-                "netlist too large for real FHE; use the cluster simulator"
-            )
-        schedule = schedule or build_schedule(netlist)
-        if self.transport == "shm":
-            if getattr(netlist, "is_multibit", False):
-                raise ValueError(
-                    "the shm transport's worker plan only carries "
-                    "boolean gate codes; run multi-bit netlists with "
-                    "transport='pickle'"
-                )
-            return self._run_shm(netlist, inputs, schedule)
-        return self._run_pickle(netlist, inputs, schedule)
-
-    # -- pickle transport (baseline) -----------------------------------
-    def _run_pickle(
-        self,
-        netlist,
-        inputs: LweCiphertext,
-        schedule: Schedule,
-    ) -> Tuple[LweCiphertext, ExecutionReport]:
-        params = self.cloud_key.params
-        obs = self.obs or _get_obs()
-        collect = self.trace_enabled or obs.active
-        pool_reused = self.pool.run_count > 0
-        start = time.perf_counter()
-        store = _NodeStore(netlist.num_nodes, params.lwe_dimension)
-        store.put(np.arange(netlist.num_inputs), inputs)
-
-        helper = self._free_helper  # reuse its free-gate logic
-        n_in = netlist.num_inputs
-        moved = 0
-        tasks = 0
-        trace_events: List[TraceEvent] = []
-        for level in schedule.levels:
-            if level.width:
-                t0 = time.perf_counter()
-                if getattr(netlist, "is_multibit", False):
-                    from ..mblut.kernels import (
-                        mb_test_poly_rows,
-                        split_level,
-                    )
-
-                    level_codes = netlist.ops[
-                        level.bootstrapped
-                    ].astype(np.int64)
-                    bool_pos, mb_pos = split_level(level_codes)
-                    chunks = shard_level(
-                        level.bootstrapped[bool_pos],
-                        self.pool.num_workers,
-                    )
-                    mb_chunks = shard_level(
-                        level.bootstrapped[mb_pos],
-                        self.pool.num_workers,
-                    )
-                else:
-                    chunks = shard_level(
-                        level.bootstrapped, self.pool.num_workers
-                    )
-                    mb_chunks = []
-                payloads = []
-                for chunk in chunks:
-                    codes = netlist.ops[chunk].astype(np.int64)
-                    ca = store.get(netlist.in0[chunk])
-                    cb = store.get(netlist.in1[chunk])
-                    payloads.append((codes, ca.a, ca.b, cb.a, cb.b))
-                    moved += ca.nbytes() + cb.nbytes()
-                for chunk in mb_chunks:
-                    rows, post = mb_test_poly_rows(
-                        netlist, chunk, params.tlwe_degree
-                    )
-                    ct = store.get(netlist.in0[chunk])
-                    payloads.append(("mb", rows, post, ct.a, ct.b))
-                    moved += ct.nbytes() + rows.nbytes + post.nbytes
-                chunks = chunks + mb_chunks
-                results = self.pool.map(payloads)
-                tasks += len(payloads)
-                for chunk, (out_a, out_b) in zip(chunks, results):
-                    store.a[chunk + n_in] = out_a
-                    store.b[chunk + n_in] = out_b
-                    moved += out_a.nbytes + out_b.nbytes
-                if collect:
-                    trace_events.append(
-                        TraceEvent(
-                            level=level.index,
-                            kind="bootstrap",
-                            gates=level.width,
-                            start_s=t0 - start,
-                            end_s=time.perf_counter() - start,
-                        )
-                    )
-            if len(level.free):
-                t0 = time.perf_counter()
-                for gate_idx in level.free:
-                    helper._run_free(netlist, store, int(gate_idx), n_in)
-                if collect:
-                    trace_events.append(
-                        TraceEvent(
-                            level=level.index,
-                            kind="free",
-                            gates=len(level.free),
-                            start_s=t0 - start,
-                            end_s=time.perf_counter() - start,
-                        )
-                    )
-        outputs = store.get(netlist.outputs)
-        elapsed = time.perf_counter() - start
-        self.pool.run_count += 1
-        key_bytes = self.pool.consume_key_bytes()
-        if obs.active:
-            emit_execution_observability(
-                obs, self.name, netlist, schedule, trace_events,
-                run_start=start, elapsed=elapsed,
-                ciphertext_bytes_moved=moved,
-            )
-            obs.metrics.inc("tasks_submitted", tasks, transport="pickle")
-            if key_bytes:
-                obs.metrics.inc(
-                    "key_bytes_moved", key_bytes, transport="pickle"
-                )
-        report = ExecutionReport(
-            backend=self.name,
-            gates_total=netlist.num_gates,
-            gates_bootstrapped=schedule.num_bootstrapped,
-            levels=schedule.depth,
-            wall_time_s=elapsed,
-            ciphertext_bytes_moved=moved,
-            tasks_submitted=tasks,
-            key_bytes_moved=key_bytes,
-            pool_reused=pool_reused,
-            transport="pickle",
-            trace=trace_events,
-        )
-        return outputs, report
-
-    # -- shared-memory transport ---------------------------------------
-    def _run_shm(
-        self,
-        netlist,
-        inputs: LweCiphertext,
-        schedule: Schedule,
-    ) -> Tuple[LweCiphertext, ExecutionReport]:
-        params = self.cloud_key.params
-        obs = self.obs or _get_obs()
-        collect = self.trace_enabled or obs.active
-        pool = self.pool
-        pool_reused = pool.run_count > 0
-        start = time.perf_counter()
-        plane = pool.begin_run(netlist, schedule)
-        store = None
-        trace_events: List[TraceEvent] = []
-        tasks = 0
+    @contextlib.contextmanager
+    def _plane(
+        self, netlist, schedule: Schedule, instances: int
+    ) -> Iterator[Plane]:
+        """The plane in shared memory, with the plan broadcast."""
+        plane = self.pool.begin_run(netlist, schedule, instances)
         try:
-            store = _NodeStore(
-                netlist.num_nodes,
-                params.lwe_dimension,
-                buffers=(plane.a, plane.b),
-            )
-            store.put(np.arange(netlist.num_inputs), inputs)
-            helper = self._free_helper
-            n_in = netlist.num_inputs
-            for level in schedule.levels:
-                if level.width:
-                    t0 = time.perf_counter()
-                    done = pool.run_level(level.index)
-                    t1 = time.perf_counter()
-                    tasks += len(done)
-                    if collect:
-                        trace_events.append(
-                            TraceEvent(
-                                level=level.index,
-                                kind="bootstrap",
-                                gates=level.width,
-                                start_s=t0 - start,
-                                end_s=t1 - start,
-                            )
-                        )
-                        for worker_id, gates, duration in done:
-                            trace_events.append(
-                                TraceEvent(
-                                    level=level.index,
-                                    kind="chunk",
-                                    gates=gates,
-                                    start_s=max(
-                                        t0 - start, t1 - start - duration
-                                    ),
-                                    end_s=t1 - start,
-                                    worker=worker_id,
-                                )
-                            )
-                if len(level.free):
-                    t0 = time.perf_counter()
-                    for gate_idx in level.free:
-                        helper._run_free(netlist, store, int(gate_idx), n_in)
-                    if collect:
-                        trace_events.append(
-                            TraceEvent(
-                                level=level.index,
-                                kind="free",
-                                gates=len(level.free),
-                                start_s=t0 - start,
-                                end_s=time.perf_counter() - start,
-                            )
-                        )
-            # Fancy indexing copies the outputs out of the shared
-            # plane, so they survive the unlink in end_run().
-            outputs = LweCiphertext(
-                plane.a[netlist.outputs], plane.b[netlist.outputs]
-            )
+            yield plane
         finally:
-            store = None  # drop plane views before the segment goes away
-            control_bytes = pool.control_bytes
-            plan_bytes = pool.plan_bytes
-            pool.end_run()
-        elapsed = time.perf_counter() - start
+            self.pool.end_run()
+
+    def _bootstrap_step(
+        self, netlist, plane: Plane, level: Level
+    ) -> Tuple[int, Sequence[Chunk]]:
+        """Each worker bootstraps its shard of the level in the plane;
+        no ciphertext byte crosses a pipe."""
+        return 0, self.pool.run_level(level.index)
+
+    def _finish(self, report: ExecutionReport, obs: Observability) -> None:
+        pool = self.pool
+        report.pool_reused = pool.run_count > 0
         pool.run_count += 1
-        key_bytes = pool.consume_key_bytes()
+        report.key_bytes_moved = pool.consume_key_bytes()
+        report.transport = pool.transport
+        report.extra = {
+            "control_bytes_moved": pool.control_bytes,
+            "plan_bytes_moved": pool.plan_bytes,
+        }
         if obs.active:
-            emit_execution_observability(
-                obs, self.name, netlist, schedule, trace_events,
-                run_start=start, elapsed=elapsed,
-            )
-            obs.metrics.inc("tasks_submitted", tasks, transport="shm")
-            obs.metrics.inc(
-                "control_bytes_moved", control_bytes, transport="shm"
-            )
-            obs.metrics.inc(
-                "plan_bytes_moved", plan_bytes, transport="shm"
-            )
-            if key_bytes:
-                obs.metrics.inc(
-                    "key_bytes_moved", key_bytes, transport="shm"
-                )
-        report = ExecutionReport(
-            backend=self.name,
-            gates_total=netlist.num_gates,
-            gates_bootstrapped=schedule.num_bootstrapped,
-            levels=schedule.depth,
-            wall_time_s=elapsed,
-            ciphertext_bytes_moved=0,
-            tasks_submitted=tasks,
-            key_bytes_moved=key_bytes,
-            pool_reused=pool_reused,
-            transport="shm",
-            extra={
-                "control_bytes_moved": control_bytes,
-                "plan_bytes_moved": plan_bytes,
-            },
-            trace=trace_events,
-        )
-        return outputs, report
+            for counter, value in (
+                ("tasks_submitted", report.tasks_submitted),
+                ("control_bytes_moved", pool.control_bytes),
+                ("plan_bytes_moved", pool.plan_bytes),
+                ("key_bytes_moved", report.key_bytes_moved),
+            ):
+                if value:
+                    obs.metrics.inc(counter, value, transport=pool.transport)

@@ -1,14 +1,22 @@
 """Backends that execute TFHE program netlists.
 
 * :class:`PlaintextBackend` — reference bit semantics (no crypto).
-* :class:`CpuBackend` — real TFHE execution on this process.  The
-  default engine is *level-batched SIMD bootstrapping*: each BFS level's
-  blind rotations and key switches run fused as single vectorized numpy
-  calls over every gate in the level, the functional analogue of the
-  paper's GPU batch execution (and MATCHA's batching lesson).  Pass
-  ``batched=False`` for the legacy ``single`` engine that evaluates one
-  bootstrapped gate at a time (the paper's single-threaded CPU
-  baseline, kept for comparison benchmarks).
+* :class:`CpuBackend` — real TFHE execution on this process.
+
+Every real backend runs the same thing: a ``(nodes, R, n)`` ciphertext
+*plane* — one LWE sample per netlist node per stacked request — walked
+level by level along the BFS :class:`Schedule` (paper Algorithm 1).
+This module owns the three pieces of that walk:
+
+* :func:`bootstrap_level` — one level's bootstrapped gates, fused into
+  one vectorized blind rotation + key switch per gate vocabulary
+  (boolean gates, and LUT/B2D/D2B programmable bootstraps), gathered
+  from and scattered to the plane in place.  The functional analogue
+  of the paper's GPU batch execution (and MATCHA's batching lesson).
+* :func:`free_gates` — CONST/BUF/NOT/LIN on the same plane.
+* the one level loop (``CpuBackend._execute``, behind ``run_many``;
+  ``run`` is its ``R = 1`` case).  The distributed backend overrides
+  only where the plane lives and who runs the bootstrap step.
 
 Every run returns an :class:`ExecutionReport` with gate/level counts,
 wall time, and communication volume, which the benchmark harness uses.
@@ -16,23 +24,30 @@ wall time, and communication volume, which the benchmark harness uses.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from ..gatetypes import Gate, OP_LIN, op_name
 from ..hdl.netlist import NO_INPUT, Netlist
+from ..mblut.kernels import (
+    lin_combine,
+    mb_bootstrap_batch,
+    mb_test_poly_rows,
+    split_level,
+)
 from ..obs import Observability
 from ..obs import get as _get_obs
-from ..tfhe.gates import evaluate_gate, evaluate_gates_batch, trivial_bit
+from ..tfhe.gates import evaluate_gates_batch, trivial_bit
 from ..tfhe.keys import CloudKey
 from ..tfhe.lwe import LweCiphertext
 from ..tfhe.torus import wrap_int32
-from .scheduler import Schedule, build_schedule
+from .scheduler import Level, Schedule, build_schedule
 from .trace import TraceEvent
 
 
@@ -44,12 +59,12 @@ def emit_execution_observability(
     events: List[TraceEvent],
     run_start: float,
     elapsed: float,
-    ciphertext_bytes_moved: int = 0,
-    instances: int = 1,
+    ciphertext_bytes_moved: int,
+    instances: int,
 ) -> None:
     """Publish one run's trace events into an observability bundle.
 
-    Shared by every real backend: per-level :class:`TraceEvent` records
+    Called from the one level loop: per-level :class:`TraceEvent` records
     become tracer spans (chunk events land on per-worker tracks), gate
     executions feed per-type counters, level durations feed histograms,
     and — when the bundle carries a noise tracker — each bootstrapped
@@ -134,7 +149,7 @@ class ExecutionReport:
     key_bytes_moved: int = 0
     #: True when the run reused a worker pool warmed by an earlier run.
     pool_reused: bool = False
-    #: Which transport moved ciphertexts ("pickle" | "shm"); empty for
+    #: How ciphertexts reached the workers (``"shm"``); empty for
     #: non-distributed backends.
     transport: str = ""
     extra: Dict[str, float] = field(default_factory=dict)
@@ -178,7 +193,6 @@ class PlaintextBackend:
     """Reference executor over plaintext bits."""
 
     name = "plaintext"
-    supports_run_many = False
 
     def run(
         self, netlist: Netlist, inputs: np.ndarray
@@ -197,72 +211,146 @@ class PlaintextBackend:
         return outputs, report
 
 
-class _NodeStore:
-    """Per-node LWE sample storage for an in-flight execution.
-
-    ``buffers`` lets a caller supply pre-allocated ``(a, b)`` arrays —
-    the shared-memory transport passes views of its ciphertext plane so
-    free gates and input loads write straight into shared memory.
-    """
-
-    def __init__(
-        self,
-        num_nodes: int,
-        dimension: int,
-        buffers: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ):
-        if buffers is None:
-            self.a = np.zeros((num_nodes, dimension), dtype=np.int32)
-            self.b = np.zeros(num_nodes, dtype=np.int32)
-        else:
-            self.a, self.b = buffers
-
-    def put(self, nodes: np.ndarray, ct: LweCiphertext) -> None:
-        self.a[nodes] = ct.a
-        self.b[nodes] = ct.b
-
-    def get(self, nodes: np.ndarray) -> LweCiphertext:
-        return LweCiphertext(self.a[nodes], self.b[nodes])
-
-
 #: Refuse real-FHE execution beyond this size (use the simulators).
 MAX_FHE_NODES = 2_000_000
 
+_CONST0, _CONST1, _BUF, _NOT = (
+    int(g) for g in (Gate.CONST0, Gate.CONST1, Gate.BUF, Gate.NOT)
+)
+
+
+def bootstrap_level(
+    cloud_key: CloudKey,
+    plan,
+    a: np.ndarray,
+    b: np.ndarray,
+    gate_ids: np.ndarray,
+) -> int:
+    """Bootstrap the gates ``gate_ids`` of one level, in place.
+
+    ``a`` ``(nodes, R, n)`` / ``b`` ``(nodes, R)`` is the ciphertext
+    plane; ``plan`` is anything carrying the netlist's flat columns
+    (``ops/in0/in1/num_inputs``, plus the multi-bit columns when the
+    level holds LUT/B2D/D2B gates) — a netlist in process, a
+    :func:`repro.serialization.load_netlist_plan` namespace in a
+    worker.  Boolean gates fuse into one :func:`evaluate_gates_batch`
+    call and multi-bit bootstraps into one per-row-test-polynomial
+    :func:`mb_bootstrap_batch` call.  Returns the ciphertext bytes
+    gathered from and scattered to the plane.
+    """
+    codes = plan.ops[gate_ids].astype(np.int64)
+    bool_pos, mb_pos = split_level(codes)
+    requests, dim = a.shape[1:]
+
+    def gather(nodes: np.ndarray) -> LweCiphertext:
+        # The kernels see one flat batch: gates x requests samples.
+        return LweCiphertext(a[nodes].reshape(-1, dim), b[nodes].reshape(-1))
+
+    def scatter(ids: np.ndarray, out: LweCiphertext) -> None:
+        nodes = ids + plan.num_inputs
+        a[nodes] = out.a.reshape(-1, requests, dim)
+        b[nodes] = out.b.reshape(-1, requests)
+
+    moved = 0
+    if len(bool_pos):
+        ids = gate_ids[bool_pos]
+        ca, cb = gather(plan.in0[ids]), gather(plan.in1[ids])
+        out = evaluate_gates_batch(
+            cloud_key, np.repeat(codes[bool_pos], requests), ca, cb
+        )
+        scatter(ids, out)
+        moved += ca.nbytes() + cb.nbytes() + out.nbytes()
+    if len(mb_pos):
+        ids = gate_ids[mb_pos]
+        ct = gather(plan.in0[ids])
+        rows, post = mb_test_poly_rows(
+            plan, ids, cloud_key.params.tlwe_degree
+        )
+        out = mb_bootstrap_batch(
+            cloud_key,
+            ct,
+            np.repeat(rows, requests, axis=0),
+            np.repeat(post, requests),
+        )
+        scatter(ids, out)
+        moved += ct.nbytes() + out.nbytes()
+    return moved
+
+
+def free_gates(
+    plan, a: np.ndarray, b: np.ndarray, gate_ids: np.ndarray, params
+) -> None:
+    """Evaluate one level's free gates (CONST/BUF/NOT/LIN), in place.
+
+    Gate order is topological, so a free gate may read another free
+    gate of the same level; hence one gate at a time.
+    """
+    n_in = plan.num_inputs
+    for gate_idx in gate_ids.tolist():
+        code = int(plan.ops[gate_idx])
+        node = n_in + gate_idx
+        src = int(plan.in0[gate_idx])
+        if code == _BUF:
+            a[node] = a[src]
+            b[node] = b[src]
+        elif code == _NOT:
+            a[node] = wrap_int32(-a[src].astype(np.int64))
+            b[node] = wrap_int32(-b[src].astype(np.int64))
+        elif code == _CONST0 or code == _CONST1:
+            const = trivial_bit(code == _CONST1, params)
+            a[node] = const.a
+            b[node] = const.b
+        elif code == OP_LIN:
+            other = int(plan.in1[gate_idx])
+            out = lin_combine(
+                LweCiphertext(a[src], b[src]),
+                None
+                if other == NO_INPUT
+                else LweCiphertext(a[other], b[other]),
+                int(plan.kx[gate_idx]),
+                int(plan.ky[gate_idx]),
+                int(plan.kconst[gate_idx]),
+                int(plan.prec[gate_idx]),
+            )
+            a[node] = out.a
+            b[node] = out.b
+        else:  # pragma: no cover - the schedule lists free gates only
+            raise AssertionError(f"{op_name(code)} is not a free gate")
+
+
+#: What a bootstrap step reports for each task it ran on a worker:
+#: ``(worker id, gates, seconds)``.
+Chunk = Tuple[int, int, float]
+
+
+class Plane(Protocol):
+    """A run's ciphertexts: one LWE sample per node per request."""
+
+    a: np.ndarray  # (nodes, R, n) masks
+    b: np.ndarray  # (nodes, R) bodies
+
 
 class CpuBackend:
-    """Real TFHE execution (single process).
+    """Real TFHE execution, level-batched, in this process.
 
-    ``batched=True`` (the default engine) bootstraps whole BFS levels
-    as fused vectorized calls; ``batched=False`` is the legacy
-    ``single`` per-gate engine.  ``max_batch`` caps how many gates
-    bootstrap in one vectorized call (bounding the FFT working set);
-    ``None`` means whole BFS levels — the analogue of sizing GPU
-    batches to device memory (Fig. 9).
+    Each BFS level bootstraps every gate of every stacked request in
+    one vectorized call — the analogue of the paper's GPU batch
+    execution, with SIMD across inference requests on top.
     """
+
+    name = "cpu-batched"
 
     def __init__(
         self,
         cloud_key: CloudKey,
-        batched: bool = True,
-        max_batch: Optional[int] = None,
         trace: bool = False,
         obs: Optional[Observability] = None,
     ):
-        if max_batch is not None and max_batch < 1:
-            raise ValueError("max_batch must be positive")
         self.cloud_key = cloud_key
-        self.batched = batched
-        self.max_batch = max_batch
         self.trace_enabled = trace
         #: Explicit observability bundle; ``None`` means the ambient
         #: one (see :func:`repro.obs.observe`) is consulted per run.
         self.obs = obs
-        self.name = "cpu-batched" if batched else "cpu-single"
-
-    @property
-    def supports_run_many(self) -> bool:
-        """Whether :meth:`run_many` is available (batched mode only)."""
-        return self.batched
 
     def run(
         self,
@@ -270,77 +358,8 @@ class CpuBackend:
         inputs: LweCiphertext,
         schedule: Optional[Schedule] = None,
     ) -> Tuple[LweCiphertext, ExecutionReport]:
-        if netlist.num_nodes > MAX_FHE_NODES:
-            raise ValueError(
-                f"{netlist.num_nodes} nodes exceeds the real-FHE executor "
-                f"limit ({MAX_FHE_NODES}); use the performance simulators"
-            )
-        if inputs.batch_shape != (netlist.num_inputs,):
-            raise ValueError(
-                f"expected {netlist.num_inputs} input ciphertexts, "
-                f"got {inputs.batch_shape}"
-            )
-        schedule = schedule or build_schedule(netlist)
-        params = self.cloud_key.params
-        obs = self.obs or _get_obs()
-        collect = self.trace_enabled or obs.active
-        start = time.perf_counter()
-        store = _NodeStore(netlist.num_nodes, params.lwe_dimension)
-        store.put(np.arange(netlist.num_inputs), inputs)
-
-        n_in = netlist.num_inputs
-        moved = 0
-        trace_events: List[TraceEvent] = []
-        for level in schedule.levels:
-            if level.width:
-                t0 = time.perf_counter()
-                moved += self._run_bootstrapped(
-                    netlist, store, level.bootstrapped, n_in
-                )
-                if collect:
-                    trace_events.append(
-                        TraceEvent(
-                            level=level.index,
-                            kind="bootstrap",
-                            gates=level.width,
-                            start_s=t0 - start,
-                            end_s=time.perf_counter() - start,
-                        )
-                    )
-            if len(level.free):
-                t0 = time.perf_counter()
-                for gate_idx in level.free:
-                    self._run_free(netlist, store, int(gate_idx), n_in)
-                if collect:
-                    trace_events.append(
-                        TraceEvent(
-                            level=level.index,
-                            kind="free",
-                            gates=len(level.free),
-                            start_s=t0 - start,
-                            end_s=time.perf_counter() - start,
-                        )
-                    )
-        outputs = store.get(netlist.outputs)
-        elapsed = time.perf_counter() - start
-        if obs.active:
-            emit_execution_observability(
-                obs, self.name, netlist, schedule, trace_events,
-                run_start=start, elapsed=elapsed,
-                ciphertext_bytes_moved=moved,
-            )
-        stats_bs = schedule.num_bootstrapped
-        report = ExecutionReport(
-            backend=self.name,
-            gates_total=netlist.num_gates,
-            gates_bootstrapped=stats_bs,
-            levels=schedule.depth,
-            wall_time_s=elapsed,
-            ciphertext_bytes_moved=moved,
-            tasks_submitted=stats_bs if not self.batched else schedule.depth,
-            trace=trace_events,
-        )
-        return outputs, report
+        """Evaluate the netlist once: the one-request case of the loop."""
+        return self._execute(netlist, inputs, schedule, many=False)
 
     def run_many(
         self,
@@ -356,17 +375,33 @@ class CpuBackend:
         per-gate cost amortizes across instances — SIMD over inference
         requests, the CPU analogue of GPU batch throughput.
         """
-        if not self.batched:
-            raise ValueError("run_many requires the batched backend")
-        if inputs.a.ndim != 3:
+        return self._execute(netlist, inputs, schedule, many=True)
+
+    def _execute(
+        self,
+        netlist: Netlist,
+        inputs: LweCiphertext,
+        schedule: Optional[Schedule],
+        many: bool,
+    ) -> Tuple[LweCiphertext, ExecutionReport]:
+        """The one level loop every backend runs (paper Algorithm 1)."""
+        n_in = netlist.num_inputs
+        if not many:
+            if inputs.batch_shape != (n_in,):
+                raise ValueError(
+                    f"expected {n_in} input ciphertexts, "
+                    f"got {inputs.batch_shape}"
+                )
+            inputs = inputs[None]
+        elif inputs.a.ndim != 3:
             raise ValueError(
                 f"inputs must have batch shape (instances, num_inputs); "
                 f"got batch shape {inputs.batch_shape}"
             )
-        if inputs.batch_shape[1] != netlist.num_inputs:
+        elif inputs.batch_shape[1] != n_in:
             raise ValueError(
                 f"heterogeneous input width: this netlist takes "
-                f"{netlist.num_inputs} input bits per instance, got "
+                f"{n_in} input bits per instance, got "
                 f"{inputs.batch_shape[1]}"
             )
         instances = inputs.batch_shape[0]
@@ -375,268 +410,107 @@ class CpuBackend:
                 "run_many needs at least one instance (empty batch)"
             )
         if netlist.num_nodes * instances > MAX_FHE_NODES:
-            raise ValueError("instances * nodes exceeds the real-FHE limit")
+            raise ValueError(
+                f"{netlist.num_nodes} nodes x {instances} instances "
+                f"exceeds the real-FHE executor limit ({MAX_FHE_NODES}); "
+                f"use the performance simulators"
+            )
         schedule = schedule or build_schedule(netlist)
+        name = f"{self.name}-x{instances}" if many else self.name
         params = self.cloud_key.params
         obs = self.obs or _get_obs()
         collect = self.trace_enabled or obs.active
-        trace_events: List[TraceEvent] = []
+        events: List[TraceEvent] = []
         start = time.perf_counter()
 
-        dim = params.lwe_dimension
-        store_a = np.zeros(
-            (netlist.num_nodes, instances, dim), dtype=np.int32
-        )
-        store_b = np.zeros((netlist.num_nodes, instances), dtype=np.int32)
-        store_a[: netlist.num_inputs] = np.swapaxes(inputs.a, 0, 1)
-        store_b[: netlist.num_inputs] = np.swapaxes(inputs.b, 0, 1)
-
-        n_in = netlist.num_inputs
-        for level in schedule.levels:
-            t_level = time.perf_counter()
-            if level.width:
-                if getattr(netlist, "is_multibit", False):
-                    store = _NodeStore(
-                        0, 0, buffers=(store_a, store_b)
-                    )
-                    self._run_bootstrapped_mb(
-                        netlist,
-                        store,
-                        level.bootstrapped,
-                        netlist.ops[level.bootstrapped].astype(np.int64),
-                        n_in,
-                    )
-                else:
-                    ids = level.bootstrapped
-                    codes = np.broadcast_to(
-                        netlist.ops[ids].astype(np.int64)[:, None],
-                        (len(ids), instances),
-                    )
-                    ca = LweCiphertext(
-                        store_a[netlist.in0[ids]], store_b[netlist.in0[ids]]
-                    )
-                    cb = LweCiphertext(
-                        store_a[netlist.in1[ids]], store_b[netlist.in1[ids]]
-                    )
-                    out = evaluate_gates_batch(
-                        self.cloud_key, codes, ca, cb
-                    )
-                    store_a[ids + n_in] = out.a
-                    store_b[ids + n_in] = out.b
-                if collect:
-                    trace_events.append(
-                        TraceEvent(
-                            level=level.index,
-                            kind="bootstrap",
-                            gates=level.width,
-                            start_s=t_level - start,
-                            end_s=time.perf_counter() - start,
-                        )
-                    )
-            t_free = time.perf_counter()
-            for gate_idx in level.free:
-                code = int(netlist.ops[gate_idx])
-                if code == OP_LIN:
-                    _lin_into(netlist, store_a, store_b, int(gate_idx), n_in)
-                    continue
-                gate = Gate(code)
-                node = n_in + gate_idx
-                if gate is Gate.CONST0 or gate is Gate.CONST1:
-                    ct = trivial_bit(gate is Gate.CONST1, params)
-                    store_a[node] = ct.a
-                    store_b[node] = ct.b
-                    continue
-                src = int(netlist.in0[gate_idx])
-                if gate is Gate.BUF:
-                    store_a[node] = store_a[src]
-                    store_b[node] = store_b[src]
-                elif gate is Gate.NOT:
-                    store_a[node] = wrap_int32(
-                        -store_a[src].astype(np.int64)
-                    )
-                    store_b[node] = wrap_int32(
-                        -store_b[src].astype(np.int64)
-                    )
-                else:  # pragma: no cover
-                    raise AssertionError(f"{gate.name} is not free")
-            if collect and len(level.free):
-                trace_events.append(
+        def record(
+            kind: str, level: Level, gates: int, t0: float, t1: float,
+            worker: int = -1,
+        ) -> None:
+            if collect:
+                events.append(
                     TraceEvent(
-                        level=level.index,
-                        kind="free",
-                        gates=len(level.free),
-                        start_s=t_free - start,
-                        end_s=time.perf_counter() - start,
+                        level.index, kind, gates, t0 - start, t1 - start,
+                        worker,
                     )
                 )
-        outputs = LweCiphertext(
-            np.swapaxes(store_a[netlist.outputs], 0, 1),
-            np.swapaxes(store_b[netlist.outputs], 0, 1),
-        )
-        elapsed = time.perf_counter() - start
-        if obs.active:
-            emit_execution_observability(
-                obs, f"{self.name}-x{instances}", netlist, schedule,
-                trace_events, run_start=start, elapsed=elapsed,
-                instances=instances,
+
+        moved = 0
+        tasks = 0
+        with self._plane(netlist, schedule, instances) as plane:
+            plane.a[:n_in] = np.swapaxes(inputs.a, 0, 1)
+            plane.b[:n_in] = np.swapaxes(inputs.b, 0, 1)
+            for level in schedule.levels:
+                if level.width:
+                    t0 = time.perf_counter()
+                    level_moved, chunks = self._bootstrap_step(
+                        netlist, plane, level
+                    )
+                    t1 = time.perf_counter()
+                    moved += level_moved
+                    # A step that ran in this process is one task.
+                    tasks += len(chunks) or 1
+                    record("bootstrap", level, level.width, t0, t1)
+                    for worker, gates, seconds in chunks:
+                        record(
+                            "chunk", level, gates,
+                            max(t0, t1 - seconds), t1, worker,
+                        )
+                if len(level.free):
+                    t0 = time.perf_counter()
+                    free_gates(netlist, plane.a, plane.b, level.free, params)
+                    record(
+                        "free", level, len(level.free), t0,
+                        time.perf_counter(),
+                    )
+            # Fancy indexing copies the outputs out of the plane, so
+            # they outlive it.
+            outputs = LweCiphertext(
+                np.swapaxes(plane.a[netlist.outputs], 0, 1),
+                np.swapaxes(plane.b[netlist.outputs], 0, 1),
             )
+        elapsed = time.perf_counter() - start
+        if not many:
+            outputs = outputs[0]
         report = ExecutionReport(
-            backend=f"{self.name}-x{instances}",
+            backend=name,
             gates_total=netlist.num_gates * instances,
             gates_bootstrapped=schedule.num_bootstrapped * instances,
             levels=schedule.depth,
             wall_time_s=elapsed,
-            tasks_submitted=schedule.depth,
-            trace=trace_events,
+            ciphertext_bytes_moved=moved,
+            tasks_submitted=tasks,
+            trace=events,
         )
+        if obs.active:
+            emit_execution_observability(
+                obs, name, netlist, schedule, events,
+                run_start=start, elapsed=elapsed,
+                ciphertext_bytes_moved=moved, instances=instances,
+            )
+        self._finish(report, obs)
         return outputs, report
 
-    def _run_bootstrapped(
-        self,
-        netlist: Netlist,
-        store: _NodeStore,
-        gate_indices: np.ndarray,
-        n_in: int,
-    ) -> int:
-        codes = netlist.ops[gate_indices].astype(np.int64)
-        if getattr(netlist, "is_multibit", False):
-            return self._run_bootstrapped_mb(
-                netlist, store, gate_indices, codes, n_in
-            )
-        ca = store.get(netlist.in0[gate_indices])
-        cb = store.get(netlist.in1[gate_indices])
-        if self.batched:
-            count = len(gate_indices)
-            if self.max_batch is None or self.max_batch >= count:
-                # The default engine: the whole level's blind rotations
-                # and key switches fuse into one vectorized call.
-                out = evaluate_gates_batch(self.cloud_key, codes, ca, cb)
-            else:
-                # Bounded working set: chunked calls write straight into
-                # preallocated output arrays (no per-chunk concatenate).
-                dim = self.cloud_key.params.lwe_dimension
-                out = LweCiphertext(
-                    np.empty((count, dim), dtype=np.int32),
-                    np.empty(count, dtype=np.int32),
-                )
-                for start in range(0, count, self.max_batch):
-                    stop = start + self.max_batch
-                    part = evaluate_gates_batch(
-                        self.cloud_key,
-                        codes[start:stop],
-                        ca[start:stop],
-                        cb[start:stop],
-                    )
-                    out.a[start:stop] = part.a
-                    out.b[start:stop] = part.b
-        else:
-            parts = [
-                evaluate_gate(
-                    self.cloud_key, Gate(int(codes[i])), ca[i], cb[i]
-                )
-                for i in range(len(gate_indices))
-            ]
-            out = LweCiphertext.stack(parts)
-        store.put(gate_indices + n_in, out)
-        return (ca.nbytes() + cb.nbytes() + out.nbytes())
+    # -- what a backend may override -----------------------------------
+    @contextlib.contextmanager
+    def _plane(
+        self, netlist: Netlist, schedule: Schedule, instances: int
+    ) -> Iterator[Plane]:
+        """The run's ``(nodes, instances)`` ciphertext plane."""
+        dim = self.cloud_key.params.lwe_dimension
+        yield LweCiphertext(
+            np.zeros((netlist.num_nodes, instances, dim), dtype=np.int32),
+            np.zeros((netlist.num_nodes, instances), dtype=np.int32),
+        )
 
-    def _run_bootstrapped_mb(
-        self,
-        netlist,
-        store: _NodeStore,
-        gate_indices: np.ndarray,
-        codes: np.ndarray,
-        n_in: int,
-    ) -> int:
-        """One level of a multi-bit netlist: two fused bootstrap calls.
+    def _bootstrap_step(
+        self, netlist: Netlist, plane: Plane, level: Level
+    ) -> Tuple[int, Sequence[Chunk]]:
+        """Bootstrap one level; returns (bytes moved, worker chunks)."""
+        moved = bootstrap_level(
+            self.cloud_key, netlist, plane.a, plane.b, level.bootstrapped
+        )
+        return moved, ()
 
-        Boolean gates batch through :func:`evaluate_gates_batch` as
-        usual; the level's LUT/B2D/D2B bootstraps fuse into a single
-        per-row-test-polynomial blind rotation.  (Multi-bit levels
-        always run fused, even under the ``single`` engine —
-        per-gate mb evaluation would be the same code with batch 1.)
-        """
-        from ..mblut import kernels as mbk
-
-        moved = 0
-        bool_pos, mb_pos = mbk.split_level(codes)
-        if len(bool_pos):
-            ids = gate_indices[bool_pos]
-            ca = store.get(netlist.in0[ids])
-            cb = store.get(netlist.in1[ids])
-            bcodes = codes[bool_pos]
-            if ca.a.ndim == 3:  # run_many: broadcast per instance
-                bcodes = np.broadcast_to(
-                    bcodes[:, None], ca.a.shape[:2]
-                )
-            out = evaluate_gates_batch(self.cloud_key, bcodes, ca, cb)
-            store.put(ids + n_in, out)
-            moved += ca.nbytes() + cb.nbytes() + out.nbytes()
-        if len(mb_pos):
-            ids = gate_indices[mb_pos]
-            ct = store.get(netlist.in0[ids])
-            rows, post = mbk.mb_test_poly_rows(
-                netlist, ids, self.cloud_key.params.tlwe_degree
-            )
-            out = mbk.mb_bootstrap_batch(self.cloud_key, ct, rows, post)
-            store.put(ids + n_in, out)
-            moved += ct.nbytes() + out.nbytes()
-        return moved
-
-    def _run_free(
-        self, netlist: Netlist, store: _NodeStore, gate_idx: int, n_in: int
-    ) -> None:
-        code = int(netlist.ops[gate_idx])
-        if code == OP_LIN:
-            self._run_lin(netlist, store, gate_idx, n_in)
-            return
-        gate = Gate(code)
-        node = n_in + gate_idx
-        params = self.cloud_key.params
-        if gate is Gate.CONST0 or gate is Gate.CONST1:
-            ct = trivial_bit(gate is Gate.CONST1, params)
-            store.a[node] = ct.a
-            store.b[node] = ct.b
-            return
-        src = int(netlist.in0[gate_idx])
-        if gate is Gate.BUF:
-            store.a[node] = store.a[src]
-            store.b[node] = store.b[src]
-        elif gate is Gate.NOT:
-            store.a[node] = wrap_int32(-store.a[src].astype(np.int64))
-            store.b[node] = wrap_int32(-np.int64(store.b[src]))
-        else:  # pragma: no cover - schedule guarantees free gates only
-            raise AssertionError(f"{gate.name} is not a free gate")
-
-    def _run_lin(
-        self, netlist, store: _NodeStore, gate_idx: int, n_in: int
-    ) -> None:
-        _lin_into(netlist, store.a, store.b, gate_idx, n_in)
-
-
-def _lin_into(
-    netlist, store_a: np.ndarray, store_b: np.ndarray, gate_idx: int,
-    n_in: int,
-) -> None:
-    """Evaluate one free OP_LIN gate straight into node storage.
-
-    Works on both storage layouts: per-node rows ``(dim,)`` (run) and
-    per-node instance planes ``(instances, dim)`` (run_many).
-    """
-    from ..mblut.kernels import lin_combine
-
-    node = n_in + gate_idx
-    a = int(netlist.in0[gate_idx])
-    b = int(netlist.in1[gate_idx])
-    ca = LweCiphertext(store_a[a], store_b[a])
-    cb = None if b == NO_INPUT else LweCiphertext(store_a[b], store_b[b])
-    out = lin_combine(
-        ca,
-        cb,
-        int(netlist.kx[gate_idx]),
-        int(netlist.ky[gate_idx]),
-        int(netlist.kconst[gate_idx]),
-        int(netlist.prec[gate_idx]),
-    )
-    store_a[node] = out.a
-    store_b[node] = out.b
+    def _finish(self, report: ExecutionReport, obs: Observability) -> None:
+        """Fill in what only this backend knows about a finished run."""

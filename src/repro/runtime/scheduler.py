@@ -3,7 +3,7 @@
 The schedule partitions gates into *levels*: every gate in level ``L``
 only depends on values produced at levels ``< L`` (plus free gates of
 the same level, which are ordered after the bootstrapped batch).  All
-backends — single-core, distributed, and the GPU batch simulator —
+backends — in-process, distributed, and the GPU batch simulator —
 consume the same schedule, which is what makes the paper's
 cross-backend comparisons apples-to-apples.
 """
@@ -61,10 +61,9 @@ def shard_level(
 ) -> List[np.ndarray]:
     """Split one level's gates into at most ``num_shards`` contiguous chunks.
 
-    Both distributed transports use this helper, so the driver and the
-    shared-memory workers agree on chunk boundaries without shipping
-    them per level: chunk ``i`` of every level belongs to worker ``i``.
-    Empty chunks are dropped.
+    The worker pool plans every level with this helper before a run:
+    chunk ``i`` of every level belongs to worker ``i``, so only the
+    level index crosses a pipe per level.  Empty chunks are dropped.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be positive")

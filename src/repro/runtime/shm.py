@@ -1,12 +1,14 @@
-"""Zero-copy shared-memory transport for the distributed CPU backend.
+"""Zero-copy shared-memory worker pool for the distributed CPU backend.
 
-The pickle transport ships every ciphertext batch through a
-``multiprocessing`` pipe twice (driver -> worker inputs, worker ->
-driver outputs).  This module keeps the entire per-run LWE value array
-— ``num_nodes x (n+1)`` int32, exactly the paper's per-node ciphertext
-table — in a :class:`multiprocessing.shared_memory.SharedMemory`
-segment instead.  Workers attach once per run, gather their chunk's
-inputs and scatter their outputs *in place*, so the only per-level
+Shipping every level's ciphertext batches through ``multiprocessing``
+pipes (as Ray would between nodes) costs more than the bootstraps it
+distributes.  This module keeps the entire per-run ciphertext plane —
+``num_nodes x instances x (n+1)`` int32, the paper's per-node
+ciphertext table with a request axis — in a
+:class:`multiprocessing.shared_memory.SharedMemory` segment instead.
+Workers attach once per run and call the same
+:func:`~repro.runtime.executors.bootstrap_level` as the in-process
+engine on their shard of each level, *in place*, so the only per-level
 traffic is a ``("level", index)`` command and a small completion
 record.
 
@@ -29,9 +31,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..tfhe.gates import evaluate_gates_batch
 from ..tfhe.keys import CloudKey
-from ..tfhe.lwe import LweCiphertext
+from .executors import Chunk, bootstrap_level
 from .scheduler import Schedule, shard_level
 
 #: Environment override for the multiprocessing start method
@@ -55,49 +56,47 @@ def default_mp_context():
 
 
 class SharedCiphertextPlane:
-    """The per-run LWE value array, resident in shared memory.
+    """The per-run ciphertext plane, resident in shared memory.
 
-    Layout: ``a`` (``num_nodes x dimension`` int32 masks) followed by
-    ``b`` (``num_nodes`` int32 bodies).  The driver creates the
-    segment; workers attach by name and operate on numpy views, so
-    ciphertexts never cross a pipe.
+    Layout: ``a`` (``num_nodes x instances x dimension`` int32 masks)
+    followed by ``b`` (``num_nodes x instances`` int32 bodies).  The
+    driver creates the segment; workers attach by name and operate on
+    numpy views, so ciphertexts never cross a pipe.
     """
 
     def __init__(
         self,
         num_nodes: int,
+        instances: int,
         dimension: int,
         _shm: Optional[shared_memory.SharedMemory] = None,
     ):
-        self.num_nodes = num_nodes
-        self.dimension = dimension
-        nbytes = num_nodes * (dimension + 1) * 4
+        self.shape = (num_nodes, instances, dimension)
+        samples = num_nodes * instances
         if _shm is None:
-            _shm = shared_memory.SharedMemory(create=True, size=max(nbytes, 1))
+            _shm = shared_memory.SharedMemory(
+                create=True, size=max(samples * (dimension + 1) * 4, 1)
+            )
         self._shm = _shm
-        self.a = np.ndarray(
-            (num_nodes, dimension), dtype=np.int32, buffer=self._shm.buf
-        )
+        self.a = np.ndarray(self.shape, dtype=np.int32, buffer=self._shm.buf)
         self.b = np.ndarray(
-            (num_nodes,),
+            self.shape[:2],
             dtype=np.int32,
             buffer=self._shm.buf,
-            offset=num_nodes * dimension * 4,
+            offset=samples * dimension * 4,
         )
 
     @property
-    def meta(self) -> Tuple[str, int, int]:
-        """Picklable handle: ``(segment name, num_nodes, dimension)``."""
-        return (self._shm.name, self.num_nodes, self.dimension)
+    def meta(self) -> Tuple[str, int, int, int]:
+        """Picklable handle: the segment name, then the plane shape."""
+        return (self._shm.name, *self.shape)
 
     @classmethod
-    def attach(cls, meta: Tuple[str, int, int]) -> "SharedCiphertextPlane":
-        name, num_nodes, dimension = meta
-        return cls(
-            num_nodes,
-            dimension,
-            _shm=shared_memory.SharedMemory(name=name),
-        )
+    def attach(
+        cls, meta: Tuple[str, int, int, int]
+    ) -> "SharedCiphertextPlane":
+        name, *shape = meta
+        return cls(*shape, _shm=shared_memory.SharedMemory(name=name))
 
     def nbytes(self) -> int:
         return self.a.nbytes + self.b.nbytes
@@ -142,21 +141,6 @@ def _recv(conn):
     return pickle.loads(blob), len(blob)
 
 
-def _evaluate_chunk_in_plane(
-    key: CloudKey, plan: dict, plane: SharedCiphertextPlane, ids: np.ndarray
-) -> None:
-    """Evaluate one gate chunk: gather from / scatter to the plane."""
-    in0 = plan["in0"][ids]
-    in1 = plan["in1"][ids]
-    codes = plan["ops"][ids].astype(np.int64)
-    ca = LweCiphertext(plane.a[in0], plane.b[in0])
-    cb = LweCiphertext(plane.a[in1], plane.b[in1])
-    out = evaluate_gates_batch(key, codes, ca, cb)
-    nodes = ids + plan["num_inputs"]
-    plane.a[nodes] = out.a
-    plane.b[nodes] = out.b
-
-
 def _shm_worker_main(conn, worker_id: int, key_blob: bytes) -> None:
     """Worker process loop: hold the key, evaluate chunks on command.
 
@@ -168,7 +152,7 @@ def _shm_worker_main(conn, worker_id: int, key_blob: bytes) -> None:
 
     key = load_cloud_key(key_blob)
     plane: Optional[SharedCiphertextPlane] = None
-    plan: Optional[dict] = None
+    plan = None
     chunks: Dict[int, np.ndarray] = {}
     while True:
         try:
@@ -192,7 +176,7 @@ def _shm_worker_main(conn, worker_id: int, key_blob: bytes) -> None:
                 level_index = message[1]
                 ids = chunks[level_index]
                 t0 = time.perf_counter()
-                _evaluate_chunk_in_plane(key, plan, plane, ids)
+                bootstrap_level(key, plan, plane.a, plane.b, ids)
                 duration = time.perf_counter() - t0
                 _send(conn, ("done", worker_id, level_index, len(ids), duration))
             elif command == "end_run":
@@ -285,7 +269,7 @@ class ShmActorPool:
         return pending
 
     def begin_run(
-        self, netlist, schedule: Schedule
+        self, netlist, schedule: Schedule, instances: int
     ) -> SharedCiphertextPlane:
         """Allocate the plane and broadcast the execution plan."""
         from ..serialization import save_netlist_plan
@@ -295,7 +279,9 @@ class ShmActorPool:
         if self._plane is not None:
             raise RuntimeError("a run is already in flight on this pool")
         self.control_bytes = 0
-        plane = SharedCiphertextPlane(netlist.num_nodes, self.lwe_dimension)
+        plane = SharedCiphertextPlane(
+            netlist.num_nodes, instances, self.lwe_dimension
+        )
         try:
             plan_blob = save_netlist_plan(netlist)
             chunks_by_worker: Dict[int, Dict[int, np.ndarray]] = {
@@ -339,7 +325,7 @@ class ShmActorPool:
                 f"(transport=shm); pool aborted"
             ) from None
 
-    def run_level(self, level_index: int) -> List[Tuple[int, int, float]]:
+    def run_level(self, level_index: int) -> List[Chunk]:
         """Execute one BFS level; returns ``(worker, gates, seconds)``
         per chunk.  Only the level index crosses the pipe."""
         if self.closed:

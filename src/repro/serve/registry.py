@@ -207,7 +207,7 @@ class TenantRuntime:
 class TenantKeystore:
     """Holds each tenant's cloud key exactly once.
 
-    ``backend`` / ``num_workers`` / ``transport`` configure the
+    ``backend`` / ``num_workers`` configure the
     per-tenant :class:`repro.core.Server`.  With
     ``backend="distributed"`` the worker pool spins up — and receives
     the serialized cloud key, once — at registration time.
@@ -217,13 +217,11 @@ class TenantKeystore:
         self,
         backend: str = "batched",
         num_workers: Optional[int] = None,
-        transport: Optional[str] = None,
         noise_monitoring: bool = True,
         noise_warn_sigmas: float = 4.0,
     ):
         self.backend = backend
         self.num_workers = num_workers
-        self.transport = transport
         self.noise_monitoring = noise_monitoring
         self.noise_warn_sigmas = noise_warn_sigmas
         self._lock = threading.Lock()
@@ -277,7 +275,6 @@ class TenantKeystore:
                 cloud_key,
                 backend=self.backend,
                 num_workers=self.num_workers,
-                transport=self.transport,
             )
         runtime = TenantRuntime(
             tenant=tenant,

@@ -62,10 +62,9 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral (read back from server.port)
-    #: Executor backend per tenant: single | batched | distributed.
+    #: Executor backend per tenant: batched | distributed.
     backend: str = "batched"
     num_workers: Optional[int] = None
-    transport: Optional[str] = None
     #: Bounded-queue admission limit (BUSY beyond this).
     max_pending: int = 64
     #: Cross-request SIMD batch cap per dispatch.
@@ -125,7 +124,6 @@ class FheServer:
         self.keystore = TenantKeystore(
             backend=self.config.backend,
             num_workers=self.config.num_workers,
-            transport=self.config.transport,
             noise_monitoring=self.config.noise_monitoring,
             noise_warn_sigmas=self.config.noise_warn_sigmas,
         )

@@ -157,7 +157,7 @@ class TestSessionGate:
         # Clean parameters: the gate lets execution through.
         client = Client(TFHE_TEST, seed=7)
         with Server(
-            client.cloud_key, backend="single", check_programs=True
+            client.cloud_key, backend="batched", check_programs=True
         ) as server:
             out_ct, _ = server.execute(compiled, client.encrypt(compiled, x, y))
             assert np.array_equal(
@@ -171,7 +171,7 @@ class TestSessionGate:
         )
         noisy_client = Client(noisy, seed=7)
         with Server(
-            noisy_client.cloud_key, backend="single", check_programs=True
+            noisy_client.cloud_key, backend="batched", check_programs=True
         ) as server:
             ct = noisy_client.encrypt(compiled, x, y)
             with pytest.raises(AnalysisError, match="NB001"):

@@ -321,7 +321,7 @@ class TestGatedEntryPoints:
         client = Client(TFHE_TEST, seed=3)
         x = np.array([1.0])
         with obs.observe() as ob, Server(
-            client.cloud_key, backend="single", check_programs=True
+            client.cloud_key, backend="batched", check_programs=True
         ) as server:
             ct = client.encrypt(compiled, x)
             server.execute(compiled, ct)

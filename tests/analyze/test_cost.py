@@ -81,9 +81,9 @@ class TestCertificateProperties:
         assert set(grown.predicted_ms) == set(base.predicted_ms)
         for engine, base_ms in base.predicted_ms.items():
             assert grown.predicted_ms[engine] >= base_ms
-        # Every extra gate is bootstrapped, so the per-gate engine
-        # strictly pays for it.
-        assert grown.predicted_ms["single"] > base.predicted_ms["single"]
+        # Every extra gate is bootstrapped, so the engine's marginal
+        # per-gate cost strictly pays for it.
+        assert grown.predicted_ms["batched"] > base.predicted_ms["batched"]
 
     @given(st.integers(0, 200))
     @settings(max_examples=25, deadline=None)
@@ -141,14 +141,18 @@ class TestCertificateProperties:
 # Certificate content and prediction semantics
 # ----------------------------------------------------------------------
 class TestCertificateContent:
-    def test_single_engine_is_closed_form(self):
+    def test_batched_engine_is_closed_form(self):
         cert, _ = certify(full_adder())
-        cost = DEFAULT_COST_CONFIG.cost
+        config = DEFAULT_COST_CONFIG
+        cost = config.cost
         expected = (
-            cert.bootstrapped * cost.gate_ms
+            cert.depth * config.batched_overhead_factor * cost.gate_ms
+            + cert.bootstrapped
+            * config.batched_marginal_fraction
+            * cost.gate_ms
             + cert.free_gates * cost.linear_ms
         )
-        assert cert.predicted_ms["single"] == pytest.approx(expected)
+        assert cert.predicted_ms["batched"] == pytest.approx(expected)
         assert cert.cost_model == cost.name
         assert cert.peak_memory_bytes == (
             cert.peak_live_wires * cost.ciphertext_bytes
@@ -162,12 +166,12 @@ class TestCertificateContent:
         )
         assert cert_fast.cost_model == "fast"
         assert (
-            cert_fast.predicted_ms["single"]
-            < cert_paper.predicted_ms["single"]
+            cert_fast.predicted_ms["batched"]
+            < cert_paper.predicted_ms["batched"]
         )
         ratio = (
-            cert_paper.predicted_ms["single"]
-            / cert_fast.predicted_ms["single"]
+            cert_paper.predicted_ms["batched"]
+            / cert_fast.predicted_ms["batched"]
         )
         # ~13 ms/gate vs 1.11 ms/gate, modulo the linear-gate term.
         assert ratio > 5
@@ -206,7 +210,7 @@ class TestCertificateContent:
         assert cert.bootstrapped == 0
         assert cert.depth == 0
         assert cert.bootstrap_histogram == []
-        assert cert.predicted_ms["single"] == 0.0
+        assert cert.predicted_ms["batched"] == 0.0
         assert cert.classification == "trivial"
         # The routed input is still a live ciphertext.
         assert cert.peak_live_wires >= 1
@@ -261,10 +265,8 @@ class TestBudgetRules:
         assert {f.rule for f in report.findings} == {"CA003"}
         assert not report.has_errors  # a WARNING, not a refusal
 
-    def test_ca003_silent_for_single_backend_and_wide_circuits(self):
-        _, report = certify(
-            serial_chain(), CostAnalysisConfig(backend="single")
-        )
+    def test_ca003_silent_without_a_backend_and_for_wide_circuits(self):
+        _, report = certify(serial_chain(), CostAnalysisConfig())
         assert not report.findings
         cert, report = certify(
             random_netlist(3), CostAnalysisConfig(backend="batched")

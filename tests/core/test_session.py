@@ -34,14 +34,24 @@ class TestSession:
         assert np.array_equal(got, np.maximum(x + y, 0))
         assert report.gates_bootstrapped > 0
 
-    def test_single_backend(self, client, compiled):
-        with Server(client.cloud_key, backend="single") as server:
-            x = np.array([1.0, 1.0, 1.0])
-            y = np.array([2.0, -3.0, 0.0])
-            ct = client.encrypt(compiled, x, y)
-            out_ct, _ = server.execute(compiled, ct)
-            got = client.decrypt(compiled, out_ct)[0]
-        assert np.array_equal(got, [3.0, 0.0, 1.0])
+    def test_distributed_execute_many(self, client, compiled):
+        """Every backend takes (instances, num_inputs) batches."""
+        from repro.tfhe.lwe import LweCiphertext
+
+        xs = np.array([[1.0, 1.0, 1.0], [2.0, -5.0, 1.0]])
+        ys = np.array([[2.0, -3.0, 0.0], [1.0, 2.0, -4.0]])
+        stacked = LweCiphertext.stack(
+            [client.encrypt(compiled, x, y) for x, y in zip(xs, ys)]
+        )
+        with Server(
+            client.cloud_key, backend="distributed", num_workers=2
+        ) as server:
+            out_ct, report = server.execute_many(compiled, stacked)
+        assert report.backend == "cpu-distributed-2w-shm-x2"
+        assert report.tasks_submitted >= report.levels
+        for x, y, out in zip(xs, ys, out_ct):
+            got = client.decrypt(compiled, out)[0]
+            assert np.array_equal(got, np.maximum(x + y, 0))
 
     def test_binary_execution_path(self, client, compiled):
         """Server can run straight from the assembled PyTFHE binary."""
@@ -55,9 +65,10 @@ class TestSession:
             got = client.decrypt(compiled, out_ct)[0]
         assert np.array_equal(got, np.maximum(x + y, 0))
 
-    def test_unknown_backend_rejected(self, client):
-        with pytest.raises(ValueError):
-            Server(client.cloud_key, backend="quantum")
+    @pytest.mark.parametrize("backend", ["quantum", "single"])
+    def test_unknown_backend_rejected(self, client, backend):
+        with pytest.raises(ValueError, match="unknown backend"):
+            Server(client.cloud_key, backend=backend)
 
     def test_resolve_rejects_junk(self):
         with pytest.raises(TypeError):

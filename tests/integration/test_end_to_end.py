@@ -56,7 +56,7 @@ class TestFig2Flow:
         x = rng.integers(-3, 4, (1, 3, 3)).astype(float)
         want = compiled.run_plain(x)[0]
         ct = client.encrypt(compiled, x)
-        backend = CpuBackend(client.cloud_key, batched=True)
+        backend = CpuBackend(client.cloud_key)
         for program in (netlist, netlist2):
             out_ct, _ = backend.run(program, ct)
             got = compiled.decode_outputs(client.decrypt_bits(out_ct))[0]
@@ -72,7 +72,7 @@ class TestFig2Flow:
         b = np.array([2.0, 4.0])
         want = compiled.run_plain(a, b)[0]
         ct = client.encrypt(compiled, a, b)
-        out_ct, _ = CpuBackend(client.cloud_key, batched=True).run(
+        out_ct, _ = CpuBackend(client.cloud_key).run(
             optimized, ct
         )
         got = compiled.decode_outputs(client.decrypt_bits(out_ct))[0]
@@ -89,7 +89,7 @@ class TestVipUnderFHE:
         bits = w.compiled.encode_inputs(*inputs)
         want = w.compiled.run_plain(*inputs)
         ct = client.encrypt_bits(bits)
-        out_ct, report = CpuBackend(client.cloud_key, batched=True).run(
+        out_ct, report = CpuBackend(client.cloud_key).run(
             w.netlist, ct
         )
         got = w.compiled.decode_outputs(client.decrypt_bits(out_ct))
@@ -150,7 +150,7 @@ class TestCrossBackendAgreement:
             bits = rng2.integers(0, 2, 5).astype(bool)
             want = nl.evaluate(bits)
             ct = client.encrypt_bits(bits)
-            out_ct, _ = CpuBackend(client.cloud_key, batched=True).run(nl, ct)
+            out_ct, _ = CpuBackend(client.cloud_key).run(nl, ct)
             assert np.array_equal(client.decrypt_bits(out_ct), want)
 
 
@@ -162,7 +162,7 @@ class TestMoreVipKernelsUnderFHE:
         inputs = w.sample_inputs()
         want = w.compiled.run_plain(*inputs)
         ct = client.encrypt_bits(w.compiled.encode_inputs(*inputs))
-        out_ct, _ = CpuBackend(client.cloud_key, batched=True).run(
+        out_ct, _ = CpuBackend(client.cloud_key).run(
             w.netlist, ct
         )
         got = w.compiled.decode_outputs(client.decrypt_bits(out_ct))
@@ -174,7 +174,7 @@ class TestMoreVipKernelsUnderFHE:
         inputs = w.sample_inputs()
         want = w.compiled.run_plain(*inputs)
         ct = client.encrypt_bits(w.compiled.encode_inputs(*inputs))
-        out_ct, _ = CpuBackend(client.cloud_key, batched=True).run(
+        out_ct, _ = CpuBackend(client.cloud_key).run(
             w.netlist, ct
         )
         got = w.compiled.decode_outputs(client.decrypt_bits(out_ct))

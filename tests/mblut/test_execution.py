@@ -1,4 +1,4 @@
-"""Encrypted multi-bit execution: batched, single, distributed, serve.
+"""Encrypted multi-bit execution: in-process, distributed, serve.
 
 Runs at modulus 8 on the fast test parameters: their noise level holds
 a 1/32 digit margin (certified >6 sigma), whereas p=16 genuinely fails
@@ -56,31 +56,51 @@ class TestEncryptedExecution:
         assert np.array_equal(got, boolean_adder.evaluate(bits))
         assert report.gates_bootstrapped == mb_adder.num_lut_bootstraps
 
-    def test_single_engine_matches(self, boolean_adder, mb_adder,
-                                    test_keys, rng):
-        secret, cloud = test_keys
-        bits = _operand_bits(9, 54)
-        ct = encrypt_mb_inputs(secret, mb_adder, bits, rng)
-        out, _ = CpuBackend(cloud, batched=False).run(mb_adder, ct)
-        got = decrypt_mb_outputs(secret, mb_adder, out)
-        assert np.array_equal(got, boolean_adder.evaluate(bits))
-
-    def test_distributed_pickle_matches(self, boolean_adder, mb_adder,
-                                         test_keys, rng):
+    def test_distributed_matches_in_process(self, boolean_adder, mb_adder,
+                                            test_keys, rng):
         from repro.runtime import DistributedCpuBackend
+        from repro.tfhe.lwe import LweCiphertext
 
         secret, cloud = test_keys
-        bits = _operand_bits(31, 32)
-        ct = encrypt_mb_inputs(secret, mb_adder, bits, rng)
-        backend = DistributedCpuBackend(
-            cloud, num_workers=2, transport="pickle"
+        bits = np.stack([_operand_bits(31, 32), _operand_bits(9, 54)])
+        stacked = LweCiphertext.stack(
+            [encrypt_mb_inputs(secret, mb_adder, row, rng) for row in bits]
         )
-        try:
-            out, _ = backend.run(mb_adder, ct)
-        finally:
-            backend.shutdown()
-        got = decrypt_mb_outputs(secret, mb_adder, out)
-        assert np.array_equal(got, boolean_adder.evaluate(bits))
+        local = CpuBackend(cloud)
+        want_one, _ = local.run(mb_adder, stacked[0])
+        want_many, _ = local.run_many(mb_adder, stacked)
+        with DistributedCpuBackend(cloud, num_workers=2) as backend:
+            one, report = backend.run(mb_adder, stacked[0])
+            many, _ = backend.run_many(mb_adder, stacked)
+        assert report.transport == "shm"
+        assert report.ciphertext_bytes_moved == 0
+        for got, want in ((one, want_one), (many, want_many)):
+            assert np.array_equal(got.a, want.a)
+            assert np.array_equal(got.b, want.b)
+        for row, out in zip(bits, many):
+            assert np.array_equal(
+                decrypt_mb_outputs(secret, mb_adder, out),
+                boolean_adder.evaluate(row),
+            )
+
+    def test_lut_levels_record_the_bootstrap_phase_split(
+        self, mb_adder, test_keys, rng
+    ):
+        from repro import obs
+
+        secret, cloud = test_keys
+        ct = encrypt_mb_inputs(secret, mb_adder, _operand_bits(1, 2), rng)
+        with obs.observe() as ob:
+            _, report = CpuBackend(cloud).run(mb_adder, ct)
+        series = ob.metrics.snapshot_series()["histograms"][
+            "bootstrap_phase_ms"
+        ]
+        phases = {s["labels"]["phase"]: s for s in series}
+        assert set(phases) == {"blind_rotate", "keyswitch"}
+        # One observation per fused bootstrap call: at least one per level.
+        assert phases["blind_rotate"]["count"] >= report.levels
+        assert phases["blind_rotate"]["sum"] > 0
+        assert phases["keyswitch"]["sum"] > 0
 
     def test_fewer_bootstraps_than_boolean(self, boolean_adder, mb_adder,
                                             test_keys, rng):

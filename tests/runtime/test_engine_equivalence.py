@@ -1,18 +1,19 @@
-"""Engine-equivalence properties behind the batched-by-default flip.
+"""Every backend x batch-depth cell agrees on random netlists.
 
-The legacy ``single`` per-gate engine, the default level-batched
-engine, and the request x level 2-D ``run_many`` path must all decrypt
-to the plaintext reference on random netlists — the safety net that
-lets the batched engine be the default everywhere.
+In-process at ``R = 1`` and ``R = 3`` and distributed (two workers) at
+``R = 1`` and ``R = 3`` all run the one level loop; each must decrypt
+to ``netlist.evaluate``, and the distributed output must equal the
+in-process output ciphertext for ciphertext at the same ``R``.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gatetypes import Gate, TWO_INPUT_GATES
 from repro.hdl.builder import CircuitBuilder
-from repro.runtime import CpuBackend
+from repro.runtime import CpuBackend, DistributedCpuBackend
 from repro.tfhe import decrypt_bits, encrypt_bits
 from repro.tfhe.lwe import LweCiphertext
 
@@ -38,34 +39,40 @@ def _random_netlist(seed, num_inputs=3, num_gates=12):
     return bd.build()
 
 
-class TestEnginesAgreeOnRandomNetlists:
-    def test_default_engine_is_batched(self, cloud_key):
-        backend = CpuBackend(cloud_key)
-        assert backend.batched
-        assert backend.name == "cpu-batched"
+@pytest.fixture(scope="module")
+def distributed(cloud_key):
+    with DistributedCpuBackend(cloud_key, num_workers=2) as backend:
+        yield backend
 
+
+class TestBackendsAgreeOnRandomNetlists:
     @given(st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=6, deadline=None)
-    def test_engines_decrypt_identically(self, test_keys, seed):
+    def test_every_cell_matches_the_plaintext_reference(
+        self, test_keys, distributed, seed
+    ):
         secret, cloud = test_keys
         nl = _random_netlist(seed)
         rng = np.random.default_rng(seed + 1)
-        bits = rng.integers(0, 2, nl.num_inputs).astype(bool)
-        want = nl.evaluate(bits)
-
-        ct = encrypt_bits(secret, bits, rng)
-        out_single, _ = CpuBackend(cloud, batched=False).run(nl, ct)
-        out_batched, _ = CpuBackend(cloud).run(nl, ct)
-
-        instances = 2
-        flat = encrypt_bits(secret, np.tile(bits, instances), rng)
-        stacked = LweCiphertext(
-            flat.a.reshape(instances, nl.num_inputs, -1),
-            flat.b.reshape(instances, nl.num_inputs),
+        bits = rng.integers(0, 2, (3, nl.num_inputs)).astype(bool)
+        want = np.stack([nl.evaluate(row) for row in bits])
+        stacked = LweCiphertext.stack(
+            [encrypt_bits(secret, row, rng) for row in bits]
         )
-        out_many, _ = CpuBackend(cloud).run_many(nl, stacked)
 
-        assert np.array_equal(decrypt_bits(secret, out_single), want)
-        assert np.array_equal(decrypt_bits(secret, out_batched), want)
-        for i in range(instances):
-            assert np.array_equal(decrypt_bits(secret, out_many[i]), want)
+        local = CpuBackend(cloud)
+        local_one, _ = local.run(nl, stacked[0])
+        local_many, _ = local.run_many(nl, stacked)
+        dist_one, _ = distributed.run(nl, stacked[0])
+        dist_many, _ = distributed.run_many(nl, stacked)
+
+        for one in (local_one, dist_one):
+            assert np.array_equal(decrypt_bits(secret, one), want[0])
+        for many in (local_many, dist_many):
+            assert np.array_equal(decrypt_bits(secret, many), want)
+        # Same kernel on the same batch shape: not just the same
+        # plaintext, the same ciphertext.  (Across different R only
+        # the plaintext must agree: BLAS may round differently.)
+        for dist, ref in ((dist_one, local_one), (dist_many, local_many)):
+            assert np.array_equal(dist.a, ref.a)
+            assert np.array_equal(dist.b, ref.b)

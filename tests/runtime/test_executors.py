@@ -50,10 +50,9 @@ class TestPlaintextBackend:
 
 
 class TestCpuBackendFHE:
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_matches_plaintext(self, small_circuit, test_keys, rng, batched):
+    def test_matches_plaintext(self, small_circuit, test_keys, rng):
         secret, cloud = test_keys
-        backend = CpuBackend(cloud, batched=batched)
+        backend = CpuBackend(cloud)
         ct = encrypt_bits(secret, _encode(7, 12), rng)
         out_ct, report = backend.run(small_circuit, ct)
         got = decrypt_bits(secret, out_ct)
@@ -61,35 +60,28 @@ class TestCpuBackendFHE:
         assert report.gates_bootstrapped > 0
         assert report.wall_time_s > 0
 
-    def test_batched_and_single_agree(self, small_circuit, test_keys, rng):
-        secret, cloud = test_keys
-        ct = encrypt_bits(secret, _encode(3, 3), rng)
-        out1, _ = CpuBackend(cloud, batched=False).run(small_circuit, ct)
-        out2, _ = CpuBackend(cloud, batched=True).run(small_circuit, ct)
-        got1 = decrypt_bits(secret, out1)
-        got2 = decrypt_bits(secret, out2)
-        assert np.array_equal(got1, got2)
-
     def test_wrong_input_count_rejected(self, small_circuit, test_keys, rng):
         secret, cloud = test_keys
         ct = encrypt_bits(secret, [True, False], rng)
         with pytest.raises(ValueError):
             CpuBackend(cloud).run(small_circuit, ct)
 
-    def test_size_guard(self, test_keys):
+    def test_size_guard(self, test_keys, secret_key, rng):
         _, cloud = test_keys
         backend = CpuBackend(cloud)
 
         class FakeNetlist:
             num_nodes = MAX_FHE_NODES + 1
+            num_inputs = 2
 
-        with pytest.raises(ValueError):
-            backend.run(FakeNetlist(), None)
+        ct = encrypt_bits(secret_key, [True, False], rng)
+        with pytest.raises(ValueError, match="real-FHE executor limit"):
+            backend.run(FakeNetlist(), ct)
 
     def test_report_counts(self, small_circuit, test_keys, rng):
         secret, cloud = test_keys
         ct = encrypt_bits(secret, _encode(0, 0), rng)
-        _, report = CpuBackend(cloud, batched=True).run(small_circuit, ct)
+        _, report = CpuBackend(cloud).run(small_circuit, ct)
         stats = small_circuit.stats()
         assert report.gates_bootstrapped == stats.num_bootstrapped_gates
         assert report.levels == stats.bootstrap_depth
@@ -105,7 +97,7 @@ class TestCpuBackendFHE:
         values = np.array([2.0, -1.0, 5.0, 0.0])
         bits = cc.encode_inputs(values)
         ct = encrypt_bits(secret, bits, rng)
-        out_ct, _ = CpuBackend(cloud, batched=True).run(cc.netlist, ct)
+        out_ct, _ = CpuBackend(cloud).run(cc.netlist, ct)
         got = cc.decode_outputs(decrypt_bits(secret, out_ct))[0]
         assert got == 2
 
@@ -144,23 +136,63 @@ class TestFreeGateHandling:
         assert decrypt_bits(secret, out)[0]
 
 
-class TestChunkedBatching:
-    def test_max_batch_matches_unchunked(self, small_circuit, test_keys, rng):
-        secret, cloud = test_keys
-        ct = encrypt_bits(secret, _encode(9, 6), rng)
-        full, _ = CpuBackend(cloud, batched=True).run(small_circuit, ct)
-        chunked, _ = CpuBackend(cloud, batched=True, max_batch=2).run(
-            small_circuit, ct
-        )
-        got_full = decrypt_bits(secret, full)
-        got_chunked = decrypt_bits(secret, chunked)
-        assert np.array_equal(got_full, got_chunked)
-        assert np.array_equal(got_full, _expected(9, 6))
+class TestLevelKernels:
+    """``bootstrap_level`` / ``free_gates`` on a stacked plane."""
 
-    def test_max_batch_validation(self, test_keys):
-        _, cloud = test_keys
-        with pytest.raises(ValueError):
-            CpuBackend(cloud, batched=True, max_batch=0)
+    @staticmethod
+    def _plane(circuit, secret, cloud, rng, requests=2):
+        bits = rng.integers(0, 2, (requests, circuit.num_inputs)).astype(bool)
+        ct = encrypt_bits(secret, bits, rng)
+        dim = cloud.params.lwe_dimension
+        a = np.zeros((circuit.num_nodes, requests, dim), dtype=np.int32)
+        b = np.zeros((circuit.num_nodes, requests), dtype=np.int32)
+        a[: circuit.num_inputs] = np.swapaxes(ct.a, 0, 1)
+        b[: circuit.num_inputs] = np.swapaxes(ct.b, 0, 1)
+        return bits, a, b
+
+    def test_shards_of_a_level_compose(self, small_circuit, test_keys, rng):
+        """What the worker pool relies on: bootstrapping a level shard
+        by shard leaves the plane exactly as bootstrapping it whole."""
+        from repro.runtime import build_schedule, shard_level
+        from repro.runtime.executors import bootstrap_level
+
+        secret, cloud = test_keys
+        _, a, b = self._plane(small_circuit, secret, cloud, rng)
+        level = next(
+            lv for lv in build_schedule(small_circuit).levels if lv.width > 1
+        )
+        whole_a, whole_b = a.copy(), b.copy()
+        moved = bootstrap_level(
+            cloud, small_circuit, whole_a, whole_b, level.bootstrapped
+        )
+        shard_moved = sum(
+            bootstrap_level(cloud, small_circuit, a, b, shard)
+            for shard in shard_level(level.bootstrapped, 2)
+        )
+        assert np.array_equal(a, whole_a) and np.array_equal(b, whole_b)
+        assert shard_moved == moved > 0
+
+    def test_free_gates_cover_every_request(self, test_keys, rng):
+        from repro.runtime.executors import free_gates
+
+        secret, cloud = test_keys
+        bd = CircuitBuilder(fold_constants=False, absorb_inverters=False)
+        x = bd.input()
+        bd.output(bd.not_(bd.not_(x)))  # a free gate reading a free gate
+        bd.output(bd.not_(x))
+        bd.output(bd.const(True))
+        bd.output(bd.const(False))
+        nl = bd.build()
+        bits, a, b = self._plane(nl, secret, cloud, rng, requests=3)
+        free_gates(nl, a, b, np.arange(nl.num_gates), cloud.params)
+        from repro.tfhe.lwe import LweCiphertext
+
+        got = decrypt_bits(
+            secret, LweCiphertext(a[nl.outputs], b[nl.outputs])
+        )
+        want = np.stack([nl.evaluate(row) for row in bits], axis=1)
+        assert np.array_equal(got, want)
+
 
 class TestExecutionReportJson:
     def test_json_roundtrip_with_trace(self, small_circuit, test_keys, rng):
@@ -170,7 +202,7 @@ class TestExecutionReportJson:
         ct = encrypt_bits(
             secret, rng.integers(0, 2, small_circuit.num_inputs).astype(bool), rng
         )
-        _, report = CpuBackend(cloud, batched=True, trace=True).run(
+        _, report = CpuBackend(cloud, trace=True).run(
             small_circuit, ct
         )
         text = report.to_json()

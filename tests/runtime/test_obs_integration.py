@@ -37,7 +37,7 @@ class TestCpuBackendObservability:
         self, adder_circuit, test_keys, rng
     ):
         _, cloud = test_keys
-        backend = CpuBackend(cloud, batched=True)
+        backend = CpuBackend(cloud)
         with obs.observe() as ob:
             report = _run(backend, adder_circuit, test_keys[0], rng)
         names = [s.name for s in ob.tracer.spans]
@@ -64,7 +64,7 @@ class TestCpuBackendObservability:
         # trace=False on the backend, but ambient observation still
         # fills the legacy per-run TraceEvent list.
         _, cloud = test_keys
-        backend = CpuBackend(cloud, batched=True)
+        backend = CpuBackend(cloud)
         with obs.observe():
             report = _run(backend, adder_circuit, test_keys[0], rng)
         assert report.trace
@@ -72,7 +72,7 @@ class TestCpuBackendObservability:
 
     def test_noise_records_per_level(self, adder_circuit, test_keys, rng):
         _, cloud = test_keys
-        backend = CpuBackend(cloud, batched=True)
+        backend = CpuBackend(cloud)
         with obs.observe(noise_params=TFHE_TEST) as ob:
             report = _run(backend, adder_circuit, test_keys[0], rng)
         assert len(ob.noise.records) == report.levels
@@ -87,7 +87,7 @@ class TestCpuBackendObservability:
         self, adder_circuit, test_keys, rng
     ):
         _, cloud = test_keys
-        backend = CpuBackend(cloud, batched=True)
+        backend = CpuBackend(cloud)
         report = _run(backend, adder_circuit, test_keys[0], rng)
         assert report.trace == []
         assert obs.get().tracer.spans == []
@@ -97,7 +97,7 @@ class TestCpuBackendObservability:
     ):
         _, cloud = test_keys
         bundle = obs.Observability()
-        backend = CpuBackend(cloud, batched=True, obs=bundle)
+        backend = CpuBackend(cloud, obs=bundle)
         _run(backend, adder_circuit, test_keys[0], rng)
         assert any(
             s.name == "run:cpu-batched" for s in bundle.tracer.spans
@@ -109,9 +109,7 @@ class TestDistributedObservability:
         self, adder_circuit, test_keys, rng
     ):
         _, cloud = test_keys
-        backend = DistributedCpuBackend(
-            cloud, num_workers=2, transport="shm"
-        )
+        backend = DistributedCpuBackend(cloud, num_workers=2)
         try:
             with obs.observe() as ob:
                 report = _run(backend, adder_circuit, test_keys[0], rng)

@@ -39,16 +39,22 @@ def test_run_many_matches_run(adder, test_keys, rng):
     pairs = [(3, 9), (15, 1), (0, 0), (7, 7)]
     bits = _encode_many(pairs)
     ct = encrypt_bits(secret, bits, rng)  # batch (4, 8)
-    backend = CpuBackend(cloud, batched=True)
+    backend = CpuBackend(cloud)
     out, report = backend.run_many(adder, ct)
     assert out.batch_shape == (4, 4)
     got = decrypt_bits(secret, out)
     for row, (a, b) in zip(got, pairs):
-        single, _ = backend.run(
+        single, single_report = backend.run(
             adder, LweCiphertext(ct.a[pairs.index((a, b))], ct.b[pairs.index((a, b))])
         )
         assert np.array_equal(row, decrypt_bits(secret, single))
     assert report.gates_bootstrapped == 4 * adder.stats().num_bootstrapped_gates
+    # Bytes gathered + scattered are counted the same way at every R.
+    assert (
+        report.ciphertext_bytes_moved
+        == 4 * single_report.ciphertext_bytes_moved
+        > 0
+    )
 
 
 def test_run_many_amortizes_time(adder, test_keys, rng):
@@ -56,7 +62,7 @@ def test_run_many_amortizes_time(adder, test_keys, rng):
     import time
 
     secret, cloud = test_keys
-    backend = CpuBackend(cloud, batched=True)
+    backend = CpuBackend(cloud)
 
     one = encrypt_bits(secret, _encode_many([(5, 6)]), rng)
     many = encrypt_bits(secret, _encode_many([(5, 6)] * 16), rng)
@@ -81,30 +87,23 @@ def test_run_many_tensor_program(test_keys, rng):
     ]
     bits = np.stack([cc.encode_inputs(x) for x in instances])
     ct = encrypt_bits(secret, bits, rng)
-    out, _ = CpuBackend(cloud, batched=True).run_many(cc.netlist, ct)
+    out, _ = CpuBackend(cloud).run_many(cc.netlist, ct)
     got_bits = decrypt_bits(secret, out)
     for row, x in zip(got_bits, instances):
         assert cc.decode_outputs(row)[0] == x.max()
 
 
-def test_run_many_requires_batched(adder, test_keys, rng):
-    secret, cloud = test_keys
-    ct = encrypt_bits(secret, _encode_many([(1, 2)]), rng)
-    with pytest.raises(ValueError):
-        CpuBackend(cloud, batched=False).run_many(adder, ct)
-
-
 def test_run_many_shape_validation(adder, test_keys, rng):
     secret, cloud = test_keys
     flat = encrypt_bits(secret, np.zeros(8, dtype=bool), rng)
-    backend = CpuBackend(cloud, batched=True)
+    backend = CpuBackend(cloud)
     with pytest.raises(ValueError):
         backend.run_many(adder, flat)
 
 class TestRunManyEdgeCases:
     def test_empty_batch_rejected(self, adder, test_keys):
         _, cloud = test_keys
-        backend = CpuBackend(cloud, batched=True)
+        backend = CpuBackend(cloud)
         empty = LweCiphertext(
             np.zeros((0, 8, cloud.params.lwe_dimension), dtype=np.int32),
             np.zeros((0, 8), dtype=np.int32),
@@ -116,31 +115,30 @@ class TestRunManyEdgeCases:
         secret, cloud = test_keys
         bits = _encode_many([(11, 6)])
         ct = encrypt_bits(secret, bits, rng)
-        backend = CpuBackend(cloud, batched=True)
+        backend = CpuBackend(cloud)
         many, many_report = backend.run_many(adder, ct)
-        single, _ = backend.run(
+        single, report = backend.run(
             adder, LweCiphertext(ct.a[0], ct.b[0])
         )
         assert many.batch_shape == (1, 4)
-        assert np.array_equal(
-            decrypt_bits(secret, LweCiphertext(many.a[0], many.b[0])),
-            decrypt_bits(secret, single),
-        )
+        # run is the R = 1 case of run_many: the same ciphertexts, not
+        # just the same plaintext; only the reported name differs.
+        assert np.array_equal(many.a[0], single.a)
+        assert np.array_equal(many.b[0], single.b)
         assert many_report.gates_total == adder.num_gates
+        assert (many_report.backend, report.backend) == (
+            "cpu-batched-x1", "cpu-batched"
+        )
+        assert (
+            many_report.ciphertext_bytes_moved
+            == report.ciphertext_bytes_moved
+        )
 
     def test_heterogeneous_width_rejected(self, adder, test_keys, rng):
         secret, cloud = test_keys
         # The adder takes 8 input bits per instance; offer 6.
         bits = np.zeros((3, 6), dtype=bool)
         ct = encrypt_bits(secret, bits, rng)
-        backend = CpuBackend(cloud, batched=True)
+        backend = CpuBackend(cloud)
         with pytest.raises(ValueError, match="heterogeneous input width"):
             backend.run_many(adder, ct)
-
-    def test_supports_run_many_flags(self, test_keys):
-        from repro.runtime import PlaintextBackend
-
-        _, cloud = test_keys
-        assert CpuBackend(cloud, batched=True).supports_run_many
-        assert not CpuBackend(cloud, batched=False).supports_run_many
-        assert not PlaintextBackend().supports_run_many

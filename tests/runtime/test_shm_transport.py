@@ -1,4 +1,4 @@
-"""Shared-memory transport tests: plane, pool lifecycle, crash safety."""
+"""Shared-memory worker pool tests: plane, pool lifecycle, crash safety."""
 
 import multiprocessing
 from multiprocessing import shared_memory
@@ -8,12 +8,13 @@ import pytest
 
 from repro.hdl import arith
 from repro.hdl.builder import CircuitBuilder
+from repro.gatetypes import OP_LUT
 from repro.runtime import (
     CpuBackend,
     DistributedCpuBackend,
     SharedCiphertextPlane,
+    ShmActorPool,
     build_schedule,
-    make_pool,
     shard_level,
     shared_pool,
     shutdown_shared_pools,
@@ -28,6 +29,13 @@ def adder_circuit():
     for bit in arith.ripple_add(bd, a, b, width=4, signed=False):
         bd.output(bit)
     return bd.build()
+
+
+@pytest.fixture(scope="module")
+def mb_adder_circuit(adder_circuit):
+    from repro.mblut import synthesize
+
+    return synthesize(adder_circuit, modulus=8)
 
 
 @pytest.fixture()
@@ -47,20 +55,20 @@ ADDER_WANT = np.array([(14 >> i) & 1 for i in range(4)], dtype=bool)
 
 class TestSharedCiphertextPlane:
     def test_round_trip_through_attach(self):
-        plane = SharedCiphertextPlane(8, 5)
-        plane.a[:] = np.arange(40, dtype=np.int32).reshape(8, 5)
-        plane.b[:] = np.arange(8, dtype=np.int32)
+        plane = SharedCiphertextPlane(8, 2, 5)
+        plane.a[:] = np.arange(80, dtype=np.int32).reshape(8, 2, 5)
+        plane.b[:] = np.arange(16, dtype=np.int32).reshape(8, 2)
         other = SharedCiphertextPlane.attach(plane.meta)
         assert np.array_equal(
-            other.a, np.arange(40, dtype=np.int32).reshape(8, 5)
+            other.a, np.arange(80, dtype=np.int32).reshape(8, 2, 5)
         )
-        other.b[3] = 99
-        assert plane.b[3] == 99  # same memory, zero copies
+        other.b[3, 1] = 99
+        assert plane.b[3, 1] == 99  # same memory, zero copies
         other.close()
         plane.unlink()
 
     def test_unlink_removes_segment(self):
-        plane = SharedCiphertextPlane(4, 3)
+        plane = SharedCiphertextPlane(4, 1, 3)
         name = plane.meta[0]
         plane.unlink()
         with pytest.raises(FileNotFoundError):
@@ -68,10 +76,10 @@ class TestSharedCiphertextPlane:
         plane.unlink()  # idempotent
 
     def test_sizes(self):
-        plane = SharedCiphertextPlane(10, 7)
-        assert plane.a.shape == (10, 7)
-        assert plane.b.shape == (10,)
-        assert plane.nbytes() == 10 * 8 * 4
+        plane = SharedCiphertextPlane(10, 3, 7)
+        assert plane.a.shape == (10, 3, 7)
+        assert plane.b.shape == (10, 3)
+        assert plane.nbytes() == 10 * 3 * 8 * 4
         plane.unlink()
 
 
@@ -93,31 +101,21 @@ class TestShardLevel:
             shard_level(np.arange(3), 0)
 
 
-class TestTransportEquivalence:
-    def test_bit_identical_across_transports(
+class TestMatchesInProcess:
+    def test_bit_identical_to_in_process(
         self, adder_circuit, test_keys, adder_ct
     ):
-        """pickle, shm, and single-process runs agree ciphertext-for-
+        """Distributed and in-process runs agree ciphertext-for-
         ciphertext (bootstrapping is deterministic given the key)."""
-        _, cloud = test_keys
-        ref, _ = CpuBackend(cloud, batched=True).run(adder_circuit, adder_ct)
-        for transport in ("pickle", "shm"):
-            with DistributedCpuBackend(
-                cloud, num_workers=2, transport=transport
-            ) as backend:
-                out, report = backend.run(adder_circuit, adder_ct)
-            assert report.transport == transport
-            assert np.array_equal(out.a, ref.a), transport
-            assert np.array_equal(out.b, ref.b), transport
-
-    def test_decrypts_correctly(self, adder_circuit, test_keys, adder_ct):
         from repro.tfhe import decrypt_bits
 
         secret, cloud = test_keys
-        with DistributedCpuBackend(
-            cloud, num_workers=2, transport="shm"
-        ) as backend:
-            out, _ = backend.run(adder_circuit, adder_ct)
+        ref, _ = CpuBackend(cloud).run(adder_circuit, adder_ct)
+        with DistributedCpuBackend(cloud, num_workers=2) as backend:
+            out, report = backend.run(adder_circuit, adder_ct)
+        assert report.transport == "shm"
+        assert np.array_equal(out.a, ref.a)
+        assert np.array_equal(out.b, ref.b)
         assert np.array_equal(decrypt_bits(secret, out), ADDER_WANT)
 
 
@@ -126,9 +124,7 @@ class TestPersistentPool:
         self, adder_circuit, test_keys, adder_ct
     ):
         _, cloud = test_keys
-        with DistributedCpuBackend.pool(
-            cloud, num_workers=2, transport="shm"
-        ) as pool:
+        with DistributedCpuBackend.pool(cloud, num_workers=2) as pool:
             first_backend = DistributedCpuBackend(cloud, pool=pool)
             _, r1 = first_backend.run(adder_circuit, adder_ct)
             # A *different* backend on the same pool still pays nothing.
@@ -139,24 +135,16 @@ class TestPersistentPool:
         assert r2.key_bytes_moved == 0
         assert r2.pool_reused
 
-    def test_pool_transport_mismatch_rejected(self, test_keys):
-        _, cloud = test_keys
-        with DistributedCpuBackend.pool(
-            cloud, num_workers=2, transport="shm"
-        ) as pool:
-            with pytest.raises(ValueError):
-                DistributedCpuBackend(cloud, pool=pool, transport="pickle")
-
     def test_shared_pool_singleton(self, test_keys):
         _, cloud = test_keys
         try:
-            first = shared_pool(cloud, num_workers=2, transport="shm")
-            assert shared_pool(cloud, num_workers=2, transport="shm") is first
+            first = shared_pool(cloud, num_workers=2)
+            assert shared_pool(cloud, num_workers=2) is first
         finally:
             shutdown_shared_pools()
         # After shutdown a fresh pool is built lazily.
         try:
-            rebuilt = shared_pool(cloud, num_workers=2, transport="shm")
+            rebuilt = shared_pool(cloud, num_workers=2)
             assert rebuilt is not first
         finally:
             shutdown_shared_pools()
@@ -173,21 +161,29 @@ class TestKeyFingerprint:
 
 
 class TestCrashSafety:
+    @pytest.mark.parametrize(
+        "circuit_name, code", [("adder_circuit", None), ("mb_adder_circuit", OP_LUT)]
+    )
     def test_worker_crash_mid_level_unlinks_segment(
-        self, adder_circuit, test_keys
+        self, circuit_name, code, test_keys, request
     ):
+        """Boolean level, and a level holding LUT bootstraps."""
         _, cloud = test_keys
-        pool = make_pool("shm", cloud, num_workers=2)
-        schedule = build_schedule(adder_circuit)
-        plane = pool.begin_run(adder_circuit, schedule)
+        circuit = request.getfixturevalue(circuit_name)
+        pool = ShmActorPool(cloud, num_workers=2)
+        schedule = build_schedule(circuit)
+        plane = pool.begin_run(circuit, schedule, 1)
         segment = plane.meta[0]
         pool._procs[0].kill()
         pool._procs[0].join()
-        first_level = next(
-            level.index for level in schedule.levels if level.width
+        level = next(
+            level.index
+            for level in schedule.levels
+            if level.width
+            and (code is None or code in circuit.ops[level.bootstrapped])
         )
         with pytest.raises(RuntimeError, match="died"):
-            pool.run_level(first_level)
+            pool.run_level(level)
         assert pool.closed
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=segment)
@@ -198,7 +194,7 @@ class TestCrashSafety:
     ):
         """A crash during run() raises; the plane never leaks."""
         _, cloud = test_keys
-        backend = DistributedCpuBackend(cloud, num_workers=2, transport="shm")
+        backend = DistributedCpuBackend(cloud, num_workers=2)
         try:
             for proc in backend.pool._procs:
                 proc.kill()
@@ -213,15 +209,12 @@ class TestCrashSafety:
 class TestSpawnContext:
     """The pool must not rely on fork inheritance (macOS/Windows CI)."""
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
-    def test_spawn_start_method(
-        self, adder_circuit, test_keys, adder_ct, transport
-    ):
+    def test_spawn_start_method(self, adder_circuit, test_keys, adder_ct):
         secret, cloud = test_keys
         from repro.tfhe import decrypt_bits
 
         context = multiprocessing.get_context("spawn")
-        pool = make_pool(transport, cloud, num_workers=2, context=context)
+        pool = ShmActorPool(cloud, num_workers=2, context=context)
         try:
             assert pool.start_method == "spawn"
             backend = DistributedCpuBackend(cloud, pool=pool)
@@ -248,7 +241,7 @@ class TestChunkTracing:
     ):
         _, cloud = test_keys
         with DistributedCpuBackend(
-            cloud, num_workers=2, transport="shm", trace=True
+            cloud, num_workers=2, trace=True
         ) as backend:
             _, report = backend.run(adder_circuit, adder_ct)
         chunks = [e for e in report.trace if e.kind == "chunk"]
@@ -271,7 +264,7 @@ class TestChunkTracing:
 
         _, cloud = test_keys
         with DistributedCpuBackend(
-            cloud, num_workers=2, transport="shm", trace=True
+            cloud, num_workers=2, trace=True
         ) as backend:
             _, report = backend.run(adder_circuit, adder_ct)
         summary = summarize_trace(report.trace)

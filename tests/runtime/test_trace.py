@@ -27,7 +27,7 @@ def traced_run(test_keys):
     nl = bd.build()
     rng = np.random.default_rng(0)
     ct = encrypt_bits(secret, rng.integers(0, 2, 8).astype(bool), rng)
-    backend = CpuBackend(cloud, batched=True, trace=True)
+    backend = CpuBackend(cloud, trace=True)
     _, report = backend.run(nl, ct)
     return nl, report
 
@@ -52,7 +52,7 @@ def test_trace_disabled_by_default(test_keys, rng):
     a, b = bd.inputs(2)
     bd.output(bd.and_(a, b))
     ct = encrypt_bits(secret, [True, False], rng)
-    _, report = CpuBackend(cloud, batched=True).run(bd.build(), ct)
+    _, report = CpuBackend(cloud).run(bd.build(), ct)
     assert report.trace == []
 
 

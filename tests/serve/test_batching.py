@@ -287,7 +287,10 @@ def make_certificate(predicted_ms):
         bootstrapped=4,
         free_gates=0,
         depth=2,
-        predicted_ms={"single": predicted_ms * 4, "batched": predicted_ms},
+        predicted_ms={
+            "distributed@1": predicted_ms * 4,
+            "batched": predicted_ms,
+        },
     )
 
 
@@ -389,7 +392,7 @@ class TestStaticAdmission:
         run_async(with_scheduler(body, admission_engine=None))
 
     def test_admission_reads_the_configured_engine(self):
-        # single predicts 4x the batched latency; an admission budget
+        # distributed@1 predicts 4x the batched latency; a budget
         # between the two flips with the engine choice.
         server = StubServer()
         certificate = make_certificate(predicted_ms=1_000.0)
@@ -415,7 +418,7 @@ class TestStaticAdmission:
             assert err.value.status == Status.DEADLINE
 
         run_async(with_scheduler(feasible, admission_engine="batched"))
-        run_async(with_scheduler(infeasible, admission_engine="single"))
+        run_async(with_scheduler(infeasible, admission_engine="distributed@1"))
 
     def test_expired_deadline_counts_like_a_deadline_death(self):
         from repro import obs

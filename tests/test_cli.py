@@ -73,7 +73,7 @@ def test_bench_gate(capsys):
     assert "blind rotation" in out and "total" in out
 
 
-def test_run_distributed_shm(capsys):
+def test_run_distributed(capsys):
     assert (
         main(
             [
@@ -81,8 +81,6 @@ def test_run_distributed_shm(capsys):
                 "hamming_distance",
                 "--backend",
                 "distributed",
-                "--transport",
-                "shm",
                 "--workers",
                 "2",
                 "--runs",
@@ -97,9 +95,32 @@ def test_run_distributed_shm(capsys):
     assert out.count("ok=True") == 2
 
 
-def test_run_single_backend(capsys):
+def test_run_batched_backend(capsys):
     assert main(["run", "hamming_distance", "--backend", "batched"]) == 0
     assert "ok=True" in capsys.readouterr().out
+
+
+def test_run_mblut_distributed(capsys):
+    argv = "run hamming_distance --mode mblut --modulus 8".split()
+    assert main(argv + ["--backend", "distributed", "--workers", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "ok=True" in out and "ct_moved=0" in out
+    assert "transport" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "hamming_distance", "--backend", "single"],
+        ["run", "hamming_distance", "--transport", "shm"],
+        ["serve", "--backend", "single"],
+        ["cost", "hamming_distance", "--backend", "single"],
+    ],
+)
+def test_deleted_engine_and_transport_flags_are_gone(argv, capsys):
+    with pytest.raises(SystemExit):
+        main(argv)
+    capsys.readouterr()
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +318,7 @@ def test_cost_text_report(capsys):
     out = capsys.readouterr().out
     assert "cost certificate: hamming_distance" in out
     assert "predicted execute latency" in out
-    assert "batched" in out and "single" in out
+    assert "batched" in out and "distributed@" in out
 
 
 def test_cost_json_to_stdout(capsys):

@@ -21,7 +21,8 @@ from repro.tfhe import decrypt_bits, encrypt_bits, evaluate_gate
 
 
 class TestNetlistPlanRoundtrip:
-    def test_roundtrip_preserves_plan(self):
+    @staticmethod
+    def _adder():
         from repro.hdl import arith
         from repro.hdl.builder import CircuitBuilder
 
@@ -30,13 +31,44 @@ class TestNetlistPlanRoundtrip:
         b = [bd.input() for _ in range(4)]
         for bit in arith.ripple_add(bd, a, b, width=4, signed=False):
             bd.output(bit)
-        netlist = bd.build()
+        return bd.build()
+
+    def test_roundtrip_preserves_plan(self):
+        netlist = self._adder()
         plan = load_netlist_plan(save_netlist_plan(netlist))
-        assert plan["num_inputs"] == netlist.num_inputs
-        assert plan["num_nodes"] == netlist.num_nodes
-        assert np.array_equal(plan["ops"], netlist.ops)
-        assert np.array_equal(plan["in0"], netlist.in0)
-        assert np.array_equal(plan["in1"], netlist.in1)
+        assert plan.num_inputs == netlist.num_inputs
+        assert plan.num_nodes == netlist.num_nodes
+        for column in ("ops", "in0", "in1"):
+            assert np.array_equal(
+                getattr(plan, column), getattr(netlist, column)
+            )
+        assert not hasattr(plan, "tables")
+
+    def test_roundtrip_preserves_multibit_columns(self):
+        """The plan carries every column the LUT kernels read, so a
+        worker builds the same test polynomials as the driver."""
+        from repro.mblut import synthesize
+        from repro.mblut.kernels import mb_test_poly_rows, split_level
+
+        mb = synthesize(self._adder(), modulus=8)
+        plan = load_netlist_plan(save_netlist_plan(mb))
+        for column in (
+            "ops", "in0", "in1", "kx", "ky", "kconst", "prec",
+            "input_prec", "table_id",
+        ):
+            assert np.array_equal(
+                getattr(plan, column), getattr(mb, column)
+            ), column
+        assert len(plan.tables) == len(mb.tables)
+        for got, want in zip(plan.tables, mb.tables):
+            assert np.array_equal(got, want)
+        lut_gates = split_level(mb.ops)[1]
+        assert len(lut_gates)
+        for got, want in zip(
+            mb_test_poly_rows(plan, lut_gates, 64),
+            mb_test_poly_rows(mb, lut_gates, 64),
+        ):
+            assert np.array_equal(got, want)
 
 
 class TestCiphertextRoundtrip:
