@@ -182,12 +182,18 @@ def _seed_engine_gates_per_sec(keys, gates=48, repeats=2):
     big_n = params.tlwe_degree
     two_n = 2 * big_n
     k = params.tlwe_k
-    bk = cloud.bootstrapping_key  # per-bit TgswFFT list, full spectrum
+    # The seed's key form — a per-bit list of full (redundant) spectra —
+    # rebuilt here from the folded key: back to the exact int32 samples,
+    # then the full transform.
+    bk = [
+        ring.forward(ring.backward_half(folded))
+        for folded in cloud.bootstrapping_key
+    ]
 
-    def external(tgsw_fft, tlwe):
+    def external(full_spectrum, tlwe):
         digit_spec = ring.forward(tgsw_decompose(tlwe, params))
         out_spec = np.einsum(
-            "...rn,rcn->...cn", digit_spec, tgsw_fft.spectrum, optimize=True
+            "...rn,rcn->...cn", digit_spec, full_spectrum, optimize=True
         )
         return ring.backward(out_spec)
 

@@ -134,7 +134,7 @@ def mb_bootstrap_batch(
     """
     params = cloud.params
     t0 = time.perf_counter()
-    acc = blind_rotate(rows, ct, cloud.bootstrap_fft(), params)
+    acc = blind_rotate(rows, ct, cloud.bootstrapping_key, params)
     extracted = tlwe_extract_lwe(acc, params)
     t1 = time.perf_counter()
     out = keyswitch_apply(cloud.keyswitching_key, extracted)

@@ -27,12 +27,12 @@ from .tfhe.keys import CloudKey, SecretKey
 from .tfhe.keyswitch import KeySwitchingKey
 from .tfhe.lwe import LweCiphertext
 from .tfhe.params import TFHEParameters
-from .tfhe.tgsw import TgswFFT
+from .tfhe.polynomial import get_ring
 
 #: Envelope tag prepended to every ``save_*`` payload.
 MAGIC = b"RPRZ"
 #: Current payload format version (bump on incompatible layout change).
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _ENVELOPE = struct.Struct(">4sH")
 
@@ -193,40 +193,38 @@ def load_secret_key(data: bytes) -> SecretKey:
 # Cloud keys
 # ----------------------------------------------------------------------
 def save_cloud_key(cloud: CloudKey) -> bytes:
-    spectra = np.stack([t.spectrum for t in cloud.bootstrapping_key])
+    """Ship the folded bootstrapping key as is (format version 2)."""
     return _pack(
         params=np.frombuffer(
             _params_to_json(cloud.params).encode(), dtype=np.uint8
         ),
-        bootstrapping_key=spectra,
+        bootstrapping_key=cloud.bootstrapping_key,
         ks_a=cloud.keyswitching_key.a,
         ks_b=cloud.keyswitching_key.b,
     )
 
 
 def load_cloud_key(data: bytes) -> CloudKey:
+    """Inverse of :func:`save_cloud_key`; also reads version-1 payloads.
+
+    Version 1 carried the full (redundant) spectrum
+    ``(n, (k+1)*l, k+1, N)``.  It is taken back to the exact int32
+    samples and transformed into the folded layout, so the same key
+    loads to the same array — and fingerprint — from either version.
+    """
     loaded = _unpack(data)
     params = _params_from_json(bytes(_field(loaded, "params")).decode())
-    spectra = np.ascontiguousarray(_field(loaded, "bootstrapping_key"))
-    bootstrapping_key = [TgswFFT(spectra[i]) for i in range(spectra.shape[0])]
+    spectra = _field(loaded, "bootstrapping_key")
+    if _ENVELOPE.unpack_from(data)[1] < 2:
+        ring = get_ring(params.tlwe_degree)
+        spectra = np.stack(
+            [ring.forward_half(ring.backward(full)) for full in spectra]
+        )
     ksk = KeySwitchingKey(
         a=_field(loaded, "ks_a"), b=_field(loaded, "ks_b"), params=params
     )
-    cloud = CloudKey(
+    return CloudKey(
         params=params,
-        bootstrapping_key=bootstrapping_key,
+        bootstrapping_key=spectra,
         keyswitching_key=ksk,
     )
-    # The wire format carries the stacked full spectrum, so the
-    # broadcast copy a distributed worker deserializes seeds the
-    # per-key FFT cache here — one fold + transpose at load time into
-    # the matmul layout :meth:`CloudKey.bootstrap_fft` serves, never
-    # again per gate (the TgswFFT entries above stay views of the
-    # wire-layout array).
-    from .tfhe.polynomial import get_ring
-
-    half_index = get_ring(params.tlwe_degree).half_index
-    cloud._bootstrap_fft = np.ascontiguousarray(
-        spectra[..., half_index].transpose(0, 3, 1, 2)
-    )
-    return cloud

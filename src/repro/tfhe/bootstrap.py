@@ -14,8 +14,8 @@ import numpy as np
 
 from .lwe import LweCiphertext
 from .params import TFHEParameters
-from .polynomial import get_ring, negacyclic_shift
-from .tgsw import external_product
+from .polynomial import negacyclic_shift, rotation_windows
+from .tgsw import ExternalProductKernel
 from .tlwe import tlwe_extract_lwe
 
 
@@ -30,58 +30,71 @@ def _round_to_2n(values: np.ndarray, two_n: int) -> np.ndarray:
 def blind_rotate(
     test_poly: np.ndarray,
     ct: LweCiphertext,
-    bootstrapping_key,
+    bootstrapping_key: np.ndarray,
     params: TFHEParameters,
 ) -> np.ndarray:
     """Rotate ``test_poly`` by the (rounded) phase of each sample.
 
-    ``bootstrapping_key`` is either the per-bit ``Sequence[TgswFFT]``
-    or the cached stacked array from
-    :meth:`repro.tfhe.keys.CloudKey.bootstrap_fft` (ring-axis-leading
-    folded shape ``(n, N/2, (k+1)*l, k+1)``) — the hot paths pass the
-    cached form so each CMUX step is one contiguous BLAS matmul over
-    the non-redundant half spectrum instead of chasing per-bit Python
-    objects.  Per-bit lists and the full wire layout
-    ``(n, (k+1)*l, k+1, N)`` are normalized on entry.
+    ``bootstrapping_key`` is :attr:`repro.tfhe.keys.CloudKey.bootstrapping_key`:
+    the folded half spectra of the ``n`` TGSW samples, ring axis last,
+    ``(n, (k+1)*l, k+1, N/2)`` complex128.  Anything else is a
+    ``TypeError`` — there is one key layout.
+
+    The ``n`` CMUX steps run as one fused loop.  Buffers are allocated
+    here, once per call (calls on different threads share nothing), and
+    the steps write through ``out=``; only the window gather returns a
+    fresh array.  The accumulator lives tripled as ``[acc, -acc, acc]``
+    so that ``X**a * acc`` is a contiguous window of it
+    (:func:`repro.tfhe.polynomial.rotation_windows`).
 
     Returns TLWE sample(s) of shape ``batch + (k+1, N)`` whose message
     is ``X**(-phase_rounded) * test_poly``.
     """
-    n_lwe = params.lwe_dimension
-    big_n = params.tlwe_degree
+    n_lwe, big_n, k = params.lwe_dimension, params.tlwe_degree, params.tlwe_k
     two_n = 2 * big_n
-    k = params.tlwe_k
-
-    if not isinstance(bootstrapping_key, np.ndarray):
-        bootstrapping_key = np.stack(
-            [t.spectrum for t in bootstrapping_key]
+    key_shape = (n_lwe, (k + 1) * params.bs_decomp_length, k + 1, big_n // 2)
+    if (
+        not isinstance(bootstrapping_key, np.ndarray)
+        or bootstrapping_key.shape != key_shape
+        or bootstrapping_key.dtype != np.complex128
+    ):
+        raise TypeError(
+            f"bootstrapping_key must be CloudKey.bootstrapping_key: the "
+            f"stacked folded spectrum, complex128 of shape {key_shape}"
         )
-    if bootstrapping_key.shape[-1] == big_n:
-        half_index = get_ring(big_n).half_index
-        bootstrapping_key = np.ascontiguousarray(
-            bootstrapping_key[..., half_index].transpose(0, 3, 1, 2)
-        )
-
-    bara = _round_to_2n(ct.a, two_n)  # batch + (n,)
-    barb = _round_to_2n(ct.b, two_n)  # batch
 
     batch_shape = ct.batch_shape
-    acc = np.zeros(batch_shape + (k + 1, big_n), dtype=np.int32)
-    acc[..., k, :] = negacyclic_shift(
-        np.broadcast_to(test_poly, batch_shape + (big_n,)), two_n - barb
+    bara = _round_to_2n(ct.a, two_n).reshape(-1, n_lwe)
+    barb = _round_to_2n(ct.b, two_n).reshape(-1)
+    batch = len(barb)
+    sample = np.arange(batch)
+    # Step i reads window -a_i of each sample: X**a_i * acc.
+    starts = np.ascontiguousarray(((two_n - bara) % two_n).T)
+
+    tripled = np.empty((batch, k + 1, 3 * big_n), dtype=np.int32)
+    windows = rotation_windows(tripled)
+    acc = tripled[..., :big_n]
+    negated = tripled[..., big_n:two_n]
+    again = tripled[..., two_n:]
+    acc[:, :k] = 0
+    acc[:, k] = negacyclic_shift(
+        np.broadcast_to(test_poly, batch_shape + (big_n,)).reshape(
+            batch, big_n
+        ),
+        two_n - barb,
     )
+    diff = np.empty((batch, k + 1, big_n), dtype=np.int32)
+    kernel = ExternalProductKernel(params, batch)
 
     # int32 wrap-around add/sub are exact torus arithmetic, so the CMUX
-    # accumulation needs no widening to int64.
-    for i in range(n_lwe):
-        amounts = bara[..., i]
-        if not np.any(amounts):
-            continue
-        rotated = negacyclic_shift(acc, amounts[..., None])
-        acc = acc + external_product(
-            bootstrapping_key[i], rotated - acc, params
-        )
-    return acc
+    # accumulation needs no widening to int64.  A step every sample
+    # sits out (all amounts zero) is skipped.
+    for i in np.flatnonzero(bara.any(axis=0)):
+        np.negative(acc, out=negated)
+        np.copyto(again, acc)
+        np.subtract(windows[sample, :, starts[i]], acc, out=diff)
+        kernel.add_product(acc, bootstrapping_key[i], diff)
+    return np.ascontiguousarray(acc).reshape(batch_shape + (k + 1, big_n))
 
 
 def bootstrap_to_extracted(
@@ -92,8 +105,8 @@ def bootstrap_to_extracted(
 ) -> LweCiphertext:
     """Bootstrap sample(s) to LWE(±mu) under the extracted key.
 
-    ``bootstrapping_key`` accepts the same forms as
-    :func:`blind_rotate`; pass ``cloud.bootstrap_fft()`` on hot paths.
+    ``bootstrapping_key`` is the stacked array :func:`blind_rotate`
+    takes.
     """
     test_poly = np.full(params.tlwe_degree, np.int32(mu), dtype=np.int32)
     acc = blind_rotate(test_poly, ct, bootstrapping_key, params)

@@ -81,9 +81,6 @@ def _ambient_obs():
 def bootstrap_binary(cloud: CloudKey, ct: LweCiphertext) -> LweCiphertext:
     """Bootstrap + key switch back to the small key (message ±1/8).
 
-    Uses the key's cached stacked FFT (:meth:`CloudKey.bootstrap_fft`),
-    computed once per key and shared by every engine and batch size.
-
     When observability is on, the two phases land in the
     ``bootstrap_phase_ms`` histogram (``phase=blind_rotate`` /
     ``phase=keyswitch``) — the split that tells you whether a slow
@@ -92,12 +89,12 @@ def bootstrap_binary(cloud: CloudKey, ct: LweCiphertext) -> LweCiphertext:
     obs = _ambient_obs()
     if not obs.active:
         extracted = bootstrap_to_extracted(
-            ct, cloud.bootstrap_fft(), cloud.params, MU_GATE
+            ct, cloud.bootstrapping_key, cloud.params, MU_GATE
         )
         return keyswitch_apply(cloud.keyswitching_key, extracted)
     t0 = time.perf_counter()
     extracted = bootstrap_to_extracted(
-        ct, cloud.bootstrap_fft(), cloud.params, MU_GATE
+        ct, cloud.bootstrapping_key, cloud.params, MU_GATE
     )
     t1 = time.perf_counter()
     out = keyswitch_apply(cloud.keyswitching_key, extracted)
@@ -151,16 +148,15 @@ def evaluate_mux(
     decomposition would use.
     """
     params = cloud.params
-    bk_fft = cloud.bootstrap_fft()
     taken = bootstrap_to_extracted(
         gate_linear_input(Gate.AND, selector, when_true),
-        bk_fft,
+        cloud.bootstrapping_key,
         params,
         MU_GATE,
     )
     skipped = bootstrap_to_extracted(
         gate_linear_input(Gate.ANDNY, selector, when_false),
-        bk_fft,
+        cloud.bootstrapping_key,
         params,
         MU_GATE,
     )

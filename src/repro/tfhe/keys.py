@@ -8,13 +8,14 @@ library's secret/cloud keyset split that PyTFHE wraps via pybind11.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from .keyswitch import KeySwitchingKey, keyswitch_key_gen
 from .params import TFHEParameters, TFHE_DEFAULT_128
-from .tgsw import TgswFFT, tgsw_encrypt_int
+from .polynomial import get_ring
+from .tgsw import tgsw_encrypt_int
 from .tlwe import tlwe_extract_key, tlwe_key_gen
 
 
@@ -33,47 +34,29 @@ class SecretKey:
 
 @dataclass
 class CloudKey:
-    """Evaluation keys: per-LWE-bit TGSW samples (FFT form) + KS key."""
+    """Evaluation keys: the bootstrapping key (FFT form) + the KS key.
+
+    ``bootstrapping_key`` is one array, the only copy of the key this
+    object holds: the folded half spectra
+    (:meth:`repro.tfhe.polynomial.NegacyclicRing.forward_half`) of the
+    ``n`` per-LWE-bit TGSW samples with the ring axis last,
+    ``(n, (k+1)*l, k+1, N/2)`` complex128.  It is what
+    :func:`generate_keys` produces, what :mod:`repro.serialization`
+    ships and what :func:`repro.tfhe.bootstrap.blind_rotate` consumes,
+    unchanged.  ``bootstrapping_key[i]`` is bit ``i``'s
+    :attr:`repro.tfhe.tgsw.TgswFFT.spectrum`.
+    """
 
     params: TFHEParameters
-    bootstrapping_key: List[TgswFFT]
+    bootstrapping_key: np.ndarray
     keyswitching_key: KeySwitchingKey
 
     def nbytes(self) -> int:
-        bk = sum(t.spectrum.nbytes for t in self.bootstrapping_key)
-        return bk + self.keyswitching_key.nbytes()
+        return self.bootstrapping_key.nbytes + self.keyswitching_key.nbytes()
 
     def bootstrap_fft(self) -> np.ndarray:
-        """The whole bootstrapping key as one contiguous FFT array.
-
-        Shape ``(n, N/2, (k+1)*l, k+1)`` complex128 — the per-bit TGSW
-        spectra stacked, folded down to the non-redundant half of the
-        negacyclic spectrum (see
-        :meth:`repro.tfhe.polynomial.NegacyclicRing.forward_half`),
-        and transposed into the layout the external product consumes:
-        with the ring axis leading, each CMUX step of blind rotation
-        is a single batched BLAS ``zgemm``
-        (``(N/2, batch, rows) @ (N/2, rows, k+1)``) instead of an
-        einsum re-planned per call.  Computed at most once per key
-        instance and cached, so every engine that bootstraps with this
-        key — ``CpuBackend.run``/``run_many``, the distributed
-        workers' broadcast copy, the serving layer's per-tenant
-        executors — shares one spectrum instead of re-deriving or
-        re-gathering it per call.  Deserialized keys seed this cache
-        at load time (see :func:`repro.serialization.load_cloud_key`).
-        """
-        cached = getattr(self, "_bootstrap_fft", None)
-        if cached is None:
-            from .polynomial import get_ring
-
-            half_index = get_ring(self.params.tlwe_degree).half_index
-            cached = np.ascontiguousarray(
-                np.stack(
-                    [t.spectrum for t in self.bootstrapping_key]
-                )[..., half_index].transpose(0, 3, 1, 2)
-            )
-            self._bootstrap_fft = cached
-        return cached
+        """:attr:`bootstrapping_key` (it is already the FFT form)."""
+        return self.bootstrapping_key
 
     def fingerprint(self) -> str:
         """Content hash identifying this key across processes.
@@ -95,8 +78,7 @@ class CloudKey:
                     dataclasses.asdict(self.params), sort_keys=True
                 ).encode()
             )
-            for sample in self.bootstrapping_key:
-                digest.update(sample.spectrum.tobytes())
+            digest.update(np.ascontiguousarray(self.bootstrapping_key).data)
             digest.update(self.keyswitching_key.a.tobytes())
             digest.update(self.keyswitching_key.b.tobytes())
             cached = digest.hexdigest()[:16]
@@ -119,12 +101,19 @@ def generate_keys(
     ).astype(np.int32)
     tlwe_key = tlwe_key_gen(params, rng)
 
-    bootstrapping_key = [
-        TgswFFT.from_sample(
-            tgsw_encrypt_int(tlwe_key, int(bit), params, rng), params
-        )
-        for bit in lwe_key
-    ]
+    # One TGSW sample per bit, drawn in bit order and packed straight
+    # into the key array; the transform then runs once, in place.
+    half = params.tlwe_degree // 2
+    rows = (params.tlwe_k + 1) * params.bs_decomp_length
+    bootstrapping_key = np.empty(
+        (params.lwe_dimension, rows, params.tlwe_k + 1, half),
+        dtype=np.complex128,
+    )
+    for packed, bit in zip(bootstrapping_key, lwe_key):
+        sample = tgsw_encrypt_int(tlwe_key, int(bit), params, rng)
+        packed.real = sample[..., :half]
+        packed.imag = sample[..., half:]
+    get_ring(params.tlwe_degree).fold(bootstrapping_key)
     ksk = keyswitch_key_gen(tlwe_extract_key(tlwe_key), lwe_key, params, rng)
     secret = SecretKey(params=params, lwe_key=lwe_key, tlwe_key=tlwe_key)
     cloud = CloudKey(

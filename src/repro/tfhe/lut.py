@@ -143,7 +143,7 @@ def apply_lut(
         table, encoding_in, encoding_out, params.tlwe_degree
     )
 
-    acc = blind_rotate(test_poly, ct, cloud.bootstrap_fft(), params)
+    acc = blind_rotate(test_poly, ct, cloud.bootstrapping_key, params)
     extracted = tlwe_extract_lwe(acc, params)
     return keyswitch_apply(cloud.keyswitching_key, extracted)
 

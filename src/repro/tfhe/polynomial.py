@@ -40,11 +40,6 @@ class NegacyclicRing:
         # scale of the inverse-sign DFT is folded into the twist.
         self._twist_half = np.exp(1j * np.pi * jh / degree) * half
         self._untwist_half = np.exp(-1j * np.pi * jh / degree) / half
-        #: Indices such that ``forward(x)[..., half_index]`` equals
-        #: ``forward_half(x)`` — lets full (wire-format) spectra be
-        #: sliced down to the folded representation without re-FFT.
-        self.half_index = (-2 * jh) % degree
-        self._rotation_tables = None
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
         """Twisted FFT of integer/torus coefficient arrays (..., N)."""
@@ -62,42 +57,34 @@ class NegacyclicRing:
 
         Returns the polynomial's values at the odd 2N-th roots of unity
         ``w^(4k+1)`` — half the redundant full spectrum, so pointwise
-        products (and the external-product matmul) do half the work.
+        products do half the work.
         """
         half = self.degree // 2
-        arr = np.asarray(coeffs, dtype=np.float64)
+        arr = np.asarray(coeffs)
         packed = np.empty(arr.shape[:-1] + (half,), dtype=np.complex128)
         packed.real = arr[..., :half]
         packed.imag = arr[..., half:]
+        return self.fold(packed)
+
+    def fold(self, packed: np.ndarray) -> np.ndarray:
+        """:meth:`forward_half` of ``a_j + i*a_(j+N/2)``, in place."""
         packed *= self._twist_half
-        return np.fft.ifft(packed, axis=-1)
+        return np.fft.ifft(packed, axis=-1, out=packed)
+
+    def unfold(self, spectrum: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`fold`, in place (not yet rounded)."""
+        np.fft.fft(spectrum, axis=-1, out=spectrum)
+        spectrum *= self._untwist_half
+        return spectrum
 
     def backward_half(self, spectrum: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`forward_half`, rounded onto the int32 torus."""
-        u = np.fft.fft(spectrum, axis=-1) * self._untwist_half
+        u = self.unfold(np.array(spectrum, dtype=np.complex128))
         return wrap_int32(
             np.round(
                 np.concatenate([u.real, u.imag], axis=-1)
             ).astype(np.int64)
         )
-
-    def rotation_tables(self):
-        """Cached gather tables for :func:`negacyclic_shift`.
-
-        ``(idx, sign)`` of shape ``(2N, N)``: row ``a`` holds the source
-        index and negacyclic sign of each output coefficient when
-        multiplying by ``X**a``.  Built once per ring so the hot
-        blind-rotation loop does a single table row lookup instead of
-        re-deriving the modular index arithmetic every CMUX step.
-        """
-        if self._rotation_tables is None:
-            n = self.degree
-            a = np.arange(2 * n)[:, None]
-            j = np.arange(n)[None, :]
-            src = (j - a) % (2 * n)
-            sign = np.where(src >= n, -1, 1).astype(np.int32)
-            self._rotation_tables = ((src % n).astype(np.intp), sign)
-        return self._rotation_tables
 
     def multiply(self, int_poly: np.ndarray, torus_poly: np.ndarray) -> np.ndarray:
         """Product of an integer polynomial with a torus polynomial."""
@@ -134,6 +121,18 @@ def negacyclic_multiply_naive(
     return wrap_int32(result)
 
 
+def rotation_windows(tripled: np.ndarray) -> np.ndarray:
+    """Every rotation of polynomial(s) stored as ``[p, -p, p]``.
+
+    Input ``(..., 3N)``, output a view ``(..., 2N + 1, N)`` whose window
+    ``s`` is ``X**(-s) * p``: a negacyclic rotation is a contiguous read,
+    with no index arithmetic and no sign multiply.
+    """
+    return np.lib.stride_tricks.sliding_window_view(
+        tripled, tripled.shape[-1] // 3, axis=-1
+    )
+
+
 def negacyclic_shift(poly: np.ndarray, amount) -> np.ndarray:
     """Multiply polynomial(s) by ``X**amount`` in T[X]/(X^N+1).
 
@@ -142,52 +141,14 @@ def negacyclic_shift(poly: np.ndarray, amount) -> np.ndarray:
     ``2N`` (a shift by ``N`` negates the polynomial).
     """
     poly = np.asarray(poly)
-    n = poly.shape[-1]
-    amount_arr = np.asarray(amount, dtype=np.int64) % (2 * n)
-    if amount_arr.ndim == 0:
-        return _shift_scalar(poly, int(amount_arr))
-
-    # Per-batch shifts: result[..., j] = sign * poly[..., (j - k) mod 2N].
-    # Negation stays in the input dtype: int32 wrap-around *is* exact
-    # torus negation, so no int64 round-trip is needed on the hot path.
-    if amount_arr.ndim == poly.ndim:
-        if amount_arr.shape[-1] != 1:
-            # Per-coefficient amounts: fall back to direct index math.
-            k = amount_arr
-            j = np.arange(n)
-            src = (j - k) % (2 * n)
-            sign = np.where(src >= n, -1, 1).astype(poly.dtype)
-            gathered = np.take_along_axis(
-                poly, np.broadcast_to(src % n, poly.shape), axis=-1
-            )
-            return gathered * np.broadcast_to(sign, poly.shape)
-        amount_arr = amount_arr[..., 0]
-    # One row lookup in the ring's cached (2N, N) tables replaces the
-    # modular index arithmetic — the blind-rotation fast path.
-    idx_t, sign_t = get_ring(n).rotation_tables()
-    src = idx_t[amount_arr]
-    sign = sign_t[amount_arr]
-    pad = poly.ndim - amount_arr.ndim - 1
-    if pad:
-        shape = amount_arr.shape + (1,) * pad + (n,)
-        src = src.reshape(shape)
-        sign = sign.reshape(shape)
-    gathered = np.take_along_axis(
-        poly, np.broadcast_to(src, poly.shape), axis=-1
+    n, lead = poly.shape[-1], poly.shape[:-1]
+    amount_arr = np.asarray(amount, dtype=np.int64)
+    aligned = amount_arr.reshape(
+        amount_arr.shape + (1,) * (len(lead) - amount_arr.ndim)
     )
-    return gathered * np.broadcast_to(sign.astype(poly.dtype, copy=False), poly.shape)
-
-
-def _shift_scalar(poly: np.ndarray, amount: int) -> np.ndarray:
-    n = poly.shape[-1]
-    amount %= 2 * n
-    negate = amount >= n
-    amount %= n
-    rolled = np.roll(poly, amount, axis=-1)
-    if amount:
-        rolled[..., :amount] = wrap_int32(
-            -rolled[..., :amount].astype(np.int64)
-        )
-    if negate:
-        rolled = wrap_int32(-rolled.astype(np.int64))
-    return rolled
+    starts = np.broadcast_to(-aligned % (2 * n), lead).reshape(-1)
+    # Negation stays in the input dtype: int32 wrap-around *is* exact
+    # torus negation.
+    flat = poly.reshape(-1, n)
+    windows = rotation_windows(np.concatenate([flat, -flat, flat], axis=-1))
+    return windows[np.arange(len(starts)), starts].reshape(poly.shape)

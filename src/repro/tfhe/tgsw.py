@@ -8,6 +8,7 @@ evaluated in the FFT domain with the TGSW rows pre-transformed.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,32 @@ def decomposition_offset(params: TFHEParameters) -> int:
     return offset
 
 
+def _gadget_digits(
+    tlwe: np.ndarray, params: TFHEParameters, values: np.ndarray, digits: np.ndarray
+) -> np.ndarray:
+    """Signed gadget digits of ``tlwe``, written into ``digits``.
+
+    The one decomposition in the package.  ``tlwe`` is int32
+    ``batch + (k+1, N)``; ``values`` (same shape) and ``digits``
+    (``batch + (k+1, l, N)``) are uint32 buffers the caller owns.  The
+    offset add wraps in uint32, which is exact: no digit window
+    straddles bit 32.  Returns ``digits`` viewed as int32.
+    """
+    beta = params.bs_decomp_log2_base
+    offset = np.uint32(decomposition_offset(params))
+    np.add(tlwe.view(np.uint32), offset, out=values)
+    # One scalar shift per digit: numpy's shift loop is several times
+    # slower when the shift amounts are an (even stride-0) array.
+    for j in range(params.bs_decomp_length):
+        np.right_shift(
+            values, np.uint32(32 - (j + 1) * beta), out=digits[..., j, :]
+        )
+    digits &= np.uint32(params.bs_base - 1)
+    signed = digits.view(np.int32)
+    signed -= np.int32(params.bs_base >> 1)
+    return signed
+
+
 def tgsw_decompose(tlwe: np.ndarray, params: TFHEParameters) -> np.ndarray:
     """Signed gadget decomposition of TLWE sample(s).
 
@@ -68,29 +95,21 @@ def tgsw_decompose(tlwe: np.ndarray, params: TFHEParameters) -> np.ndarray:
     ``sum_j digit_j * 2**(32-(j+1)*beta)`` approximates each torus
     coefficient.
     """
-    k, ell = params.tlwe_k, params.bs_decomp_length
-    beta = params.bs_decomp_log2_base
-    base = 1 << beta
-    half_base = base >> 1
-
-    values = tlwe.view(np.uint32).astype(np.int64) + decomposition_offset(params)
-    batch = tlwe.shape[:-2]
-    n = params.tlwe_degree
-    # One broadcast shift extracts every digit window at once:
-    # batch + (k+1, 1, N) >> (l, 1) -> batch + (k+1, l, N), and the
-    # reshape fuses (k+1, l) into the row axis in gadget order.
-    shifts = 32 - (np.arange(1, ell + 1, dtype=np.int64)) * beta
-    digits = (
-        (values[..., :, None, :] >> shifts[:, None]) & (base - 1)
-    ) - half_base
-    return digits.reshape(batch + ((k + 1) * ell, n))
+    lead, n = tlwe.shape[:-1], tlwe.shape[-1]
+    values = np.empty(tlwe.shape, dtype=np.uint32)
+    digits = np.empty(lead + (params.bs_decomp_length, n), dtype=np.uint32)
+    signed = _gadget_digits(tlwe, params, values, digits)
+    return signed.reshape(lead[:-1] + (-1, n))
 
 
 @dataclass
 class TgswFFT:
     """A TGSW sample pre-transformed into the FFT domain.
 
-    ``spectrum`` has shape ``((k+1)*l, k+1, N)`` complex128.
+    ``spectrum`` is the folded half spectrum
+    (:meth:`repro.tfhe.polynomial.NegacyclicRing.forward_half`) with
+    the ring axis last: ``((k+1)*l, k+1, N/2)`` complex128 — one slice
+    of the stacked bootstrapping key.
     """
 
     spectrum: np.ndarray
@@ -98,30 +117,69 @@ class TgswFFT:
     @staticmethod
     def from_sample(sample: np.ndarray, params: TFHEParameters) -> "TgswFFT":
         ring = get_ring(params.tlwe_degree)
-        return TgswFFT(ring.forward(sample))
+        return TgswFFT(ring.forward_half(sample))
 
 
-def _decompose_float(tlwe: np.ndarray, params: TFHEParameters) -> np.ndarray:
-    """Gadget digits as float64, ready for the folded FFT.
+#: Index of the low int32 word of an int64 in memory.
+_LOW_WORD = 0 if sys.byteorder == "little" else 1
 
-    Same digits as :func:`tgsw_decompose` but produced without the
-    int64 round-trip: the offset add wraps in uint32 (exact — no digit
-    window straddles bit 32) and the result lands directly in the
-    float64 dtype :meth:`NegacyclicRing.forward_half` consumes.
+
+class ExternalProductKernel:
+    """``acc += TGSW ⊡ TLWE`` for ``batch`` samples, allocation-free.
+
+    Every intermediate lives in a buffer allocated here, once, and each
+    step writes through ``out=``.  An instance belongs to one caller
+    (one :func:`repro.tfhe.bootstrap.blind_rotate` call): nothing is
+    cached on a key or a module, so concurrent callers share nothing.
     """
-    k, ell = params.tlwe_k, params.bs_decomp_length
-    beta = params.bs_decomp_log2_base
-    base = 1 << beta
-    values = tlwe.view(np.uint32) + np.uint32(decomposition_offset(params))
-    shifts = (32 - np.arange(1, ell + 1, dtype=np.uint32) * beta).astype(
-        np.uint32
-    )
-    digits = (
-        (values[..., :, None, :] >> shifts[:, None]) & np.uint32(base - 1)
-    ).astype(np.float64) - float(base >> 1)
-    return digits.reshape(
-        tlwe.shape[:-2] + ((k + 1) * ell, params.tlwe_degree)
-    )
+
+    def __init__(self, params: TFHEParameters, batch: int):
+        k, ell = params.tlwe_k, params.bs_decomp_length
+        big_n = params.tlwe_degree
+        half = big_n // 2
+        self.params = params
+        self.ring = get_ring(big_n)
+        self.values = np.empty((batch, k + 1, big_n), dtype=np.uint32)
+        self.digits = np.empty((batch, k + 1, ell, big_n), dtype=np.uint32)
+        self.packed = np.empty((batch, k + 1, ell, half), dtype=np.complex128)
+        self.product = np.empty((batch, k + 1, half), dtype=np.complex128)
+        self.term = np.empty_like(self.product)
+        self.rounded = np.empty((batch, k + 1, half, 2), dtype=np.float64)
+        self.words = np.empty((batch, k + 1, half, 2), dtype=np.int64)
+
+    def add_product(
+        self, acc: np.ndarray, tgsw: np.ndarray, tlwe: np.ndarray
+    ) -> None:
+        """``acc += tgsw ⊡ tlwe`` on the int32 torus (wrap-around).
+
+        ``tgsw`` is one folded spectrum ``((k+1)*l, k+1, N/2)``;
+        ``acc`` and ``tlwe`` are int32 ``(batch, k+1, N)``.
+        """
+        batch, rows, half = len(tlwe), len(tgsw), self.product.shape[-1]
+        digits = _gadget_digits(tlwe, self.params, self.values, self.digits)
+        # Coefficient halves go straight into the packed FFT input.
+        packed = self.packed
+        packed.real = digits[..., :half]
+        packed.imag = digits[..., half:]
+        spectrum = self.ring.fold(packed).reshape(batch, rows, half)
+        # Ring axis last on both operands: (k+1)*l multiply-accumulates
+        # of (batch, 1, N/2) x (k+1, N/2) — no transposes, no BLAS.
+        product, term = self.product, self.term
+        np.multiply(spectrum[:, 0, None], tgsw[0], out=product)
+        for row in range(1, rows):
+            np.multiply(spectrum[:, row, None], tgsw[row], out=term)
+            product += term
+        self.ring.unfold(product)
+        # Each (re, im) pair holds coefficients (j, j + N/2); the low
+        # word of its rounded int64 is the value mod 2**32, the torus.
+        np.rint(
+            product.view(np.float64).reshape(self.rounded.shape),
+            out=self.rounded,
+        )
+        np.copyto(self.words, self.rounded, casting="unsafe")
+        low = self.words.view(np.int32)[..., _LOW_WORD::2]
+        halves = acc.reshape(batch, -1, 2, half)
+        halves += low.transpose(0, 1, 3, 2)
 
 
 def external_product(
@@ -129,35 +187,17 @@ def external_product(
 ) -> np.ndarray:
     """TGSW ⊡ TLWE, batched over the leading dimensions of ``tlwe``.
 
-    ``tgsw_fft`` is a :class:`TgswFFT`, its raw full spectrum of shape
-    ``((k+1)*l, k+1, N)``, or a ring-axis-leading *folded* slice
-    ``(N/2, (k+1)*l, k+1)`` of the cached stacked key
-    (:meth:`repro.tfhe.keys.CloudKey.bootstrap_fft`) — blind rotation
-    passes the latter so the pointwise ring products collapse into one
-    batched complex BLAS matmul ``(N/2, B, rows) @ (N/2, rows, k+1)``
-    over the non-redundant half spectrum.
+    ``tgsw_fft`` is a :class:`TgswFFT` or its raw folded spectrum (one
+    slice of the stacked bootstrapping key).  This is one step of the
+    kernel that blind rotation loops over.
     """
     spectrum = (
         tgsw_fft.spectrum if isinstance(tgsw_fft, TgswFFT) else tgsw_fft
     )
-    big_n = params.tlwe_degree
-    ring = get_ring(big_n)
-    if spectrum.shape[-1] == big_n:
-        # Full wire-layout spectrum: fold to the N/2 evaluation points
-        # and lead with the ring axis for the matmul.
-        spectrum = np.ascontiguousarray(
-            np.moveaxis(spectrum[..., ring.half_index], -1, 0)
-        )
-    digits = _decompose_float(tlwe, params)
-    digit_spec = ring.forward_half(digits)  # batch + (rows, N/2)
-    batch = tlwe.shape[:-2]
-    rows = digit_spec.shape[-2]
-    flat = np.moveaxis(digit_spec, -1, 0).reshape(big_n // 2, -1, rows)
-    out = flat @ spectrum  # (N/2, B, k+1) zgemm
-    out_spec = np.moveaxis(out, 0, -1).reshape(
-        batch + (spectrum.shape[-1], big_n // 2)
-    )
-    return ring.backward_half(out_spec)
+    flat = tlwe.reshape((-1,) + tlwe.shape[-2:])
+    out = np.zeros(flat.shape, dtype=np.int32)
+    ExternalProductKernel(params, len(flat)).add_product(out, spectrum, flat)
+    return out.reshape(tlwe.shape)
 
 
 def cmux(

@@ -1,5 +1,6 @@
 """Gate profiler tests (Fig. 7 machinery)."""
 
+import numpy as np
 
 from repro.runtime import profile_gate
 from repro.tfhe import TFHE_TEST
@@ -50,3 +51,30 @@ def test_rows_sum_to_total(cloud_key):
     rows = profile.rows()
     assert abs(sum(ms for _, ms, _ in rows) - profile.total_ms) < 1e-9
     assert abs(sum(frac for _, _, frac in rows) - 1.0) < 1e-9
+
+
+def test_timed_rotation_gets_the_kernel_ready_key(cloud_key, monkeypatch, rng):
+    """The timed bootstrap must receive the key exactly as the kernel
+    consumes it — a form it would first have to convert (the per-bit
+    list this once passed) bills the conversion to "blind rotation"."""
+    from repro.runtime import profiler
+    from repro.tfhe.lwe import LweCiphertext
+
+    seen = []
+    real = profiler.bootstrap_to_extracted
+
+    def spy(ct, key, params, mu):
+        seen.append(key)
+        return real(ct, key, params, mu)
+
+    monkeypatch.setattr(profiler, "bootstrap_to_extracted", spy)
+    mask = rng.integers(
+        0, 2**32, (1, TFHE_TEST.lwe_dimension), dtype=np.uint32
+    ).view(np.int32)
+    sample = LweCiphertext(mask, np.zeros(1, dtype=np.int32))
+    profile = profile_gate(
+        cloud_key, repetitions=2, warmup=1, inputs=(sample, sample)
+    )
+    assert profile.blind_rotation_ms > 0
+    assert len(seen) == 3
+    assert all(key is cloud_key.bootstrap_fft() for key in seen)
