@@ -1,12 +1,12 @@
-"""Static-analyzer scaling: flat vectorized engines vs the object walk.
+"""Static-analyzer scaling: the array checkers on a size ladder.
 
 Generates synthetic random netlists (10k / 100k / 1M gates by
-default), runs every analysis family under both engines, verifies the
-reports are bit-identical where both ran, and reports per-family
-speedups plus the content-hash cache's miss/hit latencies.  The legacy
-per-gate walk is capped at ``--legacy-max`` gates (it is the slow side
-of the comparison); the flat engine runs the full ladder and must
-finish the largest size inside ``--budget-s``.
+default), runs every analysis family, and reports per-family times
+plus the content-hash cache's miss/hit latencies.  The ladder must
+finish its largest size inside ``--budget-s``.  (The flat-vs-legacy
+comparison this script used to make was recorded at PR 7 —
+EXPERIMENTS.md; the per-gate walks now live in
+``tests/analyze/legacy_oracle.py`` as the equivalence oracle.)
 
 Run locally::
 
@@ -24,22 +24,20 @@ import numpy as np
 from repro.analyze import (
     AnalysisCache,
     DEFAULT_CONFIG,
-    FlatCircuitFacts,
     analyze_netlist_cached,
     check_dataflow,
     check_program,
     check_schedule,
     check_structure,
 )
-from repro.analyze.structural import CircuitFacts
 from repro.gatetypes import TWO_INPUT_GATES, Gate
 from repro.hdl.netlist import NO_INPUT, Netlist
 from repro.isa.assembler import assemble
 from repro.runtime.scheduler import build_schedule
 
 
-def synthetic_netlist(num_gates, num_inputs=64, seed=0):
-    """A random valid netlist, built vectorized (no Python gate loop)."""
+def synthetic_columns(num_gates, num_inputs=64, seed=0):
+    """Columns of a random valid netlist (no Python gate loop)."""
     rng = np.random.default_rng(seed)
     binary = np.array([int(g) for g in TWO_INPUT_GATES], dtype=np.int64)
     unary = np.array([int(Gate.NOT), int(Gate.BUF)], dtype=np.int64)
@@ -61,7 +59,7 @@ def synthetic_netlist(num_gates, num_inputs=64, seed=0):
     in0 = np.where(arity >= 1, rng.integers(0, nodes), NO_INPUT)
     in1 = np.where(arity == 2, rng.integers(0, nodes), NO_INPUT)
     outputs = nodes[-min(32, num_gates) :]
-    return Netlist(num_inputs, ops, in0, in1, outputs, name=f"syn{num_gates}")
+    return num_inputs, ops, in0, in1, outputs
 
 
 def timed(fn):
@@ -70,48 +68,27 @@ def timed(fn):
     return time.perf_counter() - t0, result
 
 
-def report_of(col):
-    return col.into_report("bench", ["bench"]).as_dict()
-
-
-def bench_size(num_gates, legacy_max, failures):
+def bench_size(num_gates):
     row = {"gates": num_gates}
-    netlist = synthetic_netlist(num_gates)
+    columns = synthetic_columns(num_gates)
+    # Construction validates through the facts' operand masks; the
+    # traversal (rounds, levels, fanout) is the first consumer's cost.
+    t_build, netlist = timed(
+        lambda: Netlist(*columns, name=f"syn{num_gates}")
+    )
+    flat = netlist.facts
+    t_rounds, _ = timed(lambda: flat.rounds)
+    row["extract_s"] = t_build + t_rounds
     schedule = build_schedule(netlist)
     binary = assemble(netlist)
-    run_legacy = num_gates <= legacy_max
 
-    t_extract, flat = timed(
-        lambda: FlatCircuitFacts.from_netlist(netlist)
-    )
-    t_rounds, _ = timed(lambda: flat.rounds)
-    row["extract_s"] = t_extract + t_rounds
-
-    pairs = {
-        "structural": (
-            lambda eng: check_structure(
-                flat
-                if eng == "flat"
-                else CircuitFacts.from_netlist(netlist),
-                engine=eng,
-            )
-        ),
-        "hazards": (
-            lambda eng: check_schedule(netlist, schedule, engine=eng)
-        ),
-        "stream": (lambda eng: check_program(binary, engine=eng)),
+    families = {
+        "structural": lambda: check_structure(flat),
+        "hazards": lambda: check_schedule(netlist, schedule),
+        "stream": lambda: check_program(binary),
     }
-    for family, run in pairs.items():
-        t_flat, col_flat = timed(lambda: run("flat"))
-        row[f"{family}_flat_s"] = t_flat
-        if run_legacy:
-            t_legacy, col_legacy = timed(lambda: run("legacy"))
-            row[f"{family}_legacy_s"] = t_legacy
-            row[f"{family}_speedup"] = t_legacy / max(t_flat, 1e-9)
-            if report_of(col_flat) != report_of(col_legacy):
-                failures.append(
-                    f"{family}@{num_gates}: engines disagree"
-                )
+    for family, run in families.items():
+        row[f"{family}_flat_s"], _ = timed(run)
 
     t_df, _ = timed(lambda: check_dataflow(flat))
     row["dataflow_flat_s"] = t_df
@@ -142,45 +119,16 @@ def main(argv=None) -> int:
         help="synthetic netlist sizes (gates)",
     )
     parser.add_argument(
-        "--legacy-max",
-        type=int,
-        default=100_000,
-        help="largest size the legacy engines also run at",
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=10.0,
-        help="required flat-vs-legacy speedup at the largest compared "
-        "size (per family, best-of)",
-    )
-    parser.add_argument(
         "--budget-s",
         type=float,
         default=60.0,
-        help="flat-engine time budget (all families) at the largest size",
+        help="time budget (all families) at the largest size",
     )
     parser.add_argument("--json", default=None)
     args = parser.parse_args(argv)
 
     failures = []
-    rows = [
-        bench_size(size, args.legacy_max, failures)
-        for size in sorted(args.sizes)
-    ]
-
-    compared = [r for r in rows if "structural_speedup" in r]
-    if compared:
-        biggest = compared[-1]
-        best = max(
-            biggest[f"{fam}_speedup"]
-            for fam in ("structural", "hazards", "stream")
-        )
-        if best < args.min_speedup:
-            failures.append(
-                f"best speedup {best:.1f}x at {biggest['gates']} gates "
-                f"is below the {args.min_speedup:.0f}x target"
-            )
+    rows = [bench_size(size) for size in sorted(args.sizes)]
     largest = rows[-1]
     flat_total = (
         largest["extract_s"]
@@ -195,21 +143,13 @@ def main(argv=None) -> int:
             f"{flat_total:.1f}s (> {args.budget_s:.0f}s budget)"
         )
 
-    header = (
-        f"{'gates':>9} {'family':>10} {'flat':>9} {'legacy':>9} "
-        f"{'speedup':>8}"
-    )
+    header = f"{'gates':>9} {'family':>10} {'time':>9}"
     print(header)
     print("-" * len(header))
     for row in rows:
         for fam in ("structural", "hazards", "stream", "dataflow"):
-            flat_s = row.get(f"{fam}_flat_s")
-            legacy_s = row.get(f"{fam}_legacy_s")
-            speedup = row.get(f"{fam}_speedup")
             print(
-                f"{row['gates']:>9} {fam:>10} {flat_s:>8.3f}s "
-                + (f"{legacy_s:>8.3f}s " if legacy_s else f"{'—':>9} ")
-                + (f"{speedup:>7.1f}x" if speedup else f"{'—':>8}")
+                f"{row['gates']:>9} {fam:>10} {row[f'{fam}_flat_s']:>8.3f}s"
             )
         print(
             f"{row['gates']:>9} {'cache':>10} miss {row['cache_miss_s']:.3f}s"
@@ -218,7 +158,6 @@ def main(argv=None) -> int:
 
     summary = {
         "sizes": sorted(args.sizes),
-        "legacy_max": args.legacy_max,
         "rows": rows,
         "flat_total_largest_s": flat_total,
         "failures": failures,

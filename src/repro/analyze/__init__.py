@@ -23,11 +23,10 @@ binaries, with four analysis families:
   and CA families lifted to ``p``-ary encodings
   (:mod:`repro.analyze.mb`).
 
-The checkers run on :class:`~repro.analyze.facts.FlatCircuitFacts`, a
-structure-of-arrays view extracted once per subject, as vectorized
-numpy transforms; the original per-gate object walk survives behind
-``AnalyzerConfig(engine="legacy")`` as the equivalence oracle.
-Verdicts are cached by content hash (:mod:`repro.analyze.cache`), so
+The checkers run on :class:`~repro.hdl.facts.FlatCircuitFacts`, the
+structure-of-arrays view a netlist derives once and caches, as
+vectorized numpy transforms (the per-gate reference walks live in
+``tests/analyze/legacy_oracle.py``).  Verdicts are cached by content hash (:mod:`repro.analyze.cache`), so
 re-checking an unchanged program is a lookup, not a re-analysis.
 
 Typical use::
@@ -65,8 +64,8 @@ from .cost import (
     certify_cost,
     cost_certificate,
 )
+from ..hdl.facts import FlatCircuitFacts
 from .dataflow import UNKNOWN, check_dataflow, propagate_constants
-from .facts import FlatCircuitFacts
 from .findings import (
     AnalysisError,
     Collector,
@@ -76,12 +75,7 @@ from .findings import (
     Severity,
 )
 from .hazards import check_program, check_schedule
-from .mb import (
-    analyze_mb_netlist,
-    certify_noise_mb,
-    check_mb,
-    check_program_mb,
-)
+from .mb import certify_noise_mb, check_mb, check_program_mb
 from .noisecert import LevelCertificate, NoiseCertificate, certify_noise
 from .passcheck import (
     DEFAULT_PASSES,
@@ -90,14 +84,13 @@ from .passcheck import (
     run_checked_passes,
 )
 from .rules import RULES, Rule, catalog_by_family, rule
-from .structural import CircuitFacts, check_structure
+from .structural import check_structure
 
 __all__ = [
     "Analysis",
     "AnalysisCache",
     "AnalysisError",
     "AnalyzerConfig",
-    "CircuitFacts",
     "Collector",
     "CostAnalysisConfig",
     "CostCertificate",
@@ -118,7 +111,6 @@ __all__ = [
     "UNKNOWN",
     "analyze_binary",
     "analyze_binary_cached",
-    "analyze_mb_netlist",
     "analyze_netlist",
     "analyze_netlist_cached",
     "certify_noise_mb",

@@ -1,18 +1,15 @@
 """The analyzer driver: configuration + entry points.
 
-``analyze_netlist`` runs the four analysis families (structural lint,
-schedule/hazard checking, static noise certification, and dataflow
-constant/transparency propagation) over a netlist and returns a
+``analyze_netlist`` runs the analysis families a netlist's own columns
+call for — structural lint and dataflow constant/transparency
+propagation on boolean circuits, multi-bit coherence on circuits with
+digit wires, and schedule/hazard checking, static noise certification
+and cost certification on both — and returns a
 :class:`~repro.analyze.findings.Report`.
 ``analyze_binary`` does the same for a packed 128-bit program: the
 instruction stream is linted first, and only a stream with no error
 findings is disassembled into a netlist for the deeper families — a
 corrupt binary yields findings, never a parse exception.
-
-The ``engine`` knob selects between the vectorized flat-array checkers
-(the default) and the legacy per-gate object walk; both produce
-bit-identical reports, so the knob exists for oracle testing and
-benchmark comparison, not behavior.
 """
 
 from __future__ import annotations
@@ -21,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 from ..hdl.netlist import Netlist
+from ..isa.assembler import disassemble
 from ..obs import get as _get_obs
 from ..runtime.scheduler import Schedule, build_schedule
 from ..tfhe.params import TFHEParameters
@@ -31,11 +29,11 @@ from .cost import (
     certify_cost,
 )
 from .dataflow import check_dataflow
-from .facts import FlatCircuitFacts
 from .findings import DEFAULT_MAX_FINDINGS_PER_RULE, Collector, Report
 from .hazards import check_program, check_schedule
+from .mb import certify_noise_mb, check_mb
 from .noisecert import NoiseCertificate, certify_noise
-from .structural import CircuitFacts, check_structure
+from .structural import check_structure
 
 
 @dataclass(frozen=True)
@@ -53,8 +51,6 @@ class AnalyzerConfig:
     cost: bool = True
     #: Calibration and budgets driving the cost family.
     cost_config: CostAnalysisConfig = DEFAULT_COST_CONFIG
-    #: ``"flat"`` (vectorized, default) or ``"legacy"`` (object walk).
-    engine: str = "flat"
     #: A level below this margin is an ERROR (fails compilation).
     error_sigmas: float = 4.0
     #: A level below this margin is a WARNING.
@@ -109,64 +105,58 @@ def analyze_netlist(
 ) -> Analysis:
     """Run the configured analysis families over one netlist.
 
-    Multi-bit netlists route to the MB driver: the same hazard, noise,
-    and cost families generalized to the LIN/LUT vocabulary, plus the
-    MB coherence checks, minus the boolean-only structural/dataflow
-    families.
+    The netlist's own columns pick the families.  A multi-bit netlist
+    (a digit wire, a LIN/LUT op or a table) gets the MB coherence
+    checks and the ``p``-ary noise certification; the boolean-only
+    structural and dataflow families skip it (the constructor enforces
+    the structural invariants, and bit-level constant propagation has
+    no digit semantics yet).  Hazard replay and cost certification run
+    over the whole op vocabulary either way.
     """
-    if getattr(netlist, "is_multibit", False):
-        from .mb import analyze_mb_netlist
-
-        analysis = analyze_mb_netlist(netlist, config, schedule)
-        _publish(analysis.report)
-        return analysis
     col = Collector(max_per_rule=config.max_findings_per_rule)
     families: List[str] = []
     certificate: Optional[NoiseCertificate] = None
     cost_cert: Optional[CostCertificate] = None
-    flat: Optional[FlatCircuitFacts] = None
+    boolean = not netlist.is_multibit
     with _get_obs().tracer.span(
         "analyze:netlist", cat="compile", circuit=netlist.name,
         gates=netlist.num_gates,
     ) as sp:
-        if config.structural or config.dataflow or config.cost:
-            # One facts extraction feeds all array-level families.
-            flat = FlatCircuitFacts.from_netlist(netlist)
-        if config.structural:
+        if not boolean:
+            families.append("mb")
+            check_mb(netlist, col)
+        if config.structural and boolean:
             families.append("structural")
-            if config.engine == "legacy":
-                check_structure(
-                    CircuitFacts.from_netlist(netlist), col, engine="legacy"
-                )
-            else:
-                assert flat is not None
-                check_structure(flat, col, engine=config.engine)
+            check_structure(netlist.facts, col)
         if config.hazards or (config.noise and config.params is not None):
             if schedule is None:
                 schedule = build_schedule(netlist)
         if config.hazards:
             families.append("hazards")
             assert schedule is not None
-            check_schedule(netlist, schedule, col, engine=config.engine)
+            check_schedule(netlist, schedule, col)
         if config.noise and config.params is not None:
             families.append("noise")
             assert schedule is not None
-            certificate = certify_noise(
-                schedule,
-                config.params,
+            thresholds = dict(
                 error_sigmas=config.error_sigmas,
                 warn_sigmas=config.warn_sigmas,
                 max_expected_failures=config.max_expected_failures,
                 collector=col,
             )
-        if config.dataflow:
+            certificate = (
+                certify_noise(schedule, config.params, **thresholds)
+                if boolean
+                else certify_noise_mb(
+                    netlist, schedule, config.params, **thresholds
+                )
+            )
+        if config.dataflow and boolean:
             families.append("dataflow")
-            assert flat is not None
-            check_dataflow(flat, col)
+            check_dataflow(netlist.facts, col)
         if config.cost:
             families.append("cost")
-            assert flat is not None
-            cost_cert = certify_cost(flat, config.cost_config, col)
+            cost_cert = certify_cost(netlist.facts, config.cost_config, col)
         report = col.into_report(netlist.name, families)
         sp.args["findings"] = len(report)
         sp.args["errors"] = len(report.errors())
@@ -197,13 +187,11 @@ def analyze_binary(
     with _get_obs().tracer.span(
         "analyze:binary", cat="compile", bytes=len(data)
     ):
-        check_program(data, col, engine=config.engine)
+        check_program(data, col)
         stream_report = col.into_report(name, ["stream"])
         if stream_report.has_errors:
             _publish(stream_report)
             return Analysis(report=stream_report, families=["stream"])
-        from ..isa.assembler import disassemble
-
         netlist = disassemble(data, name=name)
     analysis = analyze_netlist(netlist, config)
     analysis.report.merge(stream_report)

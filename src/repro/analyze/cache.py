@@ -19,9 +19,6 @@ Two layers:
 
 Hits and misses are published as ``analyze_cache_hit`` /
 ``analyze_cache_miss`` counters on the ambient observability bundle.
-The cache key deliberately excludes the analyzer *engine*: the flat and
-legacy engines are bit-identical by contract (enforced by the
-equivalence property tests), so either may serve the other's entries.
 """
 
 from __future__ import annotations
@@ -49,9 +46,9 @@ Entry = Dict[str, Any]
 def netlist_digest(netlist: Netlist) -> str:
     """Content hash of a netlist (the arrays that reach the analyzer).
 
-    Multi-bit netlists fold in their precision/coefficient columns and
-    every LUT table — two programs with identical wiring but different
-    tables must never share a verdict.
+    The precision/coefficient columns and every LUT table are folded in
+    when the netlist has any — two programs with identical wiring but
+    different tables must never share a verdict.
     """
     h = hashlib.sha256()
     h.update(netlist.name.encode())
@@ -62,7 +59,7 @@ def netlist_digest(netlist: Netlist) -> str:
         h.update(arr.tobytes())
     for names in (netlist.input_names, netlist.output_names):
         h.update(("\x00" + "\x1f".join(names)).encode())
-    if getattr(netlist, "is_multibit", False):
+    if netlist.is_multibit:
         h.update(b"\x00mb")
         for arr in (
             netlist.input_prec,
@@ -87,11 +84,7 @@ def binary_digest(data: bytes) -> str:
 
 
 def config_digest(config: AnalyzerConfig) -> str:
-    """Digest of every config field that shapes the analysis output.
-
-    The engine choice is excluded on purpose: both engines are
-    bit-identical, so their reports are interchangeable.
-    """
+    """Digest of every config field that shapes the analysis output."""
     doc = (
         repr(config.params),
         config.structural,

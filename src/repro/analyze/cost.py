@@ -6,7 +6,7 @@ fused SIMD work each engine performs, the live-wire intervals fix the
 ciphertext-plane memory high-water mark, and a calibrated
 :class:`~repro.perfmodel.GateCostModel` turns both into milliseconds
 and bytes.  :func:`certify_cost` computes all of it in one vectorized
-sweep over :class:`~repro.analyze.facts.FlatCircuitFacts` and returns a
+sweep over :class:`~repro.hdl.facts.FlatCircuitFacts` and returns a
 serializable :class:`CostCertificate` — a machine-checkable resource
 contract that the serve admission path, the ``repro cost`` CLI, and the
 CI cost gate all consume.
@@ -37,11 +37,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..gatetypes import OP_B2D, OP_D2B, OP_LUT
+from ..gatetypes import TABLE_OPS
+from ..hdl.facts import FlatCircuitFacts
 from ..hdl.netlist import Netlist
 from ..perfmodel.analysis import ParallelismProfile, classify_workload
 from ..perfmodel.costs import PAPER_GATE_COST, GateCostModel
-from .facts import FlatCircuitFacts
 from .findings import Collector
 from .rules import RULES
 
@@ -265,7 +265,7 @@ def _level_histograms(
         return empty, empty, empty
     gate_levels = flat.node_levels[flat.num_inputs :]
     needs = flat.needs_bootstrap
-    is_lut = np.isin(flat.ops, (OP_LUT, OP_B2D, OP_D2B))
+    is_lut = np.isin(flat.ops, TABLE_OPS)
     width = int(gate_levels.max()) + 1
     boot = np.bincount(gate_levels[needs], minlength=width)
     free = np.bincount(gate_levels[~needs], minlength=width)
@@ -464,4 +464,4 @@ def cost_certificate(
     config: CostAnalysisConfig = DEFAULT_COST_CONFIG,
 ) -> CostCertificate:
     """Certify one netlist directly (no analyzer run, no findings)."""
-    return certify_cost(FlatCircuitFacts.from_netlist(netlist), config)
+    return certify_cost(netlist.facts, config)

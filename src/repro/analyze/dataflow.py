@@ -1,6 +1,6 @@
 """Abstract interpretation over the gate DAG (``DF``/``SC`` families).
 
-One forward sweep over :class:`~repro.analyze.facts.FlatCircuitFacts`
+One forward sweep over :class:`~repro.hdl.facts.FlatCircuitFacts`
 round buckets propagates the three-point lattice ``{0, 1, ⊤}`` through
 every gate: circuit inputs start at ⊤ (:data:`UNKNOWN`), constants
 inject 0/1, and each gate applies a truth-table transfer function
@@ -28,15 +28,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..gatetypes import Gate, evaluate_plain
-from .facts import FlatCircuitFacts
+from ..gatetypes import NUM_CODES, Gate, evaluate_plain
+from ..hdl.facts import FlatCircuitFacts
 from .findings import Collector
 from .rules import RULES
 
 #: Lattice top — the node's bit depends on at least one circuit input.
 UNKNOWN = 2
-
-_NUM_CODES = 16
 
 
 def _build_transfer() -> np.ndarray:
@@ -47,7 +45,7 @@ def _build_transfer() -> np.ndarray:
     outside the Gate vocabulary map everything to UNKNOWN (they never
     reach the sweep on validated netlists anyway).
     """
-    table = np.full((_NUM_CODES, 3, 3), UNKNOWN, dtype=np.int8)
+    table = np.full((NUM_CODES, 3, 3), UNKNOWN, dtype=np.int8)
     for gate in Gate:
         for av, bv in product(range(3), range(3)):
             a_bits = (0, 1) if av == UNKNOWN else (av,)
@@ -110,13 +108,13 @@ def _residual_ops(values: np.ndarray, flat: FlatCircuitFacts) -> Tuple[
     pinned = np.where(av != UNKNOWN, av, bv).astype(np.int64)
     f0 = np.where(
         known_slot == 0,
-        _TRANSFER[ops % _NUM_CODES, pinned, 0],
-        _TRANSFER[ops % _NUM_CODES, 0, pinned],
+        _TRANSFER[ops % NUM_CODES, pinned, 0],
+        _TRANSFER[ops % NUM_CODES, 0, pinned],
     )
     f1 = np.where(
         known_slot == 0,
-        _TRANSFER[ops % _NUM_CODES, pinned, 1],
-        _TRANSFER[ops % _NUM_CODES, 1, pinned],
+        _TRANSFER[ops % NUM_CODES, pinned, 1],
+        _TRANSFER[ops % NUM_CODES, 1, pinned],
     )
     is_buf = (f0 == 0) & (f1 == 1)
     is_not = (f0 == 1) & (f1 == 0)

@@ -27,6 +27,7 @@ import json
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -34,6 +35,8 @@ from typing import (
     Optional,
     Tuple,
 )
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .rules import Rule as RuleLike
@@ -304,6 +307,30 @@ class Collector:
                 self.suppressed.get(rule.id, 0) + total - keep
             )
         return keep
+
+    def admit_slots(
+        self,
+        rule: "RuleLike",
+        mask0: np.ndarray,
+        mask1: np.ndarray,
+        render: Callable[[int, int], None],
+    ) -> None:
+        """Emit a per-operand-slot rule in ascending (row, slot) order.
+
+        ``mask0``/``mask1`` flag the rows whose slot 0 / slot 1
+        violates ``rule``; ``render(row, slot)`` adds the finding for
+        each one the per-rule cap admits.
+        """
+        rows0 = np.nonzero(mask0)[0]
+        rows1 = np.nonzero(mask1)[0]
+        total = len(rows0) + len(rows1)
+        if not total:
+            return
+        rows = np.concatenate((rows0, rows1))
+        slots = np.repeat((0, 1), (len(rows0), len(rows1)))
+        order = np.lexsort((slots, rows))
+        for k in order[: self.admit(rule, total)]:
+            render(int(rows[k]), int(slots[k]))
 
     def add(
         self,

@@ -14,33 +14,32 @@ Two subjects are checked:
   walked leniently so a corrupt binary yields findings with byte
   offsets instead of a parse exception.
 
-Both checks ship two engines producing bit-identical reports: the
-default ``"flat"`` engine replays whole schedule levels (and whole
-instruction streams) as numpy array transforms, while ``"legacy"``
-keeps the original per-gate walk as the equivalence oracle.  The
-vectorized replay preserves the execution model exactly — per level,
-the bootstrapped batch reads, then commits in parallel, then free
-gates run in listed order — it just evaluates each phase with array
-masks instead of a Python loop.
+Both checks replay whole schedule levels (and whole instruction
+streams) as numpy array transforms.  The vectorized replay preserves
+the execution model exactly — per level, the bootstrapped batch reads,
+then commits in parallel, then free gates run in listed order — it just
+evaluates each phase with array masks instead of a Python loop; the
+per-gate reference walks in ``tests/analyze/legacy_oracle.py`` produce
+bit-identical reports.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ..gatetypes import Gate, op_name
+from ..gatetypes import CODE_ARITY, KNOWN_CODE, Gate, op_name
 from ..hdl.netlist import Netlist
 from ..isa.encoding import (
     FIELD_ALL_ONES,
     INPUT_MARKER,
     INSTRUCTION_BYTES,
     OUTPUT_MARKER,
-    TYPE_MASK,
+    decode_words,
+    is_mb_binary,
 )
 from ..runtime.scheduler import Schedule
-from .facts import _CODE_ARITY, _CODE_BOOTSTRAPS, _KNOWN_CODE
 from .findings import Collector
 from .rules import RULES
 
@@ -49,26 +48,8 @@ _INPUT_LEVEL = -2  # slot pre-written with a circuit input
 _FAR = 1 << 62  # "no free-gate write" sentinel position
 
 
-def check_schedule(
-    netlist: Netlist,
-    schedule: Schedule,
-    collector: Optional[Collector] = None,
-    *,
-    engine: str = "flat",
-) -> Collector:
-    """Race/coverage-check ``schedule`` against ``netlist``."""
-    if engine == "legacy":
-        return _check_schedule_legacy(netlist, schedule, collector)
-    if engine != "flat":
-        raise ValueError(f"unknown analyzer engine {engine!r}")
-    return check_schedule_flat(netlist, schedule, collector)
-
-
 def check_program(
-    data: bytes,
-    collector: Optional[Collector] = None,
-    *,
-    engine: str = "flat",
+    data: bytes, collector: Optional[Collector] = None
 ) -> Collector:
     """Hazard-check a packed PyTFHE binary without constructing a netlist.
 
@@ -77,27 +58,19 @@ def check_program(
     which is exactly the read-before-write discipline of the result
     plane.
 
-    A header carrying the multi-bit format marker routes the stream to
-    the extended-format lint (identically for both engines): format-1
-    words reuse the marker nibbles, so the boolean walk would flag
-    every extended gate as garbage.
+    A header carrying the format-1 marker routes the stream to the
+    extended-format lint: format-1 words reuse the marker nibbles, so
+    the format-0 walk would flag every extended gate as garbage.
     """
-    if engine not in ("flat", "legacy"):
-        raise ValueError(f"unknown analyzer engine {engine!r}")
-    if len(data) >= INSTRUCTION_BYTES and not len(data) % INSTRUCTION_BYTES:
-        from ..mblut.isa import is_mb_binary
+    if is_mb_binary(data):
+        from .mb import check_program_mb
 
-        if is_mb_binary(data):
-            from .mb import check_program_mb
-
-            return check_program_mb(data, collector)
-    if engine == "legacy":
-        return _check_program_legacy(data, collector)
+        return check_program_mb(data, collector)
     return check_program_flat(data, collector)
 
 
 # ======================================================================
-# Vectorized schedule replay
+# Schedule replay
 # ======================================================================
 def _cumcount(values: np.ndarray) -> np.ndarray:
     """Occurrence index of each element among its equals (stable)."""
@@ -114,19 +87,19 @@ def _cumcount(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_schedule_flat(
+def check_schedule(
     netlist: Netlist,
     schedule: Schedule,
     collector: Optional[Collector] = None,
 ) -> Collector:
-    """Vectorized result-plane replay, bit-identical to the legacy walk."""
+    """Race/coverage-check ``schedule`` against ``netlist``."""
     col = collector if collector is not None else Collector()
     n_in = netlist.num_inputs
     num_nodes = netlist.num_nodes
     ops = netlist.ops
     in0, in1 = netlist.in0, netlist.in1
-    arity = _CODE_ARITY[ops].astype(np.int64)
-    bootstraps = _CODE_BOOTSTRAPS[ops]
+    arity = CODE_ARITY[ops].astype(np.int64)
+    bootstraps = netlist.needs_bootstrap
 
     written_at = np.full(num_nodes, _NEVER, dtype=np.int64)
     written_at[:n_in] = _INPUT_LEVEL
@@ -180,25 +153,13 @@ def check_schedule_flat(
         rule_id: str,
         render: Callable[[int, int], None],
     ) -> None:
-        p0 = np.nonzero(bad0)[0]
-        p1 = np.nonzero(bad1)[0]
-        total = len(p0) + len(p1)
-        if not total:
-            return
-        pos = np.concatenate((p0, p1))
-        slots = np.concatenate(
-            (
-                np.zeros(len(p0), dtype=np.int64),
-                np.ones(len(p1), dtype=np.int64),
-            )
+        """Render ``(gate index, operand)`` per offending read slot."""
+        col.admit_slots(
+            RULES[rule_id], bad0, bad1,
+            lambda p, slot: render(
+                int(gates_arr[p]), int(bv[p] if slot else av[p])
+            ),
         )
-        order = np.lexsort((slots, pos))
-        keep = col.admit(RULES[rule_id], total)
-        for k in order[:keep]:
-            p = int(pos[k])
-            gate_idx = int(gates_arr[p])
-            operand = int(av[p]) if slots[k] == 0 else int(bv[p])
-            render(gate_idx, operand)
 
     for level in schedule.levels:
         level_index = level.index
@@ -338,12 +299,12 @@ def check_schedule_flat(
 
 
 # ======================================================================
-# Vectorized instruction-stream walk
+# Format-0 instruction-stream walk
 # ======================================================================
 def check_program_flat(
     data: bytes, collector: Optional[Collector] = None
 ) -> Collector:
-    """Vectorized binary lint, bit-identical to the legacy walk."""
+    """Lenient lint of a format-0 packed binary, one array sweep."""
     col = collector if collector is not None else Collector()
     if len(data) % INSTRUCTION_BYTES:
         col.add(
@@ -357,13 +318,7 @@ def check_program_flat(
         col.add(RULES["IS001"], "binary is empty (no header instruction)")
         return col
 
-    halves = np.frombuffer(data, dtype="<u8").reshape(-1, 2)
-    lo, hi = halves[:, 0], halves[:, 1]
-    nibble = (lo & np.uint64(TYPE_MASK)).astype(np.int64)
-    field1 = (
-        (lo >> np.uint64(4)) | ((hi & np.uint64(0x3)) << np.uint64(60))
-    ).astype(np.int64)
-    field0 = (hi >> np.uint64(2)).astype(np.int64)
+    field0, field1, nibble = decode_words(data)
 
     header_nibble = int(nibble[0])
     header_f0 = int(field0[0])
@@ -386,7 +341,7 @@ def check_program_flat(
         marked = f0 == FIELD_ALL_ONES
         is_input = marked & (nib == INPUT_MARKER)
         is_output = marked & (nib == OUTPUT_MARKER)
-        decodes = _KNOWN_CODE[nib]
+        decodes = KNOWN_CODE[nib]
         is_gate = ~is_input & ~is_output & decodes
         garbage = ~is_input & ~is_output & ~decodes
 
@@ -453,35 +408,12 @@ def check_program_flat(
             )
 
         # Gate operand lint: field0 is slot 0, field1 slot 1.
-        g_arity = np.where(is_gate, _CODE_ARITY[nib].astype(np.int64), 0)
+        g_arity = np.where(is_gate, CODE_ARITY[nib].astype(np.int64), 0)
         node_of = defined_after  # a gate's own 1-based node index
         req0 = is_gate & (g_arity >= 1)
         req1 = is_gate & (g_arity >= 2)
         mark0 = f0 == FIELD_ALL_ONES
         mark1 = f1 == FIELD_ALL_ONES
-
-        def _emit_gate_slots(
-            rule_id: str,
-            bad0: np.ndarray,
-            bad1: np.ndarray,
-            render: Callable[[int, int], None],
-        ) -> None:
-            p0 = np.nonzero(bad0)[0]
-            p1 = np.nonzero(bad1)[0]
-            total = len(p0) + len(p1)
-            if not total:
-                return
-            pos_all = np.concatenate((p0, p1))
-            slots = np.concatenate(
-                (
-                    np.zeros(len(p0), dtype=np.int64),
-                    np.ones(len(p1), dtype=np.int64),
-                )
-            )
-            order = np.lexsort((slots, pos_all))
-            keep = col.admit(RULES[rule_id], total)
-            for k in order[:keep]:
-                render(int(pos_all[k]), int(slots[k]))
 
         def _is005(k: int, slot: int) -> None:
             gate = Gate(int(nib[k]))
@@ -505,8 +437,8 @@ def check_program_flat(
                     offset=int(offsets[k]),
                 )
 
-        _emit_gate_slots(
-            "IS005",
+        col.admit_slots(
+            RULES["IS005"],
             (req0 & mark0) | (is_gate & ~req0 & ~mark0),
             (req1 & mark1) | (is_gate & ~req1 & ~mark1),
             _is005,
@@ -526,280 +458,13 @@ def check_program_flat(
                 "instructions",
             )
 
-        _emit_gate_slots(
-            "IS004",
+        col.admit_slots(
+            RULES["IS004"],
             req0 & ~mark0 & ~((f0 >= 1) & (f0 < node_of)),
             req1 & ~mark1 & ~((f1 >= 1) & (f1 < node_of)),
             _is004,
         )
 
-    if gate_count != claimed_gates:
-        col.add(
-            RULES["IS002"],
-            f"header claims {claimed_gates} gates, stream holds "
-            f"{gate_count}",
-            offset=0,
-        )
-    return col
-
-
-# ======================================================================
-# Legacy object-walk engines (the equivalence oracles)
-# ======================================================================
-def _check_schedule_legacy(
-    netlist: Netlist,
-    schedule: Schedule,
-    collector: Optional[Collector] = None,
-) -> Collector:
-    """Race/coverage-check ``schedule`` against ``netlist``."""
-    col = collector if collector is not None else Collector()
-    n_in = netlist.num_inputs
-    num_nodes = netlist.num_nodes
-    ops = netlist.ops
-    in0 = netlist.in0
-    in1 = netlist.in1
-
-    # written_at[node] = level index whose execution wrote the slot.
-    written_at = [_NEVER] * num_nodes
-    for i in range(n_in):
-        written_at[i] = _INPUT_LEVEL
-    write_count = [0] * num_nodes
-
-    def operands_of(gate_idx: int) -> List[int]:
-        gate = Gate(int(ops[gate_idx]))
-        if gate.arity == 0:
-            return []
-        if gate.arity == 1:
-            return [int(in0[gate_idx])]
-        return [int(in0[gate_idx]), int(in1[gate_idx])]
-
-    def record_write(gate_idx: int, level_index: int) -> None:
-        node = n_in + gate_idx
-        write_count[node] += 1
-        if write_count[node] > 1:
-            col.add(
-                RULES["HZ002"],
-                f"result-plane slot {node} is written {write_count[node]} "
-                f"times (gate {node} scheduled again at level "
-                f"{level_index})",
-                node=node,
-                level=level_index,
-                fix_hint="each gate must appear in exactly one level, once",
-            )
-        else:
-            written_at[node] = level_index
-
-    for level in schedule.levels:
-        batch_nodes = {n_in + int(g) for g in level.bootstrapped}
-        for gate_idx in level.bootstrapped:
-            gate_idx = int(gate_idx)
-            node = n_in + gate_idx
-            gate = Gate(int(ops[gate_idx]))
-            if not gate.needs_bootstrap:
-                col.add(
-                    RULES["HZ006"],
-                    f"free gate {node} ({gate.name}) is listed in level "
-                    f"{level.index}'s bootstrapped batch",
-                    node=node,
-                    level=level.index,
-                )
-            for operand in operands_of(gate_idx):
-                if not (0 <= operand < num_nodes):
-                    continue  # structural lint owns malformed edges
-                if written_at[operand] == _NEVER:
-                    if operand in batch_nodes:
-                        col.add(
-                            RULES["HZ004"],
-                            f"bootstrapped gate {node} ({gate.name}) reads "
-                            f"slot {operand}, which is written by the same "
-                            f"level-{level.index} batch — parallel "
-                            "read/write race",
-                            node=node,
-                            level=level.index,
-                            fix_hint="the producer must land in an earlier "
-                            "level",
-                        )
-                    else:
-                        col.add(
-                            RULES["HZ003"],
-                            f"gate {node} ({gate.name}) reads slot "
-                            f"{operand}, which is never written before "
-                            f"level {level.index}",
-                            node=node,
-                            level=level.index,
-                            fix_hint="schedule the producer in an earlier "
-                            "level",
-                        )
-        # The bootstrapped batch commits in parallel, then free gates
-        # run in listed order (executors' contract).
-        for gate_idx in level.bootstrapped:
-            record_write(int(gate_idx), level.index)
-        for gate_idx in level.free:
-            gate_idx = int(gate_idx)
-            node = n_in + gate_idx
-            gate = Gate(int(ops[gate_idx]))
-            if gate.needs_bootstrap:
-                col.add(
-                    RULES["HZ006"],
-                    f"bootstrapped gate {node} ({gate.name}) is listed in "
-                    f"level {level.index}'s free batch",
-                    node=node,
-                    level=level.index,
-                )
-            for operand in operands_of(gate_idx):
-                if not (0 <= operand < num_nodes):
-                    continue
-                if written_at[operand] == _NEVER:
-                    col.add(
-                        RULES["HZ003"],
-                        f"free gate {node} ({gate.name}) reads slot "
-                        f"{operand}, which is not yet written at its "
-                        f"position in level {level.index}",
-                        node=node,
-                        level=level.index,
-                        fix_hint="free gates execute in listed order; the "
-                        "producer must come first",
-                    )
-            record_write(gate_idx, level.index)
-
-    for gate_idx in range(netlist.num_gates):
-        node = n_in + gate_idx
-        if write_count[node] == 0:
-            col.add(
-                RULES["HZ001"],
-                f"gate {node} ({Gate(int(ops[gate_idx])).name}) appears in "
-                "no schedule level; its slot is never written",
-                node=node,
-                fix_hint="rebuild the schedule with "
-                "runtime.build_schedule",
-            )
-
-    for pos, out in enumerate(netlist.outputs):
-        out = int(out)
-        if 0 <= out < num_nodes and written_at[out] == _NEVER:
-            col.add(
-                RULES["HZ005"],
-                f"output {pos} ({netlist.output_names[pos]!r}) reads slot "
-                f"{out}, which no scheduled instruction writes",
-                node=out,
-            )
-    return col
-
-
-def _check_program_legacy(
-    data: bytes, collector: Optional[Collector] = None
-) -> Collector:
-    """Per-word instruction-stream walk (equivalence oracle)."""
-    col = collector if collector is not None else Collector()
-    if len(data) % INSTRUCTION_BYTES:
-        col.add(
-            RULES["IS001"],
-            f"binary length {len(data)} is not a multiple of "
-            f"{INSTRUCTION_BYTES} bytes",
-            fix_hint="the stream is truncated or padded",
-        )
-        return col
-    if not data:
-        col.add(RULES["IS001"], "binary is empty (no header instruction)")
-        return col
-
-    words = [
-        int.from_bytes(data[i : i + INSTRUCTION_BYTES], "little")
-        for i in range(0, len(data), INSTRUCTION_BYTES)
-    ]
-
-    header_word = words[0]
-    header_nibble = header_word & TYPE_MASK
-    header_f0 = (header_word >> 66) & FIELD_ALL_ONES
-    claimed_gates = (header_word >> 4) & FIELD_ALL_ONES
-    if header_nibble != 0 or header_f0 != 0:
-        col.add(
-            RULES["IS001"],
-            "first instruction is not a well-formed header "
-            f"(nibble={header_nibble:#x}, field0={header_f0})",
-            offset=0,
-        )
-
-    state = "inputs"
-    next_index = 0  # last defined 1-based node index
-    gate_count = 0
-    for position, word in enumerate(words[1:], start=1):
-        offset = position * INSTRUCTION_BYTES
-        nibble = word & TYPE_MASK
-        field1 = (word >> 4) & FIELD_ALL_ONES
-        field0 = (word >> 66) & FIELD_ALL_ONES
-        if field0 == FIELD_ALL_ONES and nibble == INPUT_MARKER:
-            if state != "inputs":
-                col.add(
-                    RULES["IS003"],
-                    f"input instruction after {state} began",
-                    offset=offset,
-                )
-            next_index += 1
-            continue
-        if field0 == FIELD_ALL_ONES and nibble == OUTPUT_MARKER:
-            state = "outputs"
-            if not (1 <= field1 <= next_index):
-                col.add(
-                    RULES["IS006"],
-                    f"output references node {field1}; the stream defines "
-                    f"nodes 1..{next_index}",
-                    offset=offset,
-                )
-            continue
-        # Gate instruction (or garbage nibble).
-        try:
-            gate = Gate(nibble)
-        except ValueError:
-            col.add(
-                RULES["IS001"],
-                f"unknown instruction nibble {nibble:#x}",
-                offset=offset,
-            )
-            next_index += 1  # the slot is still consumed by position
-            gate_count += 1
-            continue
-        if state == "outputs":
-            col.add(
-                RULES["IS003"],
-                f"gate instruction ({gate.name}) after outputs began",
-                offset=offset,
-            )
-        state = "gates"
-        next_index += 1
-        gate_count += 1
-        node = next_index
-        for slot, value in (("field0", field0), ("field1", field1)):
-            required = gate.arity >= (1 if slot == "field0" else 2)
-            if value == FIELD_ALL_ONES:
-                if required:
-                    col.add(
-                        RULES["IS005"],
-                        f"gate {node} ({gate.name}, arity {gate.arity}) "
-                        f"carries the unused-operand marker in {slot}",
-                        node=node,
-                        offset=offset,
-                    )
-                continue
-            if not required:
-                col.add(
-                    RULES["IS005"],
-                    f"gate {node} ({gate.name}, arity {gate.arity}) "
-                    f"carries operand {value} in unused {slot}",
-                    node=node,
-                    offset=offset,
-                )
-                continue
-            if not (1 <= value < node):
-                col.add(
-                    RULES["IS004"],
-                    f"gate {node} ({gate.name}) reads node {value}, which "
-                    f"is not defined before it (defined: 1..{node - 1})",
-                    node=node,
-                    offset=offset,
-                    fix_hint="operands must reference strictly earlier "
-                    "instructions",
-                )
     if gate_count != claimed_gates:
         col.add(
             RULES["IS002"],

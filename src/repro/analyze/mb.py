@@ -1,9 +1,8 @@
-"""Multi-bit program analysis (the ``MB`` rule family + NB/CA lifts).
+"""Multi-bit program analysis (the ``MB`` rule family + the NB lift).
 
-Multi-bit netlists (:class:`~repro.mblut.ir.MbNetlist`) share the
-analyzer's flat-array machinery — the hazard replay and the cost
-certification run unchanged over the generalized op vocabulary — but
-three things are genuinely new:
+Netlists with digit wires share the analyzer's flat-array machinery —
+the hazard replay and the cost certification run unchanged over the
+whole op vocabulary — but three things are genuinely new:
 
 * **MB001** — interval analysis over leveled LIN chains: a digit
   wire whose static message range escapes ``[0, p-1]`` wraps the
@@ -17,9 +16,10 @@ three things are genuinely new:
   variance by the sum of squared coefficients before the next
   bootstrap decides.
 
-:func:`analyze_mb_netlist` is the multi-bit twin of
-``analyze_netlist``; :func:`check_program_mb` is the lenient
-format-1 stream lint both ``check_program`` engines delegate to.
+:func:`~repro.analyze.analyze_netlist` runs these families on any
+netlist whose columns carry a digit wire or a table;
+:func:`check_program_mb` is the lenient format-1 stream lint
+``check_program`` delegates to.
 """
 
 from __future__ import annotations
@@ -30,47 +30,82 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..gatetypes import (
+    NO_INPUT,
     OP_B2D,
     OP_D2B,
     OP_LIN,
     OP_LUT,
+    TABLE_OPS,
     Gate,
     op_name,
 )
-from ..hdl.netlist import NO_INPUT
+from ..hdl.netlist import Netlist
 from ..isa.encoding import (
+    ENTRIES_PER_WORD,
     FIELD_ALL_ONES,
     INPUT_MARKER,
     INSTRUCTION_BYTES,
+    MB_FORMAT_VERSION,
     OUTPUT_MARKER,
-    TYPE_MASK,
+    decode_ext_field1,
+    decode_words,
 )
-from ..mblut.ir import MbNetlist, mb_value_ranges
-from ..mblut.isa import _ENTRIES_PER_WORD, _unpack_ext_field1
-from ..obs import get as _get_obs
-from ..runtime.scheduler import Schedule, build_schedule
+from ..runtime.scheduler import Schedule
 from ..tfhe.noise import (
     bootstrap_output_variance,
     fresh_lwe_variance,
     modswitch_variance,
 )
 from ..tfhe.params import TFHEParameters
-from .cost import CostCertificate, certify_cost
-from .facts import FlatCircuitFacts
 from .findings import Collector
-from .hazards import check_schedule
 from .noisecert import LevelCertificate, NoiseCertificate
 from .rules import RULES
-
-#: Multi-bit op codes that blind-rotate against a serialized table.
-_TABLE_OPS = (OP_LUT, OP_B2D, OP_D2B)
 
 
 # ======================================================================
 # MB001 / MB002 — netlist-level multi-bit coherence
 # ======================================================================
+def mb_value_ranges(
+    netlist: Netlist,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Static per-node message range ``(lo, hi)`` (interval analysis).
+
+    Boolean wires span [0, 1]; digit inputs span their declared
+    ``input_bound`` (the client contract — a grouped ``w``-bit digit
+    only ever carries messages up to ``2^w - 1``, not ``p - 1``); LIN
+    propagates interval arithmetic; table ops span their entry range.
+    The MB001 check compares these against each wire's modulus.
+    """
+    n_in = netlist.num_inputs
+    lo = np.zeros(netlist.num_nodes, dtype=np.int64)
+    hi = np.zeros(netlist.num_nodes, dtype=np.int64)
+    for i in range(n_in):
+        hi[i] = int(netlist.input_bound[i])
+    for idx in range(netlist.num_gates):
+        node = n_in + idx
+        code = int(netlist.ops[idx])
+        a = int(netlist.in0[idx])
+        b = int(netlist.in1[idx])
+        if code == OP_LIN:
+            kx, ky = int(netlist.kx[idx]), int(netlist.ky[idx])
+            c = int(netlist.kconst[idx])
+            ends = [kx * lo[a], kx * hi[a]]
+            lo_v, hi_v = min(ends), max(ends)
+            if b != NO_INPUT:
+                ends = [ky * lo[b], ky * hi[b]]
+                lo_v, hi_v = lo_v + min(ends), hi_v + max(ends)
+            lo[node], hi[node] = lo_v + c, hi_v + c
+        elif code in TABLE_OPS:
+            table = netlist.tables[int(netlist.table_id[idx])]
+            lo[node] = int(table.min()) if len(table) else 0
+            hi[node] = int(table.max()) if len(table) else 0
+        else:
+            hi[node] = 1
+    return lo, hi
+
+
 def check_mb(
-    netlist: MbNetlist, collector: Optional[Collector] = None
+    netlist: Netlist, collector: Optional[Collector] = None
 ) -> Collector:
     """Run the MB family over a multi-bit netlist."""
     col = collector if collector is not None else Collector()
@@ -121,7 +156,7 @@ def check_mb(
                         node=node,
                     )
             continue
-        if code not in _TABLE_OPS:
+        if code not in TABLE_OPS:
             continue
         tid = int(netlist.table_id[idx])
         if not (0 <= tid < num_tables):
@@ -178,7 +213,7 @@ def check_mb(
 # NB — noise certification for p-ary encodings
 # ======================================================================
 def certify_noise_mb(
-    netlist: MbNetlist,
+    netlist: Netlist,
     schedule: Schedule,
     params: TFHEParameters,
     error_sigmas: float = 4.0,
@@ -226,7 +261,7 @@ def certify_noise_mb(
             kx, ky = int(netlist.kx[idx]), int(netlist.ky[idx])
             var[node] = kx * kx * va + (ky * ky * vb if b != NO_INPUT else 0)
             continue
-        if code in _TABLE_OPS:
+        if code in TABLE_OPS:
             bootstrapped[idx] = True
             if code == OP_B2D:
                 gate_margin[idx] = 1.0 / 8.0
@@ -322,75 +357,6 @@ def certify_noise_mb(
 
 
 # ======================================================================
-# The multi-bit analysis driver
-# ======================================================================
-def analyze_mb_netlist(
-    netlist: MbNetlist,
-    config=None,
-    schedule: Optional[Schedule] = None,
-):
-    """Multi-bit twin of ``analyze_netlist`` (same families, MB added).
-
-    The boolean structural/dataflow families don't apply (the
-    :class:`MbNetlist` constructor enforces the structural invariants,
-    and bit-level constant propagation has no digit semantics yet);
-    the hazard replay, noise certification, and cost certification
-    all run over the generalized op vocabulary.
-    """
-    from .analyzer import DEFAULT_CONFIG, Analysis
-
-    config = config if config is not None else DEFAULT_CONFIG
-    col = Collector(max_per_rule=config.max_findings_per_rule)
-    families: List[str] = ["mb"]
-    certificate: Optional[NoiseCertificate] = None
-    cost_cert: Optional[CostCertificate] = None
-    with _get_obs().tracer.span(
-        "analyze:mb-netlist", cat="compile", circuit=netlist.name,
-        gates=netlist.num_gates,
-    ) as sp:
-        check_mb(netlist, col)
-        if config.hazards or (config.noise and config.params is not None):
-            if schedule is None:
-                schedule = build_schedule(netlist)
-        if config.hazards:
-            families.append("hazards")
-            assert schedule is not None
-            # Always the flat engine: the legacy object walk only
-            # speaks the boolean Gate vocabulary.
-            check_schedule(netlist, schedule, col, engine="flat")
-        if config.noise and config.params is not None:
-            families.append("noise")
-            assert schedule is not None
-            certificate = certify_noise_mb(
-                netlist,
-                schedule,
-                config.params,
-                error_sigmas=config.error_sigmas,
-                warn_sigmas=config.warn_sigmas,
-                max_expected_failures=config.max_expected_failures,
-                collector=col,
-            )
-        if config.cost:
-            families.append("cost")
-            cost_cert = certify_cost(
-                FlatCircuitFacts.from_netlist(netlist),
-                config.cost_config,
-                col,
-            )
-        report = col.into_report(netlist.name, families)
-        sp.args["findings"] = len(report)
-        sp.args["errors"] = len(report.errors())
-    return Analysis(
-        report=report,
-        schedule=schedule,
-        noise=certificate,
-        cost=cost_cert,
-        netlist=netlist,
-        families=list(families),
-    )
-
-
-# ======================================================================
 # Format-1 instruction-stream lint
 # ======================================================================
 def check_program_mb(
@@ -414,22 +380,13 @@ def check_program_mb(
             fix_hint="the stream is truncated or padded",
         )
         return col
-    n_words = len(data) // INSTRUCTION_BYTES
-    words: List[Tuple[int, int, int]] = []
-    for i in range(n_words):
-        word = int.from_bytes(
-            data[i * INSTRUCTION_BYTES : (i + 1) * INSTRUCTION_BYTES],
-            "little",
-        )
-        words.append(
-            (
-                (word >> 66) & FIELD_ALL_ONES,
-                (word >> 4) & FIELD_ALL_ONES,
-                word & TYPE_MASK,
-            )
-        )
+    columns = decode_words(data)
+    ext_columns = [c.tolist() for c in decode_ext_field1(columns[1])]
+    words: List[Tuple[int, int, int]] = list(
+        zip(*(c.tolist() for c in columns))
+    )
     header_f0, claimed_gates, header_nibble = words[0]
-    if header_nibble != 0 or header_f0 != 1:
+    if header_nibble != 0 or header_f0 != MB_FORMAT_VERSION:
         col.add(
             RULES["IS001"],
             "first instruction is not a multi-bit format header "
@@ -475,7 +432,7 @@ def check_program_mb(
                     offset=offset,
                 )
             tables_seen += 1
-            n_data = -(-count // _ENTRIES_PER_WORD)
+            n_data = -(-count // ENTRIES_PER_WORD)
             available = len(words) - pos - 1
             if n_data > available:
                 col.add(
@@ -524,8 +481,8 @@ def check_program_mb(
         gate_count += 1
         node = defined
         if nibble == OUTPUT_MARKER:
-            code, _prec, _kx, _ky, _kc, tid, in1 = _unpack_ext_field1(
-                field1
+            code, _prec, _kx, _ky, _kc, tid, in1 = (
+                c[pos] for c in ext_columns
             )
             if not (1 <= field0 < node):
                 col.add(
@@ -554,7 +511,7 @@ def check_program_mb(
                         node=node,
                         offset=offset,
                     )
-            if code in _TABLE_OPS:
+            if code in TABLE_OPS:
                 table_refs.append((offset, node, code, tid))
             pos += 1
             continue

@@ -1,158 +1,38 @@
 """Structural lint over the netlist DAG (the ``SL`` rule family).
 
-The checks operate on a raw, *unvalidated* view of a circuit: flat
-op/operand arrays plus the output list.  Working on raw arrays instead
-of :class:`~repro.hdl.netlist.Netlist` matters because the most
+The checks operate on a raw, *unvalidated* view of a circuit
+(:class:`~repro.hdl.facts.FlatCircuitFacts`): flat op/operand arrays
+plus the output list.  Working on raw arrays instead of
+:class:`~repro.hdl.netlist.Netlist` matters because the most
 interesting subjects — a mis-assembled binary, a hand-patched
 instruction stream — are exactly the ones the Netlist constructor
 refuses to build.
 
-Two engines produce bit-identical reports:
-
-* ``engine="flat"`` (default) — vectorized numpy sweeps over
-  :class:`~repro.analyze.facts.FlatCircuitFacts`; per-rule candidate
-  masks are reduced wholesale and only the findings that survive the
-  per-rule cap are rendered to strings.
-* ``engine="legacy"`` — the original per-gate object walk over
-  :class:`CircuitFacts`, kept as the equivalence oracle for the
-  property tests and for ``repro check --engine legacy``.
-
-Bit-identity holds because both engines enumerate each rule's
-candidates in the same ascending (gate, slot) order, the
-:class:`~repro.analyze.findings.Collector` cap keeps the first N of
-that sequence, and the final report sort is engine-independent.
+Every rule is a vectorized numpy sweep: per-rule candidate masks are
+reduced wholesale and only the findings that survive the per-rule cap
+are rendered to strings.  Candidates are enumerated in ascending
+(gate, slot) order, the :class:`~repro.analyze.findings.Collector` cap
+keeps the first N of that sequence, and the final report sort is
+deterministic — the per-gate reference walk in
+``tests/analyze/legacy_oracle.py`` produces bit-identical reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Optional
 
 import numpy as np
 
-from ..gatetypes import Gate
-from ..hdl.netlist import NO_INPUT, Netlist
-from .facts import FlatCircuitFacts
+from ..gatetypes import NO_INPUT, Gate, op_name
+from ..hdl.facts import FlatCircuitFacts
 from .findings import Collector
 from .rules import RULES
 
 
-@dataclass
-class CircuitFacts:
-    """A raw circuit description the lint rules can always ingest."""
-
-    name: str
-    num_inputs: int
-    ops: List[int]
-    in0: List[int]
-    in1: List[int]
-    outputs: List[int]
-    input_names: Optional[List[str]] = None
-    output_names: Optional[List[str]] = None
-
-    @classmethod
-    def from_netlist(cls, netlist: Netlist) -> "CircuitFacts":
-        return cls(
-            name=netlist.name,
-            num_inputs=netlist.num_inputs,
-            ops=[int(op) for op in netlist.ops],
-            in0=[int(x) for x in netlist.in0],
-            in1=[int(x) for x in netlist.in1],
-            outputs=[int(x) for x in netlist.outputs],
-            input_names=list(netlist.input_names),
-            output_names=list(netlist.output_names),
-        )
-
-    @property
-    def num_gates(self) -> int:
-        return len(self.ops)
-
-    @property
-    def num_nodes(self) -> int:
-        return self.num_inputs + len(self.ops)
-
-    def gate_at(self, idx: int) -> Optional[Gate]:
-        """The decoded gate of gate index ``idx``, or None if unknown."""
-        try:
-            return Gate(self.ops[idx])
-        except ValueError:
-            return None
-
-
-AnyFacts = Union[CircuitFacts, FlatCircuitFacts]
-
-
 def check_structure(
-    facts: AnyFacts,
-    collector: Optional[Collector] = None,
-    *,
-    engine: str = "flat",
-) -> Collector:
-    """Run every ``SL`` rule over ``facts`` with the chosen engine."""
-    col = collector if collector is not None else Collector()
-    if engine == "legacy":
-        legacy = (
-            facts
-            if isinstance(facts, CircuitFacts)
-            else _circuit_facts_of(facts)
-        )
-        return _check_structure_legacy(legacy, col)
-    if engine != "flat":
-        raise ValueError(f"unknown analyzer engine {engine!r}")
-    flat = (
-        facts
-        if isinstance(facts, FlatCircuitFacts)
-        else FlatCircuitFacts.from_facts(facts)
-    )
-    return check_structure_flat(flat, col)
-
-
-def _circuit_facts_of(flat: FlatCircuitFacts) -> CircuitFacts:
-    return CircuitFacts(
-        name=flat.name,
-        num_inputs=flat.num_inputs,
-        ops=[int(x) for x in flat.ops],
-        in0=[int(x) for x in flat.in0],
-        in1=[int(x) for x in flat.in1],
-        outputs=[int(x) for x in flat.outputs],
-        input_names=flat.input_names,
-        output_names=flat.output_names,
-    )
-
-
-# ======================================================================
-# Vectorized engine
-# ======================================================================
-def _emit_slot_rule(
-    col: Collector,
-    rule_id: str,
-    mask0: np.ndarray,
-    mask1: np.ndarray,
-    materialize: Callable[[int, int], None],
-) -> None:
-    """Emit a per-operand-slot rule in ascending (gate, slot) order."""
-    g0 = np.nonzero(mask0)[0]
-    g1 = np.nonzero(mask1)[0]
-    total = len(g0) + len(g1)
-    if not total:
-        return
-    gates = np.concatenate((g0, g1))
-    slots = np.concatenate(
-        (
-            np.zeros(len(g0), dtype=np.int64),
-            np.ones(len(g1), dtype=np.int64),
-        )
-    )
-    order = np.lexsort((slots, gates))
-    keep = col.admit(RULES[rule_id], total)
-    for k in order[:keep]:
-        materialize(int(gates[k]), int(slots[k]))
-
-
-def check_structure_flat(
     flat: FlatCircuitFacts, collector: Optional[Collector] = None
 ) -> Collector:
-    """Vectorized ``SL`` sweep, bit-identical to the legacy walk."""
+    """Run every ``SL`` rule over ``flat``."""
     col = collector if collector is not None else Collector()
     n_in = flat.num_inputs
     num_nodes = flat.num_nodes
@@ -163,7 +43,7 @@ def check_structure_flat(
     nodes = flat.gate_nodes
 
     def gname(g: int) -> str:
-        return Gate(int(ops[g])).name
+        return op_name(int(ops[g]))
 
     # ------------------------------------------------------------ SL005
     unknown = np.nonzero(~known)[0]
@@ -215,7 +95,9 @@ def check_structure_flat(
                 fix_hint=f"set {label} to NO_INPUT (-1)",
             )
 
-    _emit_slot_rule(col, "SL003", missing0 | stray0, missing1 | stray1, _sl003)
+    col.admit_slots(
+        RULES["SL003"], missing0 | stray0, missing1 | stray1, _sl003
+    )
 
     dangling0 = req0 & present0 & ~range0
     dangling1 = req1 & present1 & ~range1
@@ -232,7 +114,7 @@ def check_structure_flat(
             fix_hint="the wire is undriven; connect it to a real node",
         )
 
-    _emit_slot_rule(col, "SL002", dangling0, dangling1, _sl002)
+    col.admit_slots(RULES["SL002"], dangling0, dangling1, _sl002)
 
     loop0 = req0 & present0 & range0 & (in0 >= nodes)
     loop1 = req1 & present1 & range1 & (in1 >= nodes)
@@ -251,7 +133,7 @@ def check_structure_flat(
             "earlier nodes",
         )
 
-    _emit_slot_rule(col, "SL001", loop0, loop1, _sl001)
+    col.admit_slots(RULES["SL001"], loop0, loop1, _sl001)
 
     # ------------------------------------------------------------ SL102
     usable_count = flat.usable0.astype(np.int8) + flat.usable1
@@ -397,237 +279,3 @@ def check_structure_flat(
                 node=int(i),
             )
     return col
-
-
-# ======================================================================
-# Legacy object-walk engine (the equivalence oracle)
-# ======================================================================
-def _operand_lint(
-    col: Collector,
-    facts: CircuitFacts,
-    node: int,
-    gate: Gate,
-    slot: str,
-    value: int,
-    required: bool,
-) -> bool:
-    """Lint one operand slot; returns True when the edge is usable."""
-    if value == NO_INPUT:
-        if required:
-            col.add(
-                RULES["SL003"],
-                f"gate {node} ({gate.name}) is missing required operand "
-                f"{slot} (arity {gate.arity})",
-                node=node,
-                fix_hint="wire the operand or change the gate type",
-            )
-        return False
-    if not required:
-        col.add(
-            RULES["SL003"],
-            f"gate {node} ({gate.name}, arity {gate.arity}) carries stray "
-            f"operand {slot}={value} it never reads",
-            node=node,
-            fix_hint=f"set {slot} to NO_INPUT (-1)",
-        )
-        return False
-    if value < 0 or value >= facts.num_nodes:
-        col.add(
-            RULES["SL002"],
-            f"gate {node} ({gate.name}) operand {slot}={value} is outside "
-            f"the node space [0, {facts.num_nodes})",
-            node=node,
-            fix_hint="the wire is undriven; connect it to a real node",
-        )
-        return False
-    if value >= node:
-        kind = "itself" if value == node else f"later node {value}"
-        col.add(
-            RULES["SL001"],
-            f"gate {node} ({gate.name}) operand {slot} reads {kind} — "
-            "combinational loop / non-topological edge",
-            node=node,
-            fix_hint="re-topologize the netlist; gates must read strictly "
-            "earlier nodes",
-        )
-        return False
-    return True
-
-
-@dataclass
-class _StructuralScan:
-    """Shared intermediate results of one structural sweep."""
-
-    #: usable (validated, backward-pointing) edges per gate index.
-    edges: List[Tuple[int, ...]] = field(default_factory=list)
-    #: gates whose op code decoded to a Gate.
-    decoded: List[Optional[Gate]] = field(default_factory=list)
-
-
-def _check_structure_legacy(
-    facts: CircuitFacts, collector: Optional[Collector] = None
-) -> Collector:
-    """Run every ``SL`` rule over ``facts`` (per-gate object walk)."""
-    col = collector if collector is not None else Collector()
-    scan = _StructuralScan()
-    n_in = facts.num_inputs
-
-    const_codes = (int(Gate.CONST0), int(Gate.CONST1))
-    seen: Dict[Tuple[int, int, int], int] = {}
-
-    for idx in range(facts.num_gates):
-        node = n_in + idx
-        gate = facts.gate_at(idx)
-        scan.decoded.append(gate)
-        if gate is None:
-            col.add(
-                RULES["SL005"],
-                f"gate {node} has unknown op code {facts.ops[idx]:#x}",
-                node=node,
-                fix_hint="only Gate enum codes are executable",
-            )
-            scan.edges.append(())
-            continue
-        a, b = facts.in0[idx], facts.in1[idx]
-        edges: List[int] = []
-        if _operand_lint(col, facts, node, gate, "in0", a, gate.arity >= 1):
-            edges.append(a)
-        if _operand_lint(col, facts, node, gate, "in1", b, gate.arity == 2):
-            edges.append(b)
-        scan.edges.append(tuple(edges))
-
-        # Duplicate-gate detection on fully-valid gates only.
-        if len(edges) == gate.arity:
-            key = (int(gate), a, b)
-            prior = seen.get(key)
-            if prior is None:
-                seen[key] = node
-            else:
-                col.add(
-                    RULES["SL102"],
-                    f"gate {node} duplicates gate {prior} "
-                    f"({gate.name} {a},{b}) — CSE residue",
-                    node=node,
-                    fix_hint="run synth.structural_hash / optimize",
-                )
-
-        _foldable_lint(col, facts, node, idx, gate, const_codes)
-
-    _output_lint(col, facts)
-    _reachability_lint(col, facts, scan)
-    return col
-
-
-def _foldable_lint(
-    col: Collector,
-    facts: CircuitFacts,
-    node: int,
-    idx: int,
-    gate: Gate,
-    const_codes: Tuple[int, int],
-) -> None:
-    """SL103: statically-decidable gates the optimizer should have folded."""
-    n_in = facts.num_inputs
-
-    def is_const(operand: int) -> bool:
-        gidx = operand - n_in
-        return 0 <= gidx < facts.num_gates and facts.ops[gidx] in const_codes
-
-    def op_of(operand: int) -> Optional[int]:
-        gidx = operand - n_in
-        if 0 <= gidx < facts.num_gates:
-            return facts.ops[gidx]
-        return None
-
-    a, b = facts.in0[idx], facts.in1[idx]
-    if gate is Gate.BUF:
-        col.add(
-            RULES["SL103"],
-            f"gate {node} is a bare BUF of node {a}",
-            node=node,
-            fix_hint="forward the driver; BUF adds no logic",
-        )
-        return
-    if gate is Gate.NOT and 0 <= a < facts.num_nodes:
-        if op_of(a) == int(Gate.NOT):
-            col.add(
-                RULES["SL103"],
-                f"gate {node} is NOT(NOT(...)) via node {a} — double "
-                "negation",
-                node=node,
-                fix_hint="forward the inner driver",
-            )
-            return
-    if gate.arity == 2 and 0 <= a < facts.num_nodes and 0 <= b < facts.num_nodes:
-        if a == b:
-            col.add(
-                RULES["SL103"],
-                f"gate {node} ({gate.name}) reads node {a} on both "
-                "operands; its value is a unary function of one node",
-                node=node,
-                fix_hint="fold to the residual BUF/NOT/constant",
-            )
-            return
-        const_operands = [s for s, v in (("in0", a), ("in1", b)) if is_const(v)]
-        if const_operands:
-            col.add(
-                RULES["SL103"],
-                f"gate {node} ({gate.name}) has constant operand(s) "
-                f"{'/'.join(const_operands)}",
-                node=node,
-                fix_hint="constant-fold with synth.optimize",
-            )
-
-
-def _output_lint(col: Collector, facts: CircuitFacts) -> None:
-    names = facts.output_names or [
-        f"out{i}" for i in range(len(facts.outputs))
-    ]
-    for pos, out in enumerate(facts.outputs):
-        if not (0 <= out < facts.num_nodes):
-            col.add(
-                RULES["SL004"],
-                f"output {pos} ({names[pos]!r}) references node {out}, "
-                f"valid range is [0, {facts.num_nodes})",
-                node=out,
-                fix_hint="point the output at an existing node",
-            )
-
-
-def _reachability_lint(
-    col: Collector, facts: CircuitFacts, scan: _StructuralScan
-) -> None:
-    """SL101 dead gates and SL104 unused inputs, over usable edges only."""
-    num_nodes = facts.num_nodes
-    n_in = facts.num_inputs
-    mask = [False] * num_nodes
-    for out in facts.outputs:
-        if 0 <= out < num_nodes:
-            mask[out] = True
-    for idx in range(facts.num_gates - 1, -1, -1):
-        if mask[n_in + idx]:
-            for edge in scan.edges[idx]:
-                # Forward edges (loops) were already reported; skip them
-                # so the sweep stays a single backward pass.
-                if edge < n_in + idx:
-                    mask[edge] = True
-    for idx in range(facts.num_gates):
-        if not mask[n_in + idx]:
-            gate = scan.decoded[idx]
-            label = gate.name if gate is not None else f"op {facts.ops[idx]:#x}"
-            col.add(
-                RULES["SL101"],
-                f"gate {n_in + idx} ({label}) is unreachable from every "
-                "output",
-                node=n_in + idx,
-                fix_hint="run synth.dead_gate_elimination",
-            )
-    in_names = facts.input_names or [f"in{i}" for i in range(n_in)]
-    for i in range(n_in):
-        if not mask[i]:
-            col.add(
-                RULES["SL104"],
-                f"input {i} ({in_names[i]!r}) drives no output-reachable "
-                "logic",
-                node=i,
-            )

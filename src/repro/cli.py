@@ -150,7 +150,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         dataflow=not args.no_dataflow,
         cost=not args.no_cost,
         cost_config=cost_config,
-        engine=args.engine,
         error_sigmas=args.sigma_error,
         warn_sigmas=args.sigma_warn,
         max_findings_per_rule=(
@@ -273,11 +272,7 @@ def cmd_cost(args) -> int:
     import json
     import os
 
-    from .analyze import (
-        CostAnalysisConfig,
-        FlatCircuitFacts,
-        certify_cost,
-    )
+    from .analyze import CostAnalysisConfig, certify_cost
     from .analyze.findings import Collector
 
     if os.path.exists(args.target):
@@ -300,9 +295,7 @@ def cmd_cost(args) -> int:
         requests=args.requests,
     )
     col = Collector()
-    certificate = certify_cost(
-        FlatCircuitFacts.from_netlist(netlist), config, col
-    )
+    certificate = certify_cost(netlist.facts, config, col)
     report = col.into_report(netlist.name, ["cost"])
     if args.json:
         doc = certificate.as_dict()
@@ -1111,13 +1104,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="findings stored per rule (overflow is counted, not listed)",
-    )
-    p.add_argument(
-        "--engine",
-        choices=("flat", "legacy"),
-        default="flat",
-        help="checker engine: vectorized flat arrays (default) or the "
-        "legacy per-gate walk (bit-identical findings)",
     )
     p.add_argument(
         "--no-cache",

@@ -7,15 +7,25 @@ codes are assigned here.  Nibbles ``0xF`` and ``0x3`` are reserved as
 the *input* and *output* instruction markers (Fig. 5) and are therefore
 never used as gate codes.
 
-This module is dependency-free on purpose: the synthesizer, the
-assembler, the TFHE gate library, and every backend all import their
-gate vocabulary from here.
+This module sits below every other layer on purpose: the synthesizer,
+the assembler, the TFHE gate library, and every backend all import
+their gate vocabulary from here.  Per-code facts (arity, bootstrap
+class, truth table) are defined once, in :data:`_OP_SPEC`, and read
+either per code (``Gate.arity``, :func:`op_arity`, ...) or wholesale as
+the numpy lookup tables :data:`CODE_ARITY` / :data:`CODE_BOOTSTRAPS` /
+:data:`KNOWN_CODE` / :data:`CODE_TRUTH` the array code indexes with an
+``ops`` column.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
+
+import numpy as np
+
+#: Placeholder for an unused gate input operand.
+NO_INPUT = -1
 
 
 class Gate(enum.IntEnum):
@@ -44,7 +54,7 @@ class Gate(enum.IntEnum):
     @property
     def arity(self) -> int:
         """Number of gate inputs consumed (0, 1, or 2)."""
-        return _ARITY[self]
+        return _OP_SPEC[self][0]
 
     @property
     def is_constant(self) -> bool:
@@ -58,39 +68,83 @@ class Gate(enum.IntEnum):
         cheap linear operations (negation / copy / trivial sample) and
         never bootstrap, which is why backends treat them as free.
         """
-        return self not in (Gate.NOT, Gate.BUF, Gate.CONST0, Gate.CONST1)
+        return _OP_SPEC[self][1]
 
 
-_ARITY: Dict[Gate, int] = {
-    Gate.AND: 2,
-    Gate.NAND: 2,
-    Gate.OR: 2,
-    Gate.NOR: 2,
-    Gate.BUF: 1,
-    Gate.XOR: 2,
-    Gate.XNOR: 2,
-    Gate.NOT: 1,
-    Gate.ANDNY: 2,
-    Gate.ANDYN: 2,
-    Gate.ORNY: 2,
-    Gate.ORYN: 2,
-    Gate.CONST0: 0,
-    Gate.CONST1: 0,
+# ---------------------------------------------------------------------------
+# Multi-bit op codes (the mblut subsystem)
+# ---------------------------------------------------------------------------
+# The multi-bit LUT path extends the op vocabulary past the 4-bit gate
+# nibble.  These codes appear in a netlist's ``ops`` column next to the
+# gate codes (and, re-encoded, in the ext instructions of format-1
+# binaries); they are deliberately outside [0, 16) so no gate nibble can
+# be confused with them.
+
+#: Leveled linear combination: ``kx*in0 + ky*in1 + const`` on p-ary
+#: digit encodings.  Free (no bootstrap) — torus adds and integer scales.
+OP_LIN = 0x10
+#: Programmable bootstrap through a lookup table: ``table[in0]``.
+OP_LUT = 0x11
+#: Boolean-to-digit bridge bootstrap: gate-encoded bit -> digit encoding
+#: (table has two entries: the digit values for bit 0 / bit 1).
+OP_B2D = 0x12
+#: Digit-to-boolean bridge bootstrap: digit -> gate-encoded bit
+#: (table has one 0/1 entry per input slice).
+OP_D2B = 0x13
+
+#: All multi-bit op codes.
+MB_OPS = frozenset((OP_LIN, OP_LUT, OP_B2D, OP_D2B))
+#: Multi-bit ops that blind-rotate a serialized table.
+TABLE_OPS = (OP_LUT, OP_B2D, OP_D2B)
+
+#: ``code -> (arity, bootstraps)`` for the whole op vocabulary.  NOT,
+#: BUF, the constants and LIN are cheap linear operations on a
+#: ciphertext, which is why backends treat them as free.  LIN is
+#: nominally binary but tolerates a missing second operand (``ky`` is
+#: ignored then).
+_OP_SPEC: Dict[int, Tuple[int, bool]] = {
+    Gate.AND: (2, True),
+    Gate.NAND: (2, True),
+    Gate.OR: (2, True),
+    Gate.NOR: (2, True),
+    Gate.BUF: (1, False),
+    Gate.XOR: (2, True),
+    Gate.XNOR: (2, True),
+    Gate.NOT: (1, False),
+    Gate.ANDNY: (2, True),
+    Gate.ANDYN: (2, True),
+    Gate.ORNY: (2, True),
+    Gate.ORYN: (2, True),
+    Gate.CONST0: (0, False),
+    Gate.CONST1: (0, False),
+    OP_LIN: (2, False),
+    OP_LUT: (1, True),
+    OP_B2D: (1, True),
+    OP_D2B: (1, True),
 }
+_MB_NAMES = {OP_LIN: "LIN", OP_LUT: "LUT", OP_B2D: "B2D", OP_D2B: "D2B"}
+
+#: Size of the lookup tables below (one past the largest op code).
+NUM_CODES = max(_OP_SPEC) + 1
+#: Arity placeholder for op codes outside the vocabulary.
+UNKNOWN_ARITY = -1
+
+#: ``KNOWN_CODE[code]`` — the code is a gate or a multi-bit op.
+KNOWN_CODE = np.zeros(NUM_CODES, dtype=bool)
+#: ``CODE_ARITY[code]`` — operands read; :data:`UNKNOWN_ARITY` if unknown.
+CODE_ARITY = np.full(NUM_CODES, UNKNOWN_ARITY, dtype=np.int8)
+#: ``CODE_BOOTSTRAPS[code]`` — homomorphic evaluation bootstraps.
+CODE_BOOTSTRAPS = np.zeros(NUM_CODES, dtype=bool)
+for _code, (_arity, _bootstraps) in _OP_SPEC.items():
+    KNOWN_CODE[_code] = True
+    CODE_ARITY[_code] = _arity
+    CODE_BOOTSTRAPS[_code] = _bootstraps
+#: ``CODE_USES_TABLE[code]`` — the op is one of :data:`TABLE_OPS`.
+CODE_USES_TABLE = np.zeros(NUM_CODES, dtype=bool)
+CODE_USES_TABLE[list(TABLE_OPS)] = True
 
 #: The eleven bootstrapped boolean gates of the paper (Section IV-C).
-BOOTSTRAPPED_GATES = (
-    Gate.AND,
-    Gate.NAND,
-    Gate.OR,
-    Gate.NOR,
-    Gate.XOR,
-    Gate.XNOR,
-    Gate.ANDNY,
-    Gate.ANDYN,
-    Gate.ORNY,
-    Gate.ORYN,
-)
+BOOTSTRAPPED_GATES = tuple(g for g in Gate if g.needs_bootstrap)
 
 #: All two-input gate types.
 TWO_INPUT_GATES = tuple(g for g in Gate if g.arity == 2)
@@ -121,6 +175,15 @@ def evaluate_plain(gate: Gate, a: int = 0, b: int = 0) -> int:
     subtraction.
     """
     return _TRUTH[gate](a, b)
+
+
+#: ``CODE_TRUTH[code]`` — the gate's truth table, bit ``2*a + b`` holding
+#: its output on ``(a, b)``; 0 for the multi-bit ops.
+CODE_TRUTH = np.zeros(NUM_CODES, dtype=np.int64)
+for _gate, _fn in _TRUTH.items():
+    CODE_TRUTH[_gate] = sum(
+        _fn(a, b) << (2 * a + b) for a in (0, 1) for b in (0, 1)
+    )
 
 
 #: Gate obtained by complementing the *output* of each gate.
@@ -189,49 +252,16 @@ COMMUTATIVE = frozenset(
 )
 
 
-# ---------------------------------------------------------------------------
-# Multi-bit op codes (the mblut subsystem)
-# ---------------------------------------------------------------------------
-# The multi-bit LUT path extends the op vocabulary past the 4-bit gate
-# nibble.  These codes only ever appear in :class:`repro.mblut.MbNetlist`
-# ops arrays (and, re-encoded, in ext instructions of the binary format);
-# they are deliberately outside [0, 16) so no boolean pipeline can confuse
-# them with a gate nibble.
-
-#: Leveled linear combination: ``kx*in0 + ky*in1 + const`` on p-ary
-#: digit encodings.  Free (no bootstrap) — torus adds and integer scales.
-OP_LIN = 0x10
-#: Programmable bootstrap through a lookup table: ``table[in0]``.
-OP_LUT = 0x11
-#: Boolean-to-digit bridge bootstrap: gate-encoded bit -> digit encoding
-#: (table has two entries: the digit values for bit 0 / bit 1).
-OP_B2D = 0x12
-#: Digit-to-boolean bridge bootstrap: digit -> gate-encoded bit
-#: (table has one 0/1 entry per input slice).
-OP_D2B = 0x13
-
-#: All multi-bit op codes.
-MB_OPS = frozenset((OP_LIN, OP_LUT, OP_B2D, OP_D2B))
-
-_MB_ARITY = {OP_LIN: 2, OP_LUT: 1, OP_B2D: 1, OP_D2B: 1}
-_MB_NAMES = {OP_LIN: "LIN", OP_LUT: "LUT", OP_B2D: "B2D", OP_D2B: "D2B"}
-
-
-def op_is_mb(code: int) -> bool:
-    """Whether ``code`` is a multi-bit op (LIN/LUT/B2D/D2B)."""
-    return code in MB_OPS
+def _spec(code: int) -> Tuple[int, bool]:
+    try:
+        return _OP_SPEC[code]
+    except KeyError:
+        raise ValueError(f"{code:#x} is not a valid op code") from None
 
 
 def op_arity(code: int) -> int:
-    """Arity of any op code — boolean gate or multi-bit op.
-
-    LIN is nominally binary but tolerates a missing second operand
-    (``ky`` is ignored then); callers validating strict arity should
-    special-case it.
-    """
-    if code in _MB_ARITY:
-        return _MB_ARITY[code]
-    return Gate(code).arity
+    """Arity of any op code — boolean gate or multi-bit op."""
+    return _spec(code)[0]
 
 
 def op_needs_bootstrap(code: int) -> bool:
@@ -239,9 +269,7 @@ def op_needs_bootstrap(code: int) -> bool:
 
     LIN is the one free multi-bit op; LUT/B2D/D2B all blind-rotate.
     """
-    if code in MB_OPS:
-        return code != OP_LIN
-    return Gate(code).needs_bootstrap
+    return _spec(code)[1]
 
 
 def op_name(code: int) -> str:

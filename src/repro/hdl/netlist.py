@@ -1,13 +1,44 @@
-"""The gate netlist intermediate representation.
+"""The netlist intermediate representation: the one circuit object.
 
 A :class:`Netlist` is the common currency of the toolchain: ChiselTorch
-elaboration produces one, the synthesis passes rewrite one, the
-assembler serializes one, and every backend executes one.
+elaboration produces one, the synthesis passes (boolean and multi-bit)
+rewrite one, the assembler serializes one, the analyzer certifies one,
+and every backend executes one.
 
 Nodes are integers.  Node ids ``0 .. num_inputs-1`` are the circuit
 inputs; gate ``j`` has node id ``num_inputs + j``.  Gates are stored in
-topological order (producers before consumers) in flat arrays, which
-keeps multi-million-gate MNIST netlists cheap to hold and traverse.
+topological order (producers before consumers) in flat columns, which
+keeps multi-million-gate MNIST netlists cheap to hold and traverse:
+
+==============  =======  =============================================
+column          dtype    meaning (which ops read it)
+==============  =======  =============================================
+``ops``         uint8    op code per gate: a :class:`Gate` nibble or
+                         LIN/LUT/B2D/D2B (all)
+``in0``/``in1`` int64    operand node ids, ``NO_INPUT`` when unused
+                         (by arity; LIN may omit ``in1``)
+``outputs``     int64    node id of each circuit output
+``input_prec``  int32    per input wire: 0 = boolean, else digit
+                         modulus ``p`` (client encoding, LIN/LUT/D2B)
+``input_bound`` int64    largest message the client contract places
+                         on an input wire (MB001 interval analysis)
+``prec``        int32    per gate output wire, same convention
+                         (LIN/LUT/B2D write it; readers' tables)
+``kx``/``ky``   int32    LIN coefficients (LIN)
+``kconst``      int64    LIN constant (LIN)
+``table_id``    int32    index into ``tables``, -1 = none (LUT/B2D/D2B)
+``tables``      int64[]  the lookup-table segment (LUT/B2D/D2B)
+==============  =======  =============================================
+
+A boolean netlist is the degenerate case — no tables, every precision
+zero — and pays nothing for the columns it does not use: they are
+zero-stride read-only views of one scalar.
+
+Construction validates **structure** only (known op codes, operand
+direction, column lengths, table existence).  Semantic soundness —
+noise margins, digit ranges staying inside the modulus, tables agreeing
+with their operand's precision — is the analyzer's job
+(:mod:`repro.analyze`).
 """
 
 from __future__ import annotations
@@ -17,10 +48,31 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..gatetypes import Gate
+from ..gatetypes import (
+    CODE_TRUTH,
+    CODE_USES_TABLE,
+    KNOWN_CODE,
+    NO_INPUT,
+    NUM_CODES,
+    OP_B2D,
+    OP_LIN,
+    Gate,
+    op_name,
+)
+from .facts import FlatCircuitFacts
 
-#: Placeholder for an unused gate input operand.
-NO_INPUT = -1
+#: Largest ``(nodes x vectors)`` value plane :meth:`Netlist.evaluate`
+#: holds at once; bigger batches are evaluated in slices.
+_EVALUATE_PLANE_ELEMENTS = 1 << 22
+
+#: Op codes above this are multi-bit ops.
+_LAST_GATE_CODE = int(max(Gate))
+
+_ZERO32, _NONE32 = np.int32(0), np.int32(-1)
+_ZERO64, _ONE64 = np.int64(0), np.int64(1)
+_FILL_BYTES = {
+    fill: fill.tobytes() for fill in (_ZERO32, _NONE32, _ZERO64, _ONE64)
+}
 
 
 @dataclass
@@ -51,8 +103,17 @@ class NetlistStats:
         return "\n".join(lines)
 
 
+def _column(values, fill: np.generic, length: int) -> np.ndarray:
+    """A per-gate/per-input column; absent means a zero-stride ``fill``
+    (``np.broadcast_to`` semantics: read-only, no per-element memory)."""
+    if values is None:
+        return np.ndarray((length,), fill.dtype, _FILL_BYTES[fill], 0, (0,))
+    return np.asarray(values, dtype=fill.dtype)
+
+
 class Netlist:
-    """An immutable combinational circuit as a DAG of boolean gates."""
+    """An immutable combinational circuit: a DAG of boolean gates and
+    multi-bit ops over boolean and digit wires."""
 
     def __init__(
         self,
@@ -64,27 +125,62 @@ class Netlist:
         input_names: Optional[List[str]] = None,
         output_names: Optional[List[str]] = None,
         name: str = "netlist",
+        *,
+        input_prec: Optional[Sequence[int]] = None,
+        input_bound: Optional[Sequence[int]] = None,
+        prec: Optional[Sequence[int]] = None,
+        kx: Optional[Sequence[int]] = None,
+        ky: Optional[Sequence[int]] = None,
+        kconst: Optional[Sequence[int]] = None,
+        table_id: Optional[Sequence[int]] = None,
+        tables: Sequence[Sequence[int]] = (),
+        io=None,
     ):
-        self.num_inputs = int(num_inputs)
-        self.ops = np.asarray(ops, dtype=np.uint8)
+        self.num_inputs = n_in = int(num_inputs)
+        self.name = name
+        codes = np.asarray(ops)
+        if codes.dtype.kind not in "iu":
+            codes = codes.astype(np.int64)
         self.in0 = np.asarray(in0, dtype=np.int64)
         self.in1 = np.asarray(in1, dtype=np.int64)
         self.outputs = np.asarray(outputs, dtype=np.int64)
-        self.name = name
-        if not (len(self.ops) == len(self.in0) == len(self.in1)):
-            raise ValueError("ops/in0/in1 length mismatch")
-        self.input_names = input_names or [
-            f"in{i}" for i in range(self.num_inputs)
+        n_gates = len(codes)
+        self.input_prec = _column(input_prec, _ZERO32, n_in)
+        self.prec = _column(prec, _ZERO32, n_gates)
+        self.kx = _column(kx, _ZERO32, n_gates)
+        self.ky = _column(ky, _ZERO32, n_gates)
+        self.kconst = _column(kconst, _ZERO64, n_gates)
+        self.table_id = _column(table_id, _NONE32, n_gates)
+        self.tables = [
+            np.asarray(t, dtype=np.int64).reshape(-1) for t in tables
         ]
+        if input_bound is None and input_prec is not None:
+            # Worst case: a digit wire may carry any message in [0, p).
+            input_bound = np.maximum(
+                self.input_prec.astype(np.int64) - 1, 1
+            )
+        self.input_bound = _column(input_bound, _ONE64, n_in)
+        #: Client-side bit <-> wire contract of a synthesized netlist
+        #: (:class:`repro.mblut.MbIoMap`); never serialized.
+        self.io = io
+        self.input_names = input_names or [f"in{i}" for i in range(n_in)]
         self.output_names = output_names or [
             f"out{i}" for i in range(len(self.outputs))
         ]
-        if len(self.input_names) != self.num_inputs:
-            raise ValueError("input_names length mismatch")
-        if len(self.output_names) != len(self.outputs):
-            raise ValueError("output_names length mismatch")
-        self._levels_cache: Optional[np.ndarray] = None
-        self._validate()
+        #: The cached derived columns (levels, rounds, operand masks).
+        #: Built over the full-width op codes: narrowing first would
+        #: wrap 262 to XOR before it could be rejected.
+        self.facts = self._validated_facts(codes)
+        self.ops = self.facts.ops = codes.astype(np.uint8)
+        #: True when any wire is a digit, any op is multi-bit, or a
+        #: table exists: the circuit needs format-1 words and the
+        #: multi-bit analysis families.  A plain boolean netlist is not.
+        self.is_multibit = bool(
+            self.tables
+            or (input_prec is not None and self.input_prec.any())
+            or (prec is not None and self.prec.any())
+            or (n_gates and self.ops.max() > _LAST_GATE_CODE)
+        )
 
     # ------------------------------------------------------------------
     # Structure
@@ -107,99 +203,134 @@ class Netlist:
     def gate_of(self, node: int) -> Gate:
         return Gate(int(self.ops[node - self.num_inputs]))
 
-    def _validate(self) -> None:
-        n_in = self.num_inputs
-        for idx in range(self.num_gates):
-            code = int(self.ops[idx])
-            node = n_in + idx
-            try:
-                gate = Gate(code)
-            except ValueError:
+    def node_prec(self, node: int) -> int:
+        """Precision of a wire: 0 = boolean, else digit modulus."""
+        if node < self.num_inputs:
+            return int(self.input_prec[node])
+        return int(self.prec[node - self.num_inputs])
+
+    def node_precisions(self) -> np.ndarray:
+        """Per-node precision column (inputs then gates)."""
+        return np.concatenate(
+            (self.input_prec.astype(np.int64), self.prec.astype(np.int64))
+        )
+
+    def _validated_facts(self, codes: np.ndarray) -> FlatCircuitFacts:
+        """Check every structural invariant; return the derived view.
+
+        The facts view computes the op-code and per-slot ``usable``
+        masks (operand present, in range, strictly backward) over the
+        borrowed columns; a netlist is valid exactly when every code is
+        known and every operand its ops read is usable, so the masks
+        that validate it are the ones its levels, schedule and analyses
+        are later derived from.
+        """
+        n_in, n_gates = self.num_inputs, len(codes)
+        for label in ("in0", "in1", "prec", "kx", "ky", "kconst", "table_id"):
+            if len(getattr(self, label)) != n_gates:
                 raise ValueError(
-                    f"gate index {idx} (node {node}): unknown op code "
-                    f"{code:#x}; valid codes are "
-                    f"{sorted(hex(int(g)) for g in Gate)}"
-                ) from None
-            arity = gate.arity
-            a, b = int(self.in0[idx]), int(self.in1[idx])
-            for slot, value, required in (
-                ("input0", a, arity >= 1),
-                ("input1", b, arity == 2),
-            ):
-                if required and not (0 <= value < node):
-                    detail = (
-                        "reads itself"
-                        if value == node
-                        else f"reads later node {value}"
-                        if value >= node
-                        else f"is {value}"
-                    )
-                    raise ValueError(
-                        f"gate index {idx} (node {node}, {gate.name}, "
-                        f"arity {arity}) {slot} {detail}; operands must "
-                        f"name an existing earlier node in [0, {node}) "
-                        "— inputs occupy "
-                        f"[0, {n_in}), gates start at {n_in}"
-                    )
-        for pos, out in enumerate(self.outputs):
-            if not (0 <= out < self.num_nodes):
-                raise ValueError(
-                    f"output {pos} ({self.output_names[pos]!r}) references "
-                    f"node {int(out)}, but this netlist only has nodes "
-                    f"[0, {self.num_nodes}) ({self.num_inputs} inputs + "
-                    f"{self.num_gates} gates)"
+                    f"ops/{label} length mismatch: {label} has "
+                    f"{len(getattr(self, label))} entries, ops {n_gates}"
                 )
+        for label in ("input_prec", "input_bound", "input_names"):
+            if len(getattr(self, label)) != n_in:
+                raise ValueError(f"{label} length mismatch")
+        if len(self.output_names) != len(self.outputs):
+            raise ValueError("output_names length mismatch")
+        facts = FlatCircuitFacts(
+            self.name, n_in, codes, self.in0, self.in1, self.outputs,
+            self.input_names, self.output_names,
+        )
+        known = facts.known
+        if not known.all():
+            idx = int(np.argmin(known))
+            raise ValueError(
+                f"gate index {idx} (node {n_in + idx}): unknown op code "
+                f"{int(codes[idx]):#x}; valid codes are "
+                f"{[hex(c) for c in np.nonzero(KNOWN_CODE)[0]]}"
+            )
+        arity = facts.arity
+        lin_alone = (codes == OP_LIN) & (self.in1 == NO_INPUT)
+        bad0 = (arity >= 1) & ~facts.usable0
+        bad1 = (arity == 2) & ~facts.usable1 & ~lin_alone
+        bad = bad0 | bad1
+        if bad.any():
+            idx = int(np.argmax(bad))
+            node = n_in + idx
+            slot, value = (
+                ("input0", int(self.in0[idx]))
+                if bad0[idx]
+                else ("input1", int(self.in1[idx]))
+            )
+            detail = (
+                "reads itself"
+                if value == node
+                else f"reads later node {value}"
+                if value >= node
+                else f"is {value}"
+            )
+            raise ValueError(
+                f"gate index {idx} (node {node}, "
+                f"{op_name(int(codes[idx]))}, arity {int(arity[idx])}) "
+                f"{slot} {detail}; operands must name an existing earlier "
+                f"node in [0, {node}) — inputs occupy [0, {n_in}), gates "
+                f"start at {n_in}"
+            )
+        table_id = self.table_id
+        missing = CODE_USES_TABLE[codes] & ~(
+            (table_id >= 0) & (table_id < len(self.tables))
+        )
+        if missing.any():
+            idx = int(np.argmax(missing))
+            raise ValueError(
+                f"gate index {idx} ({op_name(int(codes[idx]))}) "
+                f"references table {int(table_id[idx])}, but only "
+                f"{len(self.tables)} tables exist"
+            )
+        outs = self.outputs
+        stray = (outs < 0) | (outs >= n_in + n_gates)
+        if stray.any():
+            pos = int(np.argmax(stray))
+            raise ValueError(
+                f"output {pos} ({self.output_names[pos]!r}) references "
+                f"node {int(outs[pos])}, but this netlist only has nodes "
+                f"[0, {n_in + n_gates}) ({n_in} inputs + {n_gates} gates)"
+            )
+        return facts
 
     # ------------------------------------------------------------------
     # Levels / statistics
     # ------------------------------------------------------------------
     def bootstrap_levels(self) -> np.ndarray:
-        """Per-node bootstrap level.
+        """Per-node bootstrap level (see ``FlatCircuitFacts.node_levels``)."""
+        return self.facts.node_levels
 
-        Inputs sit at level 0.  A bootstrapped gate sits one level above
-        the max of its inputs; free gates (NOT/BUF/CONST) inherit the
-        max of their inputs.  The level of a gate is the earliest
-        BFS round (Algorithm 1 of the paper) in which it can execute.
-        """
-        if self._levels_cache is not None:
-            return self._levels_cache
-        n_in = self.num_inputs
-        levels = np.zeros(self.num_nodes, dtype=np.int64)
-        ops = self.ops.tolist()
-        in0 = self.in0.tolist()
-        in1 = self.in1.tolist()
-        lv = levels.tolist()
-        for idx in range(self.num_gates):
-            gate = Gate(ops[idx])
-            arity = gate.arity
-            if arity == 0:
-                base = 0
-            elif arity == 1:
-                base = lv[in0[idx]]
-            else:
-                la, lb = lv[in0[idx]], lv[in1[idx]]
-                base = la if la > lb else lb
-            lv[n_in + idx] = base + 1 if gate.needs_bootstrap else base
-        self._levels_cache = np.asarray(lv, dtype=np.int64)
-        return self._levels_cache
+    @property
+    def needs_bootstrap(self) -> np.ndarray:
+        """Per-gate bool: homomorphic evaluation bootstraps the gate."""
+        return self.facts.needs_bootstrap
+
+    @property
+    def num_lut_bootstraps(self) -> int:
+        """Bootstraps that blind-rotate a programmable table."""
+        return int(CODE_USES_TABLE[self.ops].sum())
 
     def stats(self) -> NetlistStats:
-        histogram: Dict[str, int] = {}
-        for code, count in zip(*np.unique(self.ops, return_counts=True)):
-            histogram[Gate(int(code)).name] = int(count)
-        needs = np.array(
-            [Gate(int(code)).needs_bootstrap for code in self.ops], dtype=bool
-        )
+        counts = np.bincount(self.ops, minlength=NUM_CODES)
+        histogram = {
+            op_name(code): int(count)
+            for code, count in enumerate(counts)
+            if count
+        }
+        needs = self.needs_bootstrap
         num_bs = int(needs.sum())
-        levels = self.bootstrap_levels()
-        gate_levels = levels[self.num_inputs :][needs] if num_bs else np.array([0])
-        depth = int(gate_levels.max()) if num_bs else 0
+        depth, max_width, mean_width = 0, 0, 0.0
         if num_bs:
+            gate_levels = self.bootstrap_levels()[self.num_inputs :][needs]
             __, widths = np.unique(gate_levels, return_counts=True)
+            depth = int(gate_levels.max())
             max_width = int(widths.max())
             mean_width = float(widths.mean())
-        else:
-            max_width, mean_width = 0, 0.0
         return NetlistStats(
             num_inputs=self.num_inputs,
             num_outputs=self.num_outputs,
@@ -212,79 +343,25 @@ class Netlist:
         )
 
     # ------------------------------------------------------------------
-    # Plaintext evaluation (bit-parallel reference semantics)
+    # Plaintext evaluation (reference semantics)
     # ------------------------------------------------------------------
-    def evaluate_masks(self, input_masks: Sequence[int], width: int) -> List[int]:
-        """Evaluate on ``width`` plaintext vectors at once.
-
-        Each entry of ``input_masks`` is an arbitrary-precision integer
-        whose bit ``t`` is the value of that input in test vector ``t``.
-        Returns one mask per output.  This is the reference semantics
-        every backend must agree with.
-        """
-        if len(input_masks) != self.num_inputs:
-            raise ValueError(
-                f"expected {self.num_inputs} input masks, got {len(input_masks)}"
-            )
-        full = (1 << width) - 1
-        values: List[int] = list(input_masks) + [0] * self.num_gates
-        ops = self.ops.tolist()
-        in0 = self.in0.tolist()
-        in1 = self.in1.tolist()
-        n_in = self.num_inputs
-
-        and_, nand = int(Gate.AND), int(Gate.NAND)
-        or_, nor = int(Gate.OR), int(Gate.NOR)
-        xor, xnor = int(Gate.XOR), int(Gate.XNOR)
-        not_, buf = int(Gate.NOT), int(Gate.BUF)
-        andny, andyn = int(Gate.ANDNY), int(Gate.ANDYN)
-        orny, oryn = int(Gate.ORNY), int(Gate.ORYN)
-        const0, const1 = int(Gate.CONST0), int(Gate.CONST1)
-
-        for idx in range(self.num_gates):
-            op = ops[idx]
-            a = values[in0[idx]] if in0[idx] >= 0 else 0
-            b = values[in1[idx]] if in1[idx] >= 0 else 0
-            if op == and_:
-                v = a & b
-            elif op == xor:
-                v = a ^ b
-            elif op == or_:
-                v = a | b
-            elif op == nand:
-                v = full ^ (a & b)
-            elif op == nor:
-                v = full ^ (a | b)
-            elif op == xnor:
-                v = full ^ a ^ b
-            elif op == not_:
-                v = full ^ a
-            elif op == buf:
-                v = a
-            elif op == andny:
-                v = (full ^ a) & b
-            elif op == andyn:
-                v = a & (full ^ b)
-            elif op == orny:
-                v = (full ^ a) | b
-            elif op == oryn:
-                v = a | (full ^ b)
-            elif op == const0:
-                v = 0
-            elif op == const1:
-                v = full
-            else:  # pragma: no cover - enum is closed
-                raise ValueError(f"unknown op code {op}")
-            values[n_in + idx] = v
-        return [values[out] for out in self.outputs]
-
     def evaluate(self, inputs: np.ndarray) -> np.ndarray:
-        """Evaluate on boolean input vectors.
+        """Evaluate on plaintext input vectors.
 
         ``inputs`` has shape ``(num_inputs,)`` or ``(batch, num_inputs)``;
         the result has shape ``(num_outputs,)`` or ``(batch, num_outputs)``.
+        A boolean netlist takes and returns bools.  A multi-bit netlist
+        takes per-wire integer messages — boolean wires carry 0/1, digit
+        wires their message in ``[0, p)`` — and returns one integer per
+        output wire; LUT indices are reduced modulo the table length,
+        the torus wraparound an uncertified circuit would hit (certified
+        circuits, MB001 clean, never rely on it).  This is the reference
+        semantics every backend must agree with.
         """
-        arr = np.asarray(inputs).astype(bool)
+        arr = np.asarray(inputs)
+        if not self.is_multibit:
+            arr = arr.astype(bool)
+        arr = arr.astype(np.int64)
         single = arr.ndim == 1
         if single:
             arr = arr[None, :]
@@ -292,29 +369,75 @@ class Netlist:
             raise ValueError(
                 f"expected {self.num_inputs} inputs, got {arr.shape[1]}"
             )
-        batch = arr.shape[0]
-        masks = [_pack_mask(arr[:, i]) for i in range(self.num_inputs)]
-        out_masks = self.evaluate_masks(masks, batch)
-        out = np.empty((batch, self.num_outputs), dtype=bool)
-        for j, mask in enumerate(out_masks):
-            out[:, j] = _unpack_mask(mask, batch)
+        step = max(1, _EVALUATE_PLANE_ELEMENTS // max(self.num_nodes, 1))
+        out = np.concatenate(
+            [
+                self._evaluate_plane(arr[start : start + step])
+                for start in range(0, max(len(arr), 1), step)
+            ]
+        )
+        if not self.is_multibit:
+            out = out.astype(bool)
         return out[0] if single else out
 
+    def _evaluate_plane(self, arr: np.ndarray) -> np.ndarray:
+        """One dependency round at a time over a ``(nodes, batch)`` plane."""
+        n_in = self.num_inputs
+        values = np.zeros((self.num_nodes, len(arr)), dtype=np.int64)
+        values[:n_in] = arr.T
+        if self.tables:
+            flat_tables = np.concatenate(self.tables)
+            sizes = np.array([len(t) for t in self.tables], dtype=np.int64)
+            starts = np.cumsum(sizes) - sizes
+        for ids in self.facts.rounds:
+            codes = self.ops[ids]
+            # An unused operand (NO_INPUT = -1) gathers the last row;
+            # no op reads the slot it leaves unused.
+            a = values[self.in0[ids]]
+            b = values[self.in1[ids]]
+            out = (
+                CODE_TRUTH[codes][:, None] >> (((a & 1) << 1) | (b & 1))
+            ) & 1
+            if self.is_multibit:
+                lin = np.nonzero(codes == OP_LIN)[0]
+                if lin.size:
+                    g = ids[lin]
+                    paired = (self.in1[g] != NO_INPUT)[:, None]
+                    out[lin] = (
+                        self.kx[g, None] * a[lin]
+                        + self.ky[g, None] * (b[lin] * paired)
+                        + self.kconst[g, None]
+                    )
+                tab = np.nonzero(CODE_USES_TABLE[codes])[0]
+                if tab.size:
+                    tid = self.table_id[ids[tab]]
+                    index = np.where(
+                        (codes[tab] == OP_B2D)[:, None],
+                        a[tab] != 0,
+                        a[tab] % sizes[tid, None],
+                    )
+                    out[tab] = flat_tables[starts[tid, None] + index]
+            values[n_in + ids] = out
+        return values[self.outputs].T
+
+    def evaluate_bits(self, bits: np.ndarray) -> np.ndarray:
+        """Boolean-contract evaluation through the synthesis I/O map.
+
+        Takes/returns the *source* netlist's boolean bit vectors, so the
+        result is directly comparable against the boolean oracle.
+        """
+        if self.io is None:
+            raise ValueError(
+                "this netlist carries no I/O map (e.g. it was "
+                "disassembled from a binary); evaluate() on wire "
+                "messages instead"
+            )
+        values = self.io.encode_inputs(bits, self.input_prec)
+        return self.io.decode_outputs(self.evaluate(values))
+
     def __repr__(self) -> str:
+        luts = f", luts={self.num_lut_bootstraps}" if self.is_multibit else ""
         return (
             f"Netlist({self.name!r}, inputs={self.num_inputs}, "
-            f"gates={self.num_gates}, outputs={self.num_outputs})"
+            f"gates={self.num_gates}, outputs={self.num_outputs}{luts})"
         )
-
-
-def _pack_mask(column: np.ndarray) -> int:
-    packed = np.packbits(column.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def _unpack_mask(mask: int, width: int) -> np.ndarray:
-    nbytes = (width + 7) // 8
-    raw = np.frombuffer(
-        mask.to_bytes(nbytes, "little"), dtype=np.uint8
-    )
-    return np.unpackbits(raw, bitorder="little")[:width].astype(bool)

@@ -10,10 +10,13 @@ from .encoding import (
     MAX_NODE_INDEX,
     OUTPUT_MARKER,
     decode_instruction,
+    decode_words,
     encode_gate,
     encode_header,
     encode_input,
     encode_output,
+    encode_words,
+    is_mb_binary,
     iter_instructions,
 )
 
@@ -28,10 +31,13 @@ __all__ = [
     "assemble",
     "binary_size_bytes",
     "decode_instruction",
+    "decode_words",
     "disassemble",
     "encode_gate",
     "encode_header",
     "encode_input",
     "encode_output",
+    "encode_words",
+    "is_mb_binary",
     "iter_instructions",
 ]

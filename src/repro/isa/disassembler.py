@@ -6,11 +6,15 @@ from typing import List
 
 from ..gatetypes import Gate, op_name
 from .encoding import (
+    ENTRIES_PER_WORD,
     FIELD_ALL_ONES,
     INPUT_MARKER,
+    INPUT_PREC_BITS,
     INSTRUCTION_BYTES,
+    MB_FORMAT_VERSION,
     OUTPUT_MARKER,
-    TYPE_MASK,
+    decode_ext_field1,
+    decode_words,
 )
 
 
@@ -36,13 +40,14 @@ def format_program(data: bytes, max_rows: int = 0) -> str:
     is_mb = False
     table_data_left = 0
     total_words, remainder = divmod(len(data), INSTRUCTION_BYTES)
-    for position in range(total_words):
+    listed = min(total_words, max_rows) if max_rows else total_words
+    columns = decode_words(data[: listed * INSTRUCTION_BYTES])
+    ext_columns = decode_ext_field1(columns[1])
+    for position, (field0, field1, nibble) in enumerate(
+        zip(*(col.tolist() for col in columns))
+    ):
         offset = position * INSTRUCTION_BYTES
-        raw = data[offset : offset + INSTRUCTION_BYTES]
-        word = int.from_bytes(raw, "little")
-        nibble = word & TYPE_MASK
-        field1 = (word >> 4) & FIELD_ALL_ONES
-        field0 = (word >> 66) & FIELD_ALL_ONES
+        word = (field0 << 66) | (field1 << 4) | nibble
 
         if position == 0:
             if nibble != 0:
@@ -57,7 +62,7 @@ def format_program(data: bytes, max_rows: int = 0) -> str:
                 lines.append(
                     _row(offset, "-", f"header  total_gates={field1}")
                 )
-            elif field0 == 1:
+            elif field0 == MB_FORMAT_VERSION:
                 is_mb = True
                 lines.append(
                     _row(
@@ -82,8 +87,8 @@ def format_program(data: bytes, max_rows: int = 0) -> str:
             index = str(next_index)
             next_index += 1
             if is_mb and field1 != FIELD_ALL_ONES:
-                in_prec = field1 & 0x3FF
-                in_bound = field1 >> 10
+                in_prec = field1 & ((1 << INPUT_PREC_BITS) - 1)
+                in_bound = field1 >> INPUT_PREC_BITS
                 kind = (
                     "bool"
                     if in_prec == 0
@@ -95,7 +100,7 @@ def format_program(data: bytes, max_rows: int = 0) -> str:
         elif nibble == INPUT_MARKER and is_mb:
             # Table segment header: field0 = id + 1, field1 = entries.
             entries = field1
-            table_data_left = -(-entries // 12)
+            table_data_left = -(-entries // ENTRIES_PER_WORD)
             lines.append(
                 _row(
                     offset, "-",
@@ -105,10 +110,8 @@ def format_program(data: bytes, max_rows: int = 0) -> str:
         elif nibble == OUTPUT_MARKER and field0 == FIELD_ALL_ONES:
             lines.append(_row(offset, "-", f"output  node={field1}"))
         elif nibble == OUTPUT_MARKER and is_mb:
-            from ..mblut.isa import _unpack_ext_field1
-
             code, prec, kx, ky, kconst, table_id, in1 = (
-                _unpack_ext_field1(field1)
+                int(col[position]) for col in ext_columns
             )
             index = str(next_index)
             next_index += 1

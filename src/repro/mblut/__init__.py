@@ -11,24 +11,30 @@ world by :data:`OP_B2D` / :data:`OP_D2B` conversion bootstraps.
 
 Pipeline::
 
-    netlist --synthesize()--> MbNetlist --assemble_mb()--> binary
-        --repro check (NB+MB)--> serve registry --> CpuBackend /
-        DistributedCpuBackend (level-batched blind rotations)
+    netlist --synthesize()--> Netlist (digit wires, LIN/LUT ops, tables)
+        --assemble()--> format-1 binary --repro check (NB+MB)-->
+        serve registry --> CpuBackend / DistributedCpuBackend
+        (level-batched blind rotations)
+
+The synthesized circuit is an ordinary :class:`~repro.hdl.netlist.Netlist`
+and its binary goes through the one :mod:`repro.isa` codec;
+``assemble_mb`` / ``disassemble_mb`` are kept as plain aliases of
+``assemble`` / ``disassemble`` for callers that predate the merge.
 
 An 8-bit ripple adder drops from ~37 gate bootstraps to 5 LUT
 bootstraps (one sum + one carry LUT per 3-bit digit).
 """
 
 from ..gatetypes import MB_OPS, OP_B2D, OP_D2B, OP_LIN, OP_LUT
-from .client import decrypt_mb_outputs, encrypt_mb_inputs
-from .ir import MbIoMap, MbNetlist, mb_value_ranges
-from .isa import assemble_mb, disassemble_mb, is_mb_binary
+from ..isa import assemble as assemble_mb
+from ..isa import disassemble as disassemble_mb
+from ..isa import is_mb_binary
+from .client import MbIoMap, decrypt_mb_outputs, encrypt_mb_inputs
 from .synth import MultiBitValue, SynthesisReport, synthesize
 
 __all__ = [
     "MB_OPS",
     "MbIoMap",
-    "MbNetlist",
     "MultiBitValue",
     "OP_B2D",
     "OP_D2B",
@@ -40,6 +46,5 @@ __all__ = [
     "disassemble_mb",
     "encrypt_mb_inputs",
     "is_mb_binary",
-    "mb_value_ranges",
     "synthesize",
 ]

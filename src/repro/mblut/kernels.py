@@ -1,6 +1,6 @@
 """Batched execution kernels for multi-bit netlists.
 
-A scheduled level of an :class:`~repro.mblut.ir.MbNetlist` mixes
+A scheduled level of a multi-bit :class:`~repro.hdl.netlist.Netlist` mixes
 boolean bootstrapped gates with multi-bit bootstraps (LUT / B2D / D2B).
 The boolean side reuses :func:`repro.tfhe.gates.evaluate_gates_batch`
 unchanged; the multi-bit side fuses into *one* blind rotation per level
@@ -30,7 +30,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..gatetypes import OP_B2D, OP_D2B, OP_LIN, OP_LUT
+from ..gatetypes import OP_B2D, OP_D2B, OP_LUT, TABLE_OPS
 from ..tfhe.bootstrap import blind_rotate
 from ..tfhe.gates import MU_GATE, _ambient_obs
 from ..tfhe.keys import CloudKey
@@ -42,14 +42,11 @@ from ..tfhe.torus import wrap_int32
 
 _TWO32 = 1 << 32
 
-#: Multi-bit op codes that consume a bootstrap slot in a level.
-MB_BOOTSTRAP_OPS = (OP_LUT, OP_B2D, OP_D2B)
-
 
 def split_level(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Split a level's gate codes into (boolean, multi-bit) positions."""
     codes = np.asarray(codes)
-    mb = np.isin(codes, MB_BOOTSTRAP_OPS)
+    mb = np.isin(codes, TABLE_OPS)
     return np.nonzero(~mb)[0], np.nonzero(mb)[0]
 
 
@@ -77,8 +74,7 @@ def mb_test_poly_rows(
 
     Returns ``(rows, post)`` with ``rows`` of shape ``(m, N)`` int32 and
     ``post`` of shape ``(m,)`` int32, for the multi-bit bootstrapped
-    gates ``gate_indices`` of an :class:`MbNetlist` (or of its
-    :func:`repro.serialization.load_netlist_plan` columns).
+    gates ``gate_indices`` of a multi-bit netlist.
     """
     m = len(gate_indices)
     n_in = netlist.num_inputs

@@ -30,11 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..gatetypes import Gate, OP_B2D, OP_D2B, OP_LIN, OP_LUT, op_needs_bootstrap
 from ..hdl.netlist import NO_INPUT, Netlist
-from .ir import MbIoMap, MbNetlist
+from .client import MbIoMap
 
 
 @dataclass(frozen=True)
@@ -371,13 +369,13 @@ def _trim_chain(
 
 def synthesize(
     netlist: Netlist, modulus: int = 16, min_chain_bits: int = 2
-) -> MbNetlist:
+) -> Netlist:
     """Rewrite a boolean netlist into a mixed multi-bit netlist.
 
     ``modulus`` (p, a power of two >= 4) sets the digit encoding; the
     digit width is ``log2(p) - 1`` bits so one leveled sum of two
     digits plus a carry never overflows the half-torus.  The returned
-    :class:`MbNetlist` carries an :class:`MbIoMap` tying its wires back
+    netlist carries an :class:`MbIoMap` tying its wires back
     to the source netlist's boolean bits, and a ``synthesis``
     attribute with the :class:`SynthesisReport`.
     """
@@ -560,7 +558,7 @@ def _emit(
     output_set: set,
     p: int,
     w: int,
-) -> MbNetlist:
+) -> Netlist:
     n_in = netlist.num_inputs
     _plan_operands(kept, netlist, consumers, output_set, w)
 
@@ -843,10 +841,7 @@ def _emit(
         else:
             report.comparator_chains += 1
         report.bits_covered += len(chain.cells)
-    needs = [
-        op_needs_bootstrap(int(c)) for c in np.asarray(netlist.ops)
-    ]
-    report.bool_bootstraps_before = int(np.sum(needs))
+    report.bool_bootstraps_before = int(netlist.needs_bootstrap.sum())
     report.mb_bootstraps_after = sum(
         1 for c in ops if op_needs_bootstrap(c)
     )
@@ -854,7 +849,7 @@ def _emit(
     report.b2d_conversions = sum(1 for c in ops if c == OP_B2D)
     report.d2b_conversions = sum(1 for c in ops if c == OP_D2B)
 
-    mb = MbNetlist(
+    mb = Netlist(
         num_inputs=num_mb_inputs,
         ops=ops,
         in0=in0,

@@ -221,7 +221,7 @@ _CONST0, _CONST1, _BUF, _NOT = (
 
 def bootstrap_level(
     cloud_key: CloudKey,
-    plan,
+    netlist: Netlist,
     a: np.ndarray,
     b: np.ndarray,
     gate_ids: np.ndarray,
@@ -229,16 +229,13 @@ def bootstrap_level(
     """Bootstrap the gates ``gate_ids`` of one level, in place.
 
     ``a`` ``(nodes, R, n)`` / ``b`` ``(nodes, R)`` is the ciphertext
-    plane; ``plan`` is anything carrying the netlist's flat columns
-    (``ops/in0/in1/num_inputs``, plus the multi-bit columns when the
-    level holds LUT/B2D/D2B gates) — a netlist in process, a
-    :func:`repro.serialization.load_netlist_plan` namespace in a
-    worker.  Boolean gates fuse into one :func:`evaluate_gates_batch`
-    call and multi-bit bootstraps into one per-row-test-polynomial
-    :func:`mb_bootstrap_batch` call.  Returns the ciphertext bytes
-    gathered from and scattered to the plane.
+    plane; ``netlist`` is the caller's own in process, the broadcast
+    binary disassembled in a worker.  Boolean gates fuse into one
+    :func:`evaluate_gates_batch` call and multi-bit bootstraps into one
+    per-row-test-polynomial :func:`mb_bootstrap_batch` call.  Returns
+    the ciphertext bytes gathered from and scattered to the plane.
     """
-    codes = plan.ops[gate_ids].astype(np.int64)
+    codes = netlist.ops[gate_ids].astype(np.int64)
     bool_pos, mb_pos = split_level(codes)
     requests, dim = a.shape[1:]
 
@@ -247,14 +244,14 @@ def bootstrap_level(
         return LweCiphertext(a[nodes].reshape(-1, dim), b[nodes].reshape(-1))
 
     def scatter(ids: np.ndarray, out: LweCiphertext) -> None:
-        nodes = ids + plan.num_inputs
+        nodes = ids + netlist.num_inputs
         a[nodes] = out.a.reshape(-1, requests, dim)
         b[nodes] = out.b.reshape(-1, requests)
 
     moved = 0
     if len(bool_pos):
         ids = gate_ids[bool_pos]
-        ca, cb = gather(plan.in0[ids]), gather(plan.in1[ids])
+        ca, cb = gather(netlist.in0[ids]), gather(netlist.in1[ids])
         out = evaluate_gates_batch(
             cloud_key, np.repeat(codes[bool_pos], requests), ca, cb
         )
@@ -262,9 +259,9 @@ def bootstrap_level(
         moved += ca.nbytes() + cb.nbytes() + out.nbytes()
     if len(mb_pos):
         ids = gate_ids[mb_pos]
-        ct = gather(plan.in0[ids])
+        ct = gather(netlist.in0[ids])
         rows, post = mb_test_poly_rows(
-            plan, ids, cloud_key.params.tlwe_degree
+            netlist, ids, cloud_key.params.tlwe_degree
         )
         out = mb_bootstrap_batch(
             cloud_key,
@@ -278,18 +275,22 @@ def bootstrap_level(
 
 
 def free_gates(
-    plan, a: np.ndarray, b: np.ndarray, gate_ids: np.ndarray, params
+    netlist: Netlist,
+    a: np.ndarray,
+    b: np.ndarray,
+    gate_ids: np.ndarray,
+    params,
 ) -> None:
     """Evaluate one level's free gates (CONST/BUF/NOT/LIN), in place.
 
     Gate order is topological, so a free gate may read another free
     gate of the same level; hence one gate at a time.
     """
-    n_in = plan.num_inputs
+    n_in = netlist.num_inputs
     for gate_idx in gate_ids.tolist():
-        code = int(plan.ops[gate_idx])
+        code = int(netlist.ops[gate_idx])
         node = n_in + gate_idx
-        src = int(plan.in0[gate_idx])
+        src = int(netlist.in0[gate_idx])
         if code == _BUF:
             a[node] = a[src]
             b[node] = b[src]
@@ -301,16 +302,16 @@ def free_gates(
             a[node] = const.a
             b[node] = const.b
         elif code == OP_LIN:
-            other = int(plan.in1[gate_idx])
+            other = int(netlist.in1[gate_idx])
             out = lin_combine(
                 LweCiphertext(a[src], b[src]),
                 None
                 if other == NO_INPUT
                 else LweCiphertext(a[other], b[other]),
-                int(plan.kx[gate_idx]),
-                int(plan.ky[gate_idx]),
-                int(plan.kconst[gate_idx]),
-                int(plan.prec[gate_idx]),
+                int(netlist.kx[gate_idx]),
+                int(netlist.ky[gate_idx]),
+                int(netlist.kconst[gate_idx]),
+                int(netlist.prec[gate_idx]),
             )
             a[node] = out.a
             b[node] = out.b

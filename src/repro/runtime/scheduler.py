@@ -15,7 +15,6 @@ from typing import List
 
 import numpy as np
 
-from ..gatetypes import op_needs_bootstrap
 from ..hdl.netlist import Netlist
 
 
@@ -86,12 +85,9 @@ def build_schedule(netlist: Netlist) -> Schedule:
     node_levels = netlist.bootstrap_levels()
     n_in = netlist.num_inputs
     gate_levels = node_levels[n_in:]
-    # op_needs_bootstrap spans both the boolean gate vocabulary and the
-    # multi-bit codes (LUT/B2D/D2B bootstrap, LIN is free), so the same
-    # scheduler levels boolean netlists and MbNetlists.
-    needs = np.array(
-        [op_needs_bootstrap(int(code)) for code in netlist.ops], dtype=bool
-    )
+    # The mask spans the boolean gate vocabulary and the multi-bit
+    # codes alike (LUT/B2D/D2B bootstrap, LIN is free).
+    needs = netlist.needs_bootstrap
     max_level = int(gate_levels.max()) if netlist.num_gates else 0
     levels: List[Level] = []
     order = np.arange(netlist.num_gates)

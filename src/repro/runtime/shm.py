@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..isa import assemble, disassemble
 from ..tfhe.keys import CloudKey
 from .executors import Chunk, bootstrap_level
 from .scheduler import Schedule, shard_level
@@ -148,11 +149,11 @@ def _shm_worker_main(conn, worker_id: int, key_blob: bytes) -> None:
     cleanly under ``spawn``.  The cloud key arrives serialized exactly
     once, at pool start.
     """
-    from ..serialization import load_cloud_key, load_netlist_plan
+    from ..serialization import load_cloud_key
 
     key = load_cloud_key(key_blob)
     plane: Optional[SharedCiphertextPlane] = None
-    plan = None
+    netlist = None
     chunks: Dict[int, np.ndarray] = {}
     while True:
         try:
@@ -162,28 +163,28 @@ def _shm_worker_main(conn, worker_id: int, key_blob: bytes) -> None:
         command = message[0]
         try:
             if command == "plan":
-                _, plan_blob, chunks, plane_meta, fingerprint = message
+                _, binary, chunks, plane_meta, fingerprint = message
                 if fingerprint != key.fingerprint():
                     raise RuntimeError(
                         "plan was built for a different cloud key"
                     )
                 if plane is not None:
                     plane.close()
-                plan = load_netlist_plan(plan_blob)
+                netlist = disassemble(binary)
                 plane = SharedCiphertextPlane.attach(plane_meta)
                 _send(conn, ("ready", worker_id))
             elif command == "level":
                 level_index = message[1]
                 ids = chunks[level_index]
                 t0 = time.perf_counter()
-                bootstrap_level(key, plan, plane.a, plane.b, ids)
+                bootstrap_level(key, netlist, plane.a, plane.b, ids)
                 duration = time.perf_counter() - t0
                 _send(conn, ("done", worker_id, level_index, len(ids), duration))
             elif command == "end_run":
                 if plane is not None:
                     plane.close()
                     plane = None
-                plan = None
+                netlist = None
                 chunks = {}
                 _send(conn, ("ended", worker_id))
             elif command == "stop":
@@ -271,9 +272,13 @@ class ShmActorPool:
     def begin_run(
         self, netlist, schedule: Schedule, instances: int
     ) -> SharedCiphertextPlane:
-        """Allocate the plane and broadcast the execution plan."""
-        from ..serialization import save_netlist_plan
+        """Allocate the plane and broadcast the program binary.
 
+        The binary *is* the plan (the paper's deployment model): each
+        worker disassembles it once per run and resolves its chunk's
+        op codes, operands and tables locally, so only chunk *indices*
+        cross the pipe per level.
+        """
         if self.closed:
             raise RuntimeError("pool is shut down")
         if self._plane is not None:
@@ -283,7 +288,7 @@ class ShmActorPool:
             netlist.num_nodes, instances, self.lwe_dimension
         )
         try:
-            plan_blob = save_netlist_plan(netlist)
+            binary = assemble(netlist)
             chunks_by_worker: Dict[int, Dict[int, np.ndarray]] = {
                 w: {} for w in range(self.num_workers)
             }
@@ -301,7 +306,7 @@ class ShmActorPool:
                     worker_id,
                     (
                         "plan",
-                        plan_blob,
+                        binary,
                         chunks_by_worker[worker_id],
                         plane.meta,
                         self.fingerprint,

@@ -18,7 +18,6 @@ import dataclasses
 import io
 import json
 import struct
-import types
 import zipfile
 
 import numpy as np
@@ -104,66 +103,6 @@ def save_ciphertext(ct: LweCiphertext) -> bytes:
 def load_ciphertext(data: bytes) -> LweCiphertext:
     loaded = _unpack(data)
     return LweCiphertext(_field(loaded, "a"), _field(loaded, "b"))
-
-
-# ----------------------------------------------------------------------
-# Netlist execution plans
-# ----------------------------------------------------------------------
-#: Per-gate / per-input columns only a multi-bit netlist carries.
-_MB_PLAN_COLUMNS = ("kx", "ky", "kconst", "prec", "input_prec", "table_id")
-
-
-def save_netlist_plan(netlist) -> bytes:
-    """Serialize the columns a distributed worker needs to evaluate gates.
-
-    The worker pool broadcasts this once per run — workers resolve
-    their chunk's gate opcodes and input/output node ids locally, so
-    only chunk *indices* cross the pipe per level.  A multi-bit netlist
-    also ships its linear coefficients, precisions and LUT tables.
-    """
-    columns = {
-        "ops": netlist.ops,
-        "in0": netlist.in0,
-        "in1": netlist.in1,
-        "meta": np.array(
-            [netlist.num_inputs, netlist.num_nodes], dtype=np.int64
-        ),
-    }
-    if getattr(netlist, "is_multibit", False):
-        for name in _MB_PLAN_COLUMNS:
-            columns[name] = getattr(netlist, name)
-        # Tables have different lengths: one flat array plus end offsets.
-        columns["tables"] = np.concatenate(
-            [np.zeros(0, dtype=np.int64), *netlist.tables]
-        )
-        columns["table_ends"] = np.cumsum(
-            [len(table) for table in netlist.tables], dtype=np.int64
-        )
-    return _pack(**columns)
-
-
-def load_netlist_plan(data: bytes) -> types.SimpleNamespace:
-    """Inverse of :func:`save_netlist_plan`.
-
-    The namespace names its columns as the netlist does, so
-    :func:`repro.runtime.executors.bootstrap_level` takes either.
-    """
-    loaded = _unpack(data)
-    meta = _field(loaded, "meta")
-    plan = types.SimpleNamespace(
-        ops=_field(loaded, "ops"),
-        in0=_field(loaded, "in0"),
-        in1=_field(loaded, "in1"),
-        num_inputs=int(meta[0]),
-        num_nodes=int(meta[1]),
-    )
-    if "tables" in loaded.files:
-        for name in _MB_PLAN_COLUMNS:
-            setattr(plan, name, _field(loaded, name))
-        ends = _field(loaded, "table_ends")
-        flat = _field(loaded, "tables")
-        plan.tables = np.split(flat, ends[:-1]) if len(ends) else []
-    return plan
 
 
 # ----------------------------------------------------------------------

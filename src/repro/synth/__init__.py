@@ -3,7 +3,6 @@
 from .equivalence import (
     EquivalenceResult,
     check_equivalence,
-    check_equivalence_mb,
 )
 from .passes import (
     dead_gate_elimination,
@@ -16,7 +15,6 @@ from .passes import (
 __all__ = [
     "EquivalenceResult",
     "check_equivalence",
-    "check_equivalence_mb",
     "dead_gate_elimination",
     "optimize",
     "reachable_mask",

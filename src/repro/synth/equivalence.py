@@ -56,77 +56,35 @@ def check_equivalence(
 ) -> EquivalenceResult:
     """Compare two netlists over their shared input/output contract.
 
-    ``second`` may be a mixed multi-bit netlist
-    (:class:`repro.mblut.MbNetlist`); its boolean I/O contract is then
-    evaluated through the synthesis I/O map, so a rewrite is checked
-    against the boolean oracle it came from.
+    ``second`` may be a synthesized multi-bit netlist; it is then
+    evaluated through its synthesis I/O map (``evaluate_bits``), so both
+    sides speak the *source* netlist's boolean bit contract and the
+    rewrite is checked against the boolean oracle it came from.
     """
-    if getattr(second, "is_multibit", False):
-        return check_equivalence_mb(
-            first, second, random_trials=random_trials, seed=seed
-        )
-    if first.num_inputs != second.num_inputs:
-        raise ValueError(
-            f"input counts differ: {first.num_inputs} vs {second.num_inputs}"
-        )
-    if first.num_outputs != second.num_outputs:
-        raise ValueError(
-            f"output counts differ: {first.num_outputs} vs {second.num_outputs}"
-        )
-    vectors, exhaustive = _check_vectors(
-        first.num_inputs, random_trials, seed
-    )
-    out1 = first.evaluate(vectors)
-    out2 = second.evaluate(vectors)
-    mismatches = np.any(out1 != out2, axis=1)
-    if mismatches.any():
-        index = int(np.argmax(mismatches))
-        return EquivalenceResult(
-            equivalent=False,
-            exhaustive=exhaustive,
-            vectors_checked=index + 1,
-            counterexample=vectors[index],
-        )
-    return EquivalenceResult(
-        equivalent=True, exhaustive=exhaustive, vectors_checked=len(vectors)
-    )
-
-
-def check_equivalence_mb(
-    boolean: Netlist,
-    multibit,
-    random_trials: int = 512,
-    seed: int = 0,
-) -> EquivalenceResult:
-    """Check a multi-bit rewrite against its boolean source netlist.
-
-    The multi-bit side is evaluated through its synthesis I/O map
-    (``evaluate_bits``), so both sides speak the *source* netlist's
-    boolean bit contract; exhaustiveness follows the same
-    :data:`EXHAUSTIVE_LIMIT` rule as the boolean checker.
-    """
-    if getattr(multibit, "io", None) is None:
+    if not second.is_multibit:
+        shape = (second.num_inputs, second.num_outputs)
+        evaluate = second.evaluate
+    elif second.io is None:
         raise ValueError(
             "multi-bit netlist carries no I/O map (was it disassembled "
             "from a binary?); equivalence needs the synthesis bit "
             "packing contract"
         )
-    if boolean.num_inputs != multibit.io.num_source_inputs:
+    else:
+        shape = (second.io.num_source_inputs, second.io.num_source_outputs)
+        evaluate = second.evaluate_bits
+    if first.num_inputs != shape[0]:
         raise ValueError(
-            f"input counts differ: {boolean.num_inputs} vs "
-            f"{multibit.io.num_source_inputs}"
+            f"input counts differ: {first.num_inputs} vs {shape[0]}"
         )
-    if boolean.num_outputs != multibit.io.num_source_outputs:
+    if first.num_outputs != shape[1]:
         raise ValueError(
-            f"output counts differ: {boolean.num_outputs} vs "
-            f"{multibit.io.num_source_outputs}"
+            f"output counts differ: {first.num_outputs} vs {shape[1]}"
         )
     vectors, exhaustive = _check_vectors(
-        boolean.num_inputs, random_trials, seed
+        first.num_inputs, random_trials, seed
     )
-    out1 = boolean.evaluate(vectors)
-    out2 = multibit.evaluate_bits(vectors)
-    mismatches = np.any(out1 != out2, axis=1)
+    mismatches = np.any(first.evaluate(vectors) != evaluate(vectors), axis=1)
     if mismatches.any():
         index = int(np.argmax(mismatches))
         return EquivalenceResult(

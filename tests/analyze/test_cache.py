@@ -91,19 +91,6 @@ class TestNetlistCache:
             )
             assert counters(ob) == (2, 0)
 
-    def test_engine_is_excluded_from_the_key(self):
-        # The engines are bit-identical by contract, so a legacy-engine
-        # request may be served from a flat-engine entry.
-        nl = full_adder()
-        cache = AnalysisCache()
-        flat_cfg = dataclasses.replace(DEFAULT_CONFIG, engine="flat")
-        legacy_cfg = dataclasses.replace(DEFAULT_CONFIG, engine="legacy")
-        assert config_digest(flat_cfg) == config_digest(legacy_cfg)
-        with obs.observe() as ob:
-            analyze_netlist_cached(nl, flat_cfg, cache=cache)
-            analyze_netlist_cached(nl, legacy_cfg, cache=cache)
-            assert counters(ob) == (1, 1)
-
     def test_explicit_digest_skips_rehash(self):
         nl = full_adder()
         cache = AnalysisCache()

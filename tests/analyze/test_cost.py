@@ -19,7 +19,6 @@ from repro.analyze import (
     certify_cost,
     cost_certificate,
 )
-from repro.analyze.facts import FlatCircuitFacts
 from repro.analyze.findings import Collector
 from repro.gatetypes import Gate
 from repro.hdl.netlist import Netlist
@@ -31,7 +30,7 @@ from .test_facts import full_adder, random_netlist
 def certify(netlist, config=DEFAULT_COST_CONFIG):
     collector = Collector()
     cert = certify_cost(
-        FlatCircuitFacts.from_netlist(netlist), config, collector
+        netlist.facts, config, collector
     )
     return cert, collector.into_report(netlist.name, ["cost"])
 
@@ -66,7 +65,7 @@ class TestCertificateProperties:
     def test_histograms_sum_to_gate_totals(self, seed):
         nl = random_netlist(seed)
         cert, _ = certify(nl)
-        flat = FlatCircuitFacts.from_netlist(nl)
+        flat = nl.facts
         assert sum(cert.bootstrap_histogram) == cert.bootstrapped
         assert cert.bootstrapped == int(flat.needs_bootstrap.sum())
         assert sum(cert.free_histogram) == cert.free_gates
@@ -110,7 +109,7 @@ class TestCertificateProperties:
     def test_peak_live_wires_matches_interval_oracle(self, seed):
         """Vectorized sweep == per-level interval counting, by loop."""
         nl = random_netlist(seed)
-        flat = FlatCircuitFacts.from_netlist(nl)
+        flat = nl.facts
         cert, _ = certify(nl)
         levels = flat.node_levels
         max_level = int(levels.max())

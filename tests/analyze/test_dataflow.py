@@ -11,7 +11,6 @@ from repro.analyze import (
     propagate_constants,
 )
 from repro.analyze.dataflow import _TRANSFER, reference_propagate
-from repro.analyze.facts import FlatCircuitFacts
 from repro.gatetypes import Gate, evaluate_plain
 from repro.hdl.builder import CircuitBuilder
 from repro.hdl.netlist import NO_INPUT, Netlist
@@ -47,13 +46,13 @@ class TestTransferTable:
 class TestPropagation:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_pure_python_oracle(self, seed):
-        flat = FlatCircuitFacts.from_netlist(random_netlist(seed))
+        flat = random_netlist(seed).facts
         assert np.array_equal(
             propagate_constants(flat), reference_propagate(flat)
         )
 
     def test_inputs_stay_unknown(self):
-        flat = FlatCircuitFacts.from_netlist(full_adder())
+        flat = full_adder().facts
         values = propagate_constants(flat)
         assert (values[: flat.num_inputs] == UNKNOWN).all()
         # Every full-adder gate depends on an input: nothing is known.
@@ -68,14 +67,14 @@ class TestPropagation:
         dead = b.and_(x, zero)
         b.output(b.or_(dead, one), "y")
         nl = b.build()
-        flat = FlatCircuitFacts.from_netlist(nl)
+        flat = nl.facts
         values = propagate_constants(flat)
         assert values[nl.outputs[0]] == 1
 
 
 class TestRules:
     def test_clean_circuit_has_no_df_sc_findings(self):
-        col = check_dataflow(FlatCircuitFacts.from_netlist(full_adder()))
+        col = check_dataflow(full_adder().facts)
         assert col.findings == []
 
     def test_df001_flags_constant_gate(self):
@@ -88,7 +87,7 @@ class TestRules:
             [2],
             name="df1",
         )
-        col = check_dataflow(FlatCircuitFacts.from_netlist(nl))
+        col = check_dataflow(nl.facts)
         assert "DF001" in rules_of(col)
         (finding,) = [f for f in col.findings if f.rule == "DF001"]
         assert finding.node == 2
@@ -104,7 +103,7 @@ class TestRules:
             [2],
             name="df2",
         )
-        col = check_dataflow(FlatCircuitFacts.from_netlist(nl))
+        col = check_dataflow(nl.facts)
         (finding,) = [f for f in col.findings if f.rule == "DF002"]
         assert finding.node == 2
         assert "reduces to BUF(in0)" in finding.message
@@ -119,7 +118,7 @@ class TestRules:
             [2],
             name="df2n",
         )
-        col = check_dataflow(FlatCircuitFacts.from_netlist(nl))
+        col = check_dataflow(nl.facts)
         (finding,) = [f for f in col.findings if f.rule == "DF002"]
         assert "reduces to NOT(in1)" in finding.message
 
@@ -133,7 +132,7 @@ class TestRules:
             output_names=["leak", "ok"],
             name="sc1",
         )
-        col = check_dataflow(FlatCircuitFacts.from_netlist(nl))
+        col = check_dataflow(nl.facts)
         (finding,) = [f for f in col.findings if f.rule == "SC001"]
         assert finding.node == 1
         assert "'leak'" in finding.message
@@ -150,7 +149,7 @@ class TestRules:
             [3],
             name="sc2",
         )
-        col = check_dataflow(FlatCircuitFacts.from_netlist(nl))
+        col = check_dataflow(nl.facts)
         assert "SC002" in rules_of(col)
         (finding,) = [f for f in col.findings if f.rule == "SC002"]
         assert finding.node == 3

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.analyze.facts import FlatCircuitFacts, UNKNOWN_ARITY
-from repro.analyze.structural import CircuitFacts
-from repro.gatetypes import Gate
+from repro.gatetypes import UNKNOWN_ARITY, Gate
 from repro.hdl.builder import CircuitBuilder
+from repro.hdl.facts import FlatCircuitFacts
 from repro.hdl.netlist import NO_INPUT, Netlist
+
+from ..hdl.netlist_oracle import bootstrap_levels_reference
+from .legacy_oracle import CircuitFacts
 
 
 def full_adder():
@@ -48,7 +50,7 @@ def random_netlist(seed, num_inputs=5, num_gates=60):
 class TestDecodedColumns:
     def test_known_arity_bootstrap_match_gate_enum(self):
         nl = full_adder()
-        flat = FlatCircuitFacts.from_netlist(nl)
+        flat = nl.facts
         for g in range(flat.num_gates):
             gate = Gate(int(nl.ops[g]))
             assert flat.known[g]
@@ -87,12 +89,13 @@ class TestDerivedViews:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_node_levels_match_netlist_bootstrap_levels(self, seed):
         nl = random_netlist(seed)
-        flat = FlatCircuitFacts.from_netlist(nl)
-        assert np.array_equal(flat.node_levels, nl.bootstrap_levels())
+        flat = nl.facts
+        assert flat.node_levels.tolist() == bootstrap_levels_reference(nl)
+        assert nl.bootstrap_levels() is flat.node_levels
 
     def test_fanout_csr_matches_naive(self):
         nl = random_netlist(3)
-        flat = FlatCircuitFacts.from_netlist(nl)
+        flat = nl.facts
         indptr, readers = flat.fanout()
         for node in range(flat.num_nodes):
             # One entry per usable *slot*: a gate reading the node on
@@ -111,7 +114,7 @@ class TestDerivedViews:
 
     def test_rounds_partition_and_respect_dependencies(self):
         nl = random_netlist(4)
-        flat = FlatCircuitFacts.from_netlist(nl)
+        flat = nl.facts
         seen = np.concatenate(flat.rounds)
         assert sorted(seen.tolist()) == list(range(flat.num_gates))
         round_of = np.empty(flat.num_nodes, dtype=int)
@@ -144,7 +147,7 @@ class TestDerivedViews:
 
     def test_output_reachable_matches_naive(self):
         nl = random_netlist(5)
-        flat = FlatCircuitFacts.from_netlist(nl)
+        flat = nl.facts
         mask = flat.output_reachable()
         expected = np.zeros(flat.num_nodes, dtype=bool)
         stack = [int(o) for o in flat.outputs]
@@ -164,10 +167,17 @@ class TestDerivedViews:
 
 class TestConstruction:
     def test_from_facts_round_trip(self):
+        # Plain lists (the oracle's view) and a netlist's borrowed
+        # arrays give the same facts.
         nl = full_adder()
         legacy = CircuitFacts.from_netlist(nl)
-        flat = FlatCircuitFacts.from_facts(legacy)
-        direct = FlatCircuitFacts.from_netlist(nl)
+        flat = FlatCircuitFacts(
+            legacy.name, legacy.num_inputs, legacy.ops, legacy.in0,
+            legacy.in1, legacy.outputs, legacy.input_names,
+            legacy.output_names,
+        )
+        direct = nl.facts
+        assert direct.in0 is nl.in0 and direct.ops is nl.ops
         assert np.array_equal(flat.ops, direct.ops)
         assert np.array_equal(flat.in0, direct.in0)
         assert np.array_equal(flat.in1, direct.in1)

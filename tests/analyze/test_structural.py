@@ -1,6 +1,6 @@
 """Structural lint (SL family) over raw circuit facts."""
 
-from repro.analyze import CircuitFacts, check_structure
+from repro.analyze import FlatCircuitFacts, check_structure
 from repro.gatetypes import Gate
 from repro.hdl.builder import CircuitBuilder
 from repro.hdl.netlist import NO_INPUT
@@ -8,7 +8,7 @@ from repro.hdl.netlist import NO_INPUT
 
 def facts(num_inputs, gates, outputs, name="t"):
     """gates is a list of (op, in0, in1) triples."""
-    return CircuitFacts(
+    return FlatCircuitFacts(
         name=name,
         num_inputs=num_inputs,
         ops=[int(g[0]) for g in gates],
@@ -28,7 +28,7 @@ def test_clean_circuit_has_no_findings():
     b.output(b.xor_(a, c), "s")
     b.output(b.and_(a, c), "c")
     netlist = b.build()
-    col = check_structure(CircuitFacts.from_netlist(netlist))
+    col = check_structure(netlist.facts)
     assert col.findings == []
 
 

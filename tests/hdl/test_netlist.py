@@ -1,5 +1,9 @@
 """Netlist IR tests: validation, evaluation, levels, statistics."""
 
+import hashlib
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +42,17 @@ class TestValidation:
     def test_names_length_checked(self):
         with pytest.raises(ValueError):
             Netlist(2, [], [], [], [0], input_names=["only_one"])
+
+    @pytest.mark.parametrize(
+        "ops",
+        [np.array([262]), [262], np.array([-250]), [-1], np.array([0x10F])],
+        ids=["array", "list", "negative-array", "negative-list", "wide"],
+    )
+    def test_op_codes_validated_at_full_width(self, ops):
+        # 262 = 0x106 and -250 both narrow to XOR (0x06) in uint8; the
+        # constructor must reject them before narrowing.
+        with pytest.raises(ValueError, match="unknown op code"):
+            Netlist(2, ops, [0], [1], [2])
 
 
 class TestValidationMessages:
@@ -194,3 +209,51 @@ class TestLevelsAndStats:
 
     def test_repr(self):
         assert "half_adder" in repr(_half_adder_netlist())
+
+
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden_netlist_stats.json").read_text()
+)
+
+
+class TestGoldenLevelsAndStats:
+    """``bootstrap_levels()``/``stats()`` values recorded at the commit
+    before the array rewrite (per-gate Python loops, two classes)."""
+
+    @staticmethod
+    def _netlist(name):
+        if name == "adder8-mblut16":
+            from repro import TensorSpec, compile_function
+            from repro.chiseltorch.dtypes import UInt
+            from repro.mblut import synthesize
+
+            adder = compile_function(
+                lambda x, y: x + y,
+                [TensorSpec("x", (), UInt(8)), TensorSpec("y", (), UInt(8))],
+                name="adder8",
+            )
+            return synthesize(adder.netlist, modulus=16)
+        from repro.bench import vip_workload
+
+        return vip_workload(name).netlist
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_matches_parent(self, name):
+        want = GOLDEN[name]
+        netlist = self._netlist(name)
+        levels = np.asarray(netlist.bootstrap_levels(), dtype=np.int64)
+        stats = netlist.stats()
+        got = {
+            "levels_sha": hashlib.sha256(levels.tobytes()).hexdigest()[:16],
+            "levels_sum": int(levels.sum()),
+            "levels_max": int(levels.max()),
+            "num_inputs": stats.num_inputs,
+            "num_outputs": stats.num_outputs,
+            "num_gates": stats.num_gates,
+            "num_bootstrapped_gates": stats.num_bootstrapped_gates,
+            "gate_histogram": stats.gate_histogram,
+            "bootstrap_depth": stats.bootstrap_depth,
+            "max_level_width": stats.max_level_width,
+            "mean_level_width": stats.mean_level_width,
+        }
+        assert got == want

@@ -1,5 +1,7 @@
 """Assembler/disassembler tests, including the paper's half adder."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,12 @@ from hypothesis import strategies as st
 
 from repro.gatetypes import Gate, TWO_INPUT_GATES
 from repro.hdl.builder import CircuitBuilder
+from repro.hdl.netlist import Netlist
 from repro.isa import (
     assemble,
     binary_size_bytes,
     disassemble,
+    format_program,
     iter_instructions,
 )
 
@@ -145,3 +149,92 @@ class TestMalformedBinaries:
         )
         with pytest.raises(ValueError):
             disassemble(binary)
+
+
+def _adder8_mb():
+    from repro import TensorSpec, compile_function
+    from repro.chiseltorch.dtypes import UInt
+    from repro.mblut import synthesize
+
+    adder = compile_function(
+        lambda x, y: x + y,
+        [TensorSpec("x", (), UInt(8)), TensorSpec("y", (), UInt(8))],
+        name="adder8",
+    )
+    return synthesize(adder.netlist, modulus=16)
+
+
+def _hamming_optimized():
+    from repro.bench import vip_workload
+    from repro.synth import optimize
+
+    return optimize(vip_workload("hamming_distance").netlist)
+
+
+def _mnist_s_reduced_optimized():
+    from repro.bench import mnist_workload
+    from repro.synth import optimize
+
+    return optimize(mnist_workload("S", "reduced").build().netlist)
+
+
+class TestGoldenBinaries:
+    """Byte-identity with the binaries of the commit before the codec
+    merge: boolean programs stay the paper's format 0, format 1 keeps
+    its layout."""
+
+    @pytest.mark.parametrize(
+        "build, size, digest",
+        [
+            (
+                _hamming_optimized, 4720,
+                "b4c3206b34dd130f305c90d9969d6d60"
+                "da5cb484544d8f41bb2f818104151e03",
+            ),
+            (
+                _adder8_mb, 480,
+                "5bef12ba9ef55f66eb087e075f7eee8f"
+                "f1668ed1f8709e43acd2b4c1af1a4cb4",
+            ),
+            (
+                _mnist_s_reduced_optimized, 1130528,
+                "1490e4d101c7feed531c0bb04f3432e5"
+                "007b59eb93e2fd0921e29bfa48eef643",
+            ),
+        ],
+        ids=["hamming_distance", "adder8-mblut16", "mnist_s_reduced"],
+    )
+    def test_sha256_pinned(self, build, size, digest):
+        netlist = build()
+        binary = assemble(netlist)
+        assert len(binary) == size == binary_size_bytes(netlist)
+        assert hashlib.sha256(binary).hexdigest() == digest
+        assert assemble(disassemble(binary)) == binary
+
+
+class TestTruncatedBinaries:
+    @pytest.mark.parametrize(
+        "build", [_hamming_optimized, _adder8_mb], ids=["format0", "format1"]
+    )
+    def test_every_aligned_prefix_parses_or_raises_value_error(self, build):
+        binary = assemble(build())
+        for cut in range(0, len(binary) + 1, 16):
+            prefix = binary[:cut]
+            try:
+                assert isinstance(disassemble(prefix), Netlist)
+            except ValueError:
+                pass
+            try:
+                assert isinstance(format_program(prefix), str)
+            except ValueError:
+                pass
+
+    def test_table_cut_by_one_word_names_table_and_offset(self):
+        # Was: IndexError (off-by-one in the format-1 table bounds check).
+        binary = assemble(_adder8_mb())
+        last_table = len(_adder8_mb().tables) - 1
+        with pytest.raises(ValueError) as exc_info:
+            disassemble(binary[:-16])
+        message = str(exc_info.value)
+        assert f"table {last_table}" in message
+        assert "truncated" in message and "offset 0x" in message

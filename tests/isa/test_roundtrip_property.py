@@ -1,9 +1,11 @@
 """Property test: random netlists survive assemble→disassemble hazard-free.
 
-Satellite of the static-analyzer PR: for any valid netlist, the packed
-128-bit program must (a) lint clean at the stream level, (b) disassemble
-back to a netlist whose schedule replays without a single hazard
-finding, and (c) preserve reference semantics.
+For any valid netlist — boolean (format 0) or with digit wires,
+LIN/LUT/B2D/D2B ops and tables (format 1), drawn by one strategy — the
+packed 128-bit program must (a) lint clean at the stream level, (b)
+disassemble back to a netlist whose schedule replays without a single
+hazard finding, (c) preserve reference semantics, and (d) round-trip
+column for column and byte for byte.
 """
 
 import numpy as np
@@ -11,36 +13,96 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analyze import analyze_binary, check_program
-from repro.gatetypes import TWO_INPUT_GATES, Gate
+from repro.gatetypes import (
+    OP_B2D,
+    OP_D2B,
+    OP_LIN,
+    OP_LUT,
+    TWO_INPUT_GATES,
+    Gate,
+)
 from repro.hdl.netlist import NO_INPUT, Netlist
 from repro.isa.assembler import assemble, disassemble
 from repro.tfhe.params import TFHE_TEST
 
+from ..hdl.netlist_oracle import (
+    bootstrap_levels_reference,
+    evaluate_reference_batch,
+)
+
+
+COLUMNS = (
+    "ops", "in0", "in1", "outputs", "input_prec", "input_bound",
+    "prec", "kx", "ky", "kconst", "table_id",
+)
+
 
 @st.composite
 def netlists(draw):
-    """A random valid netlist: topological, arity-correct, output-bearing."""
+    """A random valid netlist: topological, arity-correct, output-bearing.
+
+    Half the draws are plain boolean circuits; the other half may also
+    place digit input wires, LIN gates and table ops (sharing or adding
+    tables), in the canonical column form the binary stores: gates keep
+    only the columns their op reads.
+    """
+    multibit = draw(st.booleans())
+    kinds = ["binary", "unary", "const"]
+    if multibit:
+        kinds += ["lin", "lut", "b2d", "d2b"]
+    modulus = st.sampled_from([4, 8, 16])
     num_inputs = draw(st.integers(min_value=1, max_value=6))
     num_gates = draw(st.integers(min_value=1, max_value=24))
+    input_prec = [
+        draw(modulus) if multibit and draw(st.booleans()) else 0
+        for _ in range(num_inputs)
+    ]
+    input_bound = [
+        draw(st.integers(min_value=0, max_value=p - 1)) if p else 1
+        for p in input_prec
+    ]
     ops, in0, in1 = [], [], []
+    prec, kx, ky, kconst, table_id, tables = [], [], [], [], [], []
     for idx in range(num_gates):
         node = num_inputs + idx
-        kind = draw(st.sampled_from(["binary", "unary", "const"]))
+        earlier = st.integers(min_value=0, max_value=node - 1)
+        kind = draw(st.sampled_from(kinds))
+        row = dict(in0=NO_INPUT, in1=NO_INPUT, prec=0, kx=0, ky=0,
+                   kconst=0, table_id=-1)
         if kind == "binary":
-            gate = draw(st.sampled_from(TWO_INPUT_GATES))
-            ops.append(int(gate))
-            in0.append(draw(st.integers(min_value=0, max_value=node - 1)))
-            in1.append(draw(st.integers(min_value=0, max_value=node - 1)))
+            row.update(op=draw(st.sampled_from(TWO_INPUT_GATES)),
+                       in0=draw(earlier), in1=draw(earlier))
         elif kind == "unary":
-            gate = draw(st.sampled_from([Gate.NOT, Gate.BUF]))
-            ops.append(int(gate))
-            in0.append(draw(st.integers(min_value=0, max_value=node - 1)))
-            in1.append(NO_INPUT)
+            row.update(op=draw(st.sampled_from([Gate.NOT, Gate.BUF])),
+                       in0=draw(earlier))
+        elif kind == "const":
+            row.update(op=draw(st.sampled_from([Gate.CONST0, Gate.CONST1])))
+        elif kind == "lin":
+            coeff = st.integers(min_value=-128, max_value=127)
+            row.update(
+                op=OP_LIN, in0=draw(earlier), prec=draw(modulus),
+                in1=draw(st.one_of(st.just(NO_INPUT), earlier)),
+                kx=draw(coeff), ky=draw(coeff),
+                kconst=draw(st.integers(-(1 << 15), (1 << 15) - 1)),
+            )
         else:
-            gate = draw(st.sampled_from([Gate.CONST0, Gate.CONST1]))
-            ops.append(int(gate))
-            in0.append(NO_INPUT)
-            in1.append(NO_INPUT)
+            if not tables or draw(st.booleans()):
+                tables.append(draw(st.lists(
+                    st.integers(min_value=0, max_value=1023),
+                    min_size=2, max_size=30,  # B2D reads entries 0 and 1
+                )))
+            row.update(
+                op={"lut": OP_LUT, "b2d": OP_B2D, "d2b": OP_D2B}[kind],
+                in0=draw(earlier),
+                prec=0 if kind == "d2b" else draw(modulus),
+                table_id=draw(st.integers(0, len(tables) - 1)),
+            )
+        ops.append(int(row["op"]))
+        for column, name in (
+            (in0, "in0"), (in1, "in1"), (prec, "prec"), (kx, "kx"),
+            (ky, "ky"), (kconst, "kconst"), (table_id, "table_id"),
+        ):
+            column.append(row[name])
     num_nodes = num_inputs + num_gates
     outputs = draw(
         st.lists(
@@ -49,7 +111,11 @@ def netlists(draw):
             max_size=4,
         )
     )
-    return Netlist(num_inputs, ops, in0, in1, outputs, name="prop")
+    return Netlist(
+        num_inputs, ops, in0, in1, outputs, name="prop",
+        input_prec=input_prec, input_bound=input_bound, prec=prec,
+        kx=kx, ky=ky, kconst=kconst, table_id=table_id, tables=tables,
+    )
 
 
 @given(netlists())
@@ -74,10 +140,32 @@ def test_roundtrip_produces_zero_hazards(netlist):
     # And the recovered netlist still computes the same function.
     recovered = analysis.netlist
     rng = np.random.default_rng(0)
-    vectors = rng.integers(0, 2, size=(16, netlist.num_inputs)).astype(bool)
-    assert np.array_equal(
-        netlist.evaluate(vectors), recovered.evaluate(vectors)
+    vectors = rng.integers(
+        0, netlist.input_bound + 1, size=(16, netlist.num_inputs)
     )
+    want = evaluate_reference_batch(netlist, vectors)
+    assert np.array_equal(netlist.evaluate(vectors), want)
+    assert np.array_equal(recovered.evaluate(vectors), want)
+    assert recovered.bootstrap_levels().tolist() == bootstrap_levels_reference(
+        netlist
+    )
+
+
+@given(netlists())
+@settings(max_examples=60, deadline=None)
+def test_roundtrip_is_exact(netlist):
+    """Same kind, same columns, same tables, same bytes."""
+    data = assemble(netlist)
+    recovered = disassemble(data)
+    assert recovered.is_multibit == netlist.is_multibit
+    for column in COLUMNS:
+        assert np.array_equal(
+            getattr(recovered, column), getattr(netlist, column)
+        ), column
+    assert len(recovered.tables) == len(netlist.tables)
+    for got, want in zip(recovered.tables, netlist.tables):
+        assert np.array_equal(got, want)
+    assert assemble(recovered) == data
 
 
 @given(netlists())

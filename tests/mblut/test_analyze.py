@@ -15,10 +15,10 @@ from repro.analyze.mb import check_mb
 from repro.gatetypes import OP_LIN, OP_LUT
 from repro.hdl.arith import ripple_add
 from repro.hdl.builder import CircuitBuilder
-from repro.hdl.netlist import NO_INPUT
+from repro.hdl.netlist import NO_INPUT, Netlist
 from repro.isa import assemble
 from repro.isa.encoding import INSTRUCTION_BYTES
-from repro.mblut import MbNetlist, synthesize
+from repro.mblut import synthesize
 from repro.tfhe import TFHE_DEFAULT_128
 from repro.tfhe.params import TFHE_MB_128
 
@@ -34,7 +34,7 @@ def adder_mb(width=8, modulus=16):
 
 def lin_netlist(input_prec, kx, ky, out_prec, input_bound=None):
     """Two inputs feeding one LIN gate; the MB001 unit fixture."""
-    return MbNetlist(
+    return Netlist(
         num_inputs=2,
         ops=[OP_LIN],
         in0=[0],
@@ -64,7 +64,7 @@ class TestMbRules:
         assert not [f for f in col.findings if f.rule == "MB001"]
 
     def test_mb002_table_length(self):
-        bad = MbNetlist(
+        bad = Netlist(
             num_inputs=1,
             ops=[OP_LUT],
             in0=[0],
@@ -82,7 +82,7 @@ class TestMbRules:
         assert [f for f in col.findings if f.rule == "MB002"]
 
     def test_mb002_entry_outside_output_modulus(self):
-        bad = MbNetlist(
+        bad = Netlist(
             num_inputs=1,
             ops=[OP_LUT],
             in0=[0],

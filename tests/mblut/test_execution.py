@@ -140,7 +140,7 @@ class TestServeRegistration:
         program, cached = registry.register(binary)
         assert not cached
         assert program.program_id == program_id_of(binary)
-        assert getattr(program.netlist, "is_multibit", False)
+        assert program.netlist.is_multibit
         assert program.certificate is not None
         assert (
             program.certificate.lut_bootstrapped

@@ -6,7 +6,7 @@ import pytest
 from repro.hdl.arith import less_than_unsigned, ripple_add
 from repro.hdl.builder import CircuitBuilder
 from repro.mblut import MultiBitValue, synthesize
-from repro.synth import check_equivalence, check_equivalence_mb
+from repro.synth import check_equivalence
 
 
 def adder_netlist(width=8):
@@ -77,7 +77,7 @@ class TestSynthesis:
     def test_adder_equivalence_small_exhaustive(self):
         net = adder_netlist(4)
         mb = synthesize(net, modulus=16)
-        result = check_equivalence_mb(net, mb)
+        result = check_equivalence(net, mb)
         assert result.equivalent
         assert result.exhaustive
         assert result.vectors_checked == 1 << 8

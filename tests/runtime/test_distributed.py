@@ -147,3 +147,43 @@ class TestStackedRequests:
         with pytest.raises(ValueError, match=message):
             pool_backend.run_many(adder_circuit, ct)
         assert pool_backend.pool._plane is None
+
+
+class TestWorkersReceiveTheBinary:
+    """The broadcast plan is ``assemble(netlist)``; workers execute
+    ``disassemble`` of it, ciphertext for ciphertext like in process."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", ["boolean", "mblut"])
+    def test_ciphertext_identical_to_in_process(
+        self, adder_circuit, test_keys, rng, workers, kind
+    ):
+        from repro.isa import assemble
+        from repro.mblut import encrypt_mb_inputs, synthesize
+        from repro.tfhe.lwe import LweCiphertext
+
+        secret, cloud = test_keys
+        rows = [_bits(19, 44), _bits(1, 2), _bits(63, 63)]
+        if kind == "boolean":
+            netlist = adder_circuit
+            cts = [encrypt_bits(secret, row, rng) for row in rows]
+        else:
+            netlist = synthesize(adder_circuit, modulus=8)
+            assert netlist.is_multibit
+            cts = [
+                encrypt_mb_inputs(secret, netlist, row, rng) for row in rows
+            ]
+        stacked = LweCiphertext.stack(cts)
+        local = CpuBackend(cloud)
+        want_one, _ = local.run(netlist, stacked[0])
+        want_many, _ = local.run_many(netlist, stacked)
+        with DistributedCpuBackend(cloud, num_workers=workers) as backend:
+            one, report = backend.run(netlist, stacked[0])
+            many, _ = backend.run_many(netlist, stacked)
+        for got, want in ((one, want_one), (many, want_many)):
+            assert np.array_equal(got.a, want.a)
+            assert np.array_equal(got.b, want.b)
+        # Each worker was sent the whole binary once, plus its chunks.
+        assert report.extra["plan_bytes_moved"] >= workers * len(
+            assemble(netlist)
+        )

@@ -115,6 +115,7 @@ def test_run_mblut_distributed(capsys):
         ["run", "hamming_distance", "--transport", "shm"],
         ["serve", "--backend", "single"],
         ["cost", "hamming_distance", "--backend", "single"],
+        ["check", "hamming_distance", "--engine", "legacy"],
     ],
 )
 def test_deleted_engine_and_transport_flags_are_gone(argv, capsys):

@@ -1,26 +1,27 @@
-"""Serialization roundtrip tests for keys and ciphertexts."""
+"""Serialization roundtrip tests for keys, ciphertexts and worker plans."""
 
 import numpy as np
 import pytest
 
 from repro.gatetypes import Gate
+from repro.isa import assemble, disassemble
 from repro.serialization import (
     FORMAT_VERSION,
     MAGIC,
     SerializationError,
     load_ciphertext,
     load_cloud_key,
-    load_netlist_plan,
     load_secret_key,
     save_ciphertext,
     save_cloud_key,
-    save_netlist_plan,
     save_secret_key,
 )
 from repro.tfhe import decrypt_bits, encrypt_bits, evaluate_gate
 
 
 class TestNetlistPlanRoundtrip:
+    """The binary is the plan a distributed worker receives."""
+
     @staticmethod
     def _adder():
         from repro.hdl import arith
@@ -35,14 +36,14 @@ class TestNetlistPlanRoundtrip:
 
     def test_roundtrip_preserves_plan(self):
         netlist = self._adder()
-        plan = load_netlist_plan(save_netlist_plan(netlist))
+        plan = disassemble(assemble(netlist))
         assert plan.num_inputs == netlist.num_inputs
         assert plan.num_nodes == netlist.num_nodes
         for column in ("ops", "in0", "in1"):
             assert np.array_equal(
                 getattr(plan, column), getattr(netlist, column)
             )
-        assert not hasattr(plan, "tables")
+        assert plan.tables == [] and not plan.is_multibit
 
     def test_roundtrip_preserves_multibit_columns(self):
         """The plan carries every column the LUT kernels read, so a
@@ -51,7 +52,7 @@ class TestNetlistPlanRoundtrip:
         from repro.mblut.kernels import mb_test_poly_rows, split_level
 
         mb = synthesize(self._adder(), modulus=8)
-        plan = load_netlist_plan(save_netlist_plan(mb))
+        plan = disassemble(assemble(mb))
         for column in (
             "ops", "in0", "in1", "kx", "ky", "kconst", "prec",
             "input_prec", "table_id",
@@ -158,16 +159,11 @@ class TestEnvelope:
             load_ciphertext(corrupt)
 
     def test_envelope_on_every_save_family(self, test_keys, rng):
-        from repro.hdl.builder import CircuitBuilder
-
         secret, cloud = test_keys
-        bd = CircuitBuilder()
-        bd.output(bd.not_(bd.input()))
         payloads = [
             save_ciphertext(encrypt_bits(secret, [True], rng)),
             save_secret_key(secret),
             save_cloud_key(cloud),
-            save_netlist_plan(bd.build()),
         ]
         for blob in payloads:
             assert blob[:4] == MAGIC
