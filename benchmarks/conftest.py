@@ -27,11 +27,6 @@ FULL_SCALE = os.environ.get("REPRO_FULL_SCALE") == "1"
 
 
 @pytest.fixture(scope="session")
-def full_scale():
-    return FULL_SCALE
-
-
-@pytest.fixture(scope="session")
 def test_keys():
     return generate_keys(TFHE_TEST, seed=42)
 

@@ -321,15 +321,10 @@ def cmd_calibrate(args) -> int:
     import numpy as np
 
     from .perfmodel import measured_gate_cost
-    from .tfhe import PARAMETER_SETS, generate_keys
+    from .tfhe import generate_keys
     from .tfhe.lwe import LweCiphertext
 
-    params = PARAMETER_SETS.get(args.params)
-    if params is None:
-        raise SystemExit(
-            f"unknown parameter set {args.params!r}; "
-            f"choose from {sorted(PARAMETER_SETS)}"
-        )
+    params = _resolve_params(args.params)
     print(f"generating keys for {params.name} ...")
     _, cloud = generate_keys(params, seed=args.seed)
 
@@ -606,12 +601,7 @@ def cmd_profile(args) -> int:
     import numpy as np
 
     from . import obs as obslib
-    from .runtime import (
-        build_schedule,
-        profile_gate,
-        render_trace,
-        summarize_trace,
-    )
+    from .runtime import build_schedule, profile_gate
     from .tfhe import decrypt_bits, encrypt_bits, generate_keys
 
     params = _resolve_params(args.params)
@@ -666,8 +656,9 @@ def cmd_profile(args) -> int:
         f"\n== execution timeline ({report.backend}, "
         f"{report.wall_time_s * 1e3:.1f} ms, ok={ok}) =="
     )
-    print(render_trace(report.trace))
-    summary = summarize_trace(report.trace)
+    levels = list(ob.tracer.iter_spans(cat="execute"))
+    print(obslib.render_levels(levels))
+    summary = obslib.summarize_levels(levels)
     print(
         f"levels={summary['levels']}  "
         f"bootstrap={summary['bootstrap_s'] * 1e3:.1f} ms  "
@@ -891,15 +882,11 @@ def cmd_top(args) -> int:
 
 def cmd_keygen(args) -> int:
     from .serialization import save_cloud_key, save_secret_key
-    from .tfhe import PARAMETER_SETS, generate_keys
+    from .tfhe import generate_keys
 
-    params = PARAMETER_SETS.get(args.params)
-    if params is None:
-        raise SystemExit(
-            f"unknown parameter set {args.params!r}; "
-            f"choose from {sorted(PARAMETER_SETS)}"
-        )
-    secret, cloud = generate_keys(params, seed=args.seed)
+    secret, cloud = generate_keys(
+        _resolve_params(args.params), seed=args.seed
+    )
     with open(args.secret_out, "wb") as handle:
         handle.write(save_secret_key(secret))
     with open(args.cloud_out, "wb") as handle:
@@ -915,11 +902,11 @@ def cmd_bench_gate(args) -> int:
 
     from .gatetypes import Gate
     from .runtime import profile_gate
-    from .tfhe import PARAMETER_SETS, generate_keys
+    from .tfhe import generate_keys
     from .tfhe.gates import evaluate_gates_batch
     from .tfhe.lwe import LweCiphertext
 
-    params = PARAMETER_SETS[args.params]
+    params = _resolve_params(args.params)
     print(f"generating keys for {params.name} ...")
     _, cloud = generate_keys(params, seed=0)
 
@@ -990,6 +977,18 @@ def cmd_bench_gate(args) -> int:
             f"batched boolean gate's cost)"
         )
     return 0
+
+
+def _add_backend_arguments(
+    parser: argparse.ArgumentParser, backend_help: Optional[str] = None
+) -> None:
+    parser.add_argument(
+        "--backend",
+        choices=("batched", "distributed"),
+        default="batched",
+        help=backend_help,
+    )
+    parser.add_argument("--workers", type=int, default=None)
 
 
 def _add_mode_arguments(parser: argparse.ArgumentParser) -> None:
@@ -1237,16 +1236,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute a workload under real FHE")
     p.add_argument("workload")
-    p.add_argument(
-        "--backend",
-        choices=("batched", "distributed"),
-        default="batched",
-        help="where levels bootstrap (default: batched — in-process "
+    _add_backend_arguments(
+        p,
+        "where levels bootstrap (default: batched — in-process "
         "level-batched SIMD bootstrapping, each BFS level one fused "
         "vectorized call; 'distributed' shards each level over a "
         "worker pool sharing the ciphertext plane)",
     )
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument(
         "--runs",
         type=int,
@@ -1265,12 +1261,7 @@ def build_parser() -> argparse.ArgumentParser:
         "Fig.-7/Fig.-8-style observability report",
     )
     p.add_argument("workload")
-    p.add_argument(
-        "--backend",
-        choices=("batched", "distributed"),
-        default="batched",
-    )
-    p.add_argument("--workers", type=int, default=None)
+    _add_backend_arguments(p)
     p.add_argument("--params", default="tfhe-test")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -1294,14 +1285,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7478)
-    p.add_argument(
-        "--backend",
-        choices=("batched", "distributed"),
-        default="batched",
-        help="per-tenant executor; cross-request batches stack onto "
+    _add_backend_arguments(
+        p,
+        "per-tenant executor; cross-request batches stack onto "
         "its level batches either way",
     )
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument(
         "--max-pending",
         type=int,

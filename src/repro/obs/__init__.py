@@ -31,6 +31,8 @@ from ..tfhe.params import TFHEParameters
 from .exporters import (
     chrome_trace_events,
     jsonl_lines,
+    render_levels,
+    summarize_levels,
     to_chrome_trace,
     trace_tree,
     validate_chrome_trace,
@@ -182,8 +184,10 @@ __all__ = [
     "new_trace_id",
     "observe",
     "parse_prometheus",
+    "render_levels",
     "render_prometheus",
     "set_ambient",
+    "summarize_levels",
     "to_chrome_trace",
     "trace_tree",
     "use_trace_context",

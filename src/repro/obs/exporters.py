@@ -1,4 +1,5 @@
-"""Trace exporters: Chrome ``trace_event`` JSON and JSONL streams.
+"""Trace exporters: Chrome ``trace_event`` JSON, JSONL streams, and the
+text timeline of a run's per-level spans.
 
 The Chrome export loads directly in Perfetto / ``chrome://tracing``:
 spans become complete (``ph: "X"``) events in microseconds, and spans
@@ -15,10 +16,10 @@ any structurally equivalent ``trace_event`` document).
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .metrics import MetricsRegistry
-from .tracer import Tracer
+from .tracer import Span, Tracer
 
 #: Synthetic tid space for logical tracks; real thread ids are
 #: renumbered from 1 so the two can never collide.
@@ -248,3 +249,65 @@ def trace_tree(tracer: Tracer, trace_id: str) -> dict:
         "orphans": orphans,
         "spans": len(spans),
     }
+
+
+def _level_spans(spans: Iterable[Span]) -> List[Span]:
+    """The per-level spans of a run (its ``run:*`` span has no kind)."""
+    return [s for s in spans if "kind" in s.args]
+
+
+def summarize_levels(spans: Iterable[Span]) -> dict:
+    """Aggregate a run's ``L<n> bootstrap|free|chunk`` spans."""
+    by_kind: Dict[str, List[Span]] = {
+        "bootstrap": [], "free": [], "chunk": []
+    }
+    for span in _level_spans(spans):
+        by_kind[span.args["kind"]].append(span)
+    bootstrap_s, free_s, chunk_s = (
+        sum(s.duration_s for s in by_kind[kind])
+        for kind in ("bootstrap", "free", "chunk")
+    )
+    # Chunks run concurrently inside their level, so the bootstrap
+    # fraction is taken over level time only; ``total_s`` still sums
+    # every span (chunks double-count their level), while ``level_s``
+    # is the non-overlapping driver-side wall estimate.
+    level_s = bootstrap_s + free_s
+    return {
+        "levels": len(by_kind["bootstrap"]),
+        "total_s": level_s + chunk_s,
+        "level_s": level_s,
+        "bootstrap_s": bootstrap_s,
+        "free_s": free_s,
+        "chunk_events": len(by_kind["chunk"]),
+        "chunk_s": chunk_s,
+        "bootstrap_fraction": bootstrap_s / level_s if level_s else 0.0,
+        "widest_level": max(
+            (s.args["gates"] for s in by_kind["bootstrap"]), default=0
+        ),
+    }
+
+
+def render_levels(spans: Iterable[Span], width: int = 60) -> str:
+    """ASCII Gantt chart of a run's level spans, one row per span.
+
+    Rows are in start-time order whatever order the spans were
+    recorded in, so a level's chunk rows follow its bootstrap row.
+    """
+    rows = sorted(_level_spans(spans), key=lambda s: (s.start_s, s.end_s))
+    if not rows:
+        return "(empty trace)"
+    t0 = rows[0].start_s
+    extent = max(max(s.end_s for s in rows) - t0, 1e-9)
+    glyphs = {"bootstrap": "#", "chunk": "=", "free": "-"}
+    lines = []
+    for span in rows:
+        kind = span.args["kind"]
+        begin = int((span.start_s - t0) / extent * width)
+        length = max(1, int(span.duration_s / extent * width))
+        bar = " " * begin + glyphs[kind] * length
+        tag = f"chunk/w{span.args['worker']}" if kind == "chunk" else kind
+        lines.append(
+            f"L{span.args['level']:<4d} {tag:9s} {span.args['gates']:6d}g "
+            f"|{bar:<{width}}| {span.duration_s * 1e3:8.1f} ms"
+        )
+    return "\n".join(lines)

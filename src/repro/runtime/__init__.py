@@ -14,12 +14,8 @@ from .executors import (
 from .profiler import GateProfile, profile_gate
 from .scheduler import Level, Schedule, build_schedule, shard_level
 from .shm import SharedCiphertextPlane, ShmActorPool, default_mp_context
-from .trace import TraceEvent, render as render_trace, summarize as summarize_trace
 
 __all__ = [
-    "TraceEvent",
-    "render_trace",
-    "summarize_trace",
     "CpuBackend",
     "DistributedCpuBackend",
     "ExecutionReport",

@@ -72,10 +72,9 @@ class DistributedCpuBackend(CpuBackend):
         cloud_key: CloudKey,
         num_workers: Optional[int] = None,
         pool: Optional[ShmActorPool] = None,
-        trace: bool = False,
         obs: Optional[Observability] = None,
     ):
-        super().__init__(cloud_key, trace=trace, obs=obs)
+        super().__init__(cloud_key, obs=obs)
         self._own_pool = pool is None
         self.pool = pool or ShmActorPool(cloud_key, num_workers)
         self.name = (

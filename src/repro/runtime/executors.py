@@ -29,7 +29,7 @@ import dataclasses
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from ..tfhe.keys import CloudKey
 from ..tfhe.lwe import LweCiphertext
 from ..tfhe.torus import wrap_int32
 from .scheduler import Level, Schedule, build_schedule
-from .trace import TraceEvent
 
 
 def emit_execution_observability(
@@ -56,45 +55,24 @@ def emit_execution_observability(
     backend_name: str,
     netlist: Netlist,
     schedule: Schedule,
-    events: List[TraceEvent],
     run_start: float,
     elapsed: float,
     ciphertext_bytes_moved: int,
     instances: int,
 ) -> None:
-    """Publish one run's trace events into an observability bundle.
+    """Publish one finished run into an observability bundle.
 
-    Called from the one level loop: per-level :class:`TraceEvent` records
-    become tracer spans (chunk events land on per-worker tracks), gate
-    executions feed per-type counters, level durations feed histograms,
-    and — when the bundle carries a noise tracker — each bootstrapped
-    level records its predicted noise margin.
+    Called once from the level loop, which has already recorded its
+    per-level spans: this adds the enclosing ``run:<backend>`` span,
+    the per-gate-type counters and the run-wide gauges.
     """
-    tracer = obs.tracer
-    tracer.add(
+    obs.tracer.add(
         f"run:{backend_name}", cat="execute",
         start_s=run_start, end_s=run_start + elapsed,
         backend=backend_name, gates=netlist.num_gates * instances,
         bootstrapped=schedule.num_bootstrapped * instances,
         levels=schedule.depth,
     )
-    for event in events:
-        extra = {"worker": event.worker} if event.kind == "chunk" else {}
-        tracer.add(
-            f"L{event.level} {event.kind}", cat="execute",
-            start_s=run_start + event.start_s,
-            end_s=run_start + event.end_s,
-            track=(
-                f"worker-{event.worker}" if event.kind == "chunk" else None
-            ),
-            level=event.level, kind=event.kind, gates=event.gates,
-            **extra,
-        )
-        if event.kind == "bootstrap":
-            obs.metrics.observe(
-                "level_bootstrap_ms", event.duration_s * 1e3
-            )
-
     metrics = obs.metrics
     codes, counts = np.unique(netlist.ops, return_counts=True)
     for code, count in zip(codes, counts):
@@ -116,20 +94,6 @@ def emit_execution_observability(
             schedule.num_bootstrapped * instances / elapsed,
             backend=backend_name,
         )
-
-    if obs.noise is not None:
-        bootstrap_levels = sorted(
-            {e.level for e in events if e.kind == "bootstrap"}
-        )
-        first = bootstrap_levels[0] if bootstrap_levels else None
-        for event in events:
-            if event.kind != "bootstrap":
-                continue
-            obs.noise.record_level(
-                event.level,
-                event.gates * instances,
-                fresh_inputs=event.level == first,
-            )
 
 
 @dataclass
@@ -153,7 +117,6 @@ class ExecutionReport:
     #: non-distributed backends.
     transport: str = ""
     extra: Dict[str, float] = field(default_factory=dict)
-    trace: List = field(default_factory=list)
 
     @property
     def seconds_per_bootstrapped_gate(self) -> float:
@@ -163,21 +126,13 @@ class ExecutionReport:
 
     def as_dict(self) -> dict:
         """JSON-serializable snapshot (inverse of :meth:`from_dict`)."""
-        doc = dataclasses.asdict(self)
-        doc["trace"] = [
-            dataclasses.asdict(e) if dataclasses.is_dataclass(e) else e
-            for e in self.trace
-        ]
-        return doc
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExecutionReport":
-        doc = dict(doc)
-        doc["trace"] = [
-            TraceEvent(**e) if isinstance(e, dict) else e
-            for e in doc.get("trace", [])
-        ]
-        doc["extra"] = dict(doc.get("extra", {}))
+        doc = dict(doc, extra=dict(doc.get("extra", {})))
+        # Servers before ISSUE 22 sent a per-level event list as well.
+        doc.pop("trace", None)
         return cls(**doc)
 
     def to_json(self) -> str:
@@ -344,11 +299,9 @@ class CpuBackend:
     def __init__(
         self,
         cloud_key: CloudKey,
-        trace: bool = False,
         obs: Optional[Observability] = None,
     ):
         self.cloud_key = cloud_key
-        self.trace_enabled = trace
         #: Explicit observability bundle; ``None`` means the ambient
         #: one (see :func:`repro.obs.observe`) is consulted per run.
         self.obs = obs
@@ -420,24 +373,25 @@ class CpuBackend:
         name = f"{self.name}-x{instances}" if many else self.name
         params = self.cloud_key.params
         obs = self.obs or _get_obs()
-        collect = self.trace_enabled or obs.active
-        events: List[TraceEvent] = []
+        observed = obs.active
         start = time.perf_counter()
 
-        def record(
+        def span(
             kind: str, level: Level, gates: int, t0: float, t1: float,
-            worker: int = -1,
+            worker: Optional[int] = None,
         ) -> None:
-            if collect:
-                events.append(
-                    TraceEvent(
-                        level.index, kind, gates, t0 - start, t1 - start,
-                        worker,
-                    )
-                )
+            # Chunks land on their worker's track and carry its id.
+            on_worker = {} if worker is None else {"worker": worker}
+            obs.tracer.add(
+                f"L{level.index} {kind}", cat="execute",
+                start_s=t0, end_s=t1,
+                track=None if worker is None else f"worker-{worker}",
+                level=level.index, kind=kind, gates=gates, **on_worker,
+            )
 
         moved = 0
         tasks = 0
+        fresh_inputs = True
         with self._plane(netlist, schedule, instances) as plane:
             plane.a[:n_in] = np.swapaxes(inputs.a, 0, 1)
             plane.b[:n_in] = np.swapaxes(inputs.b, 0, 1)
@@ -451,19 +405,32 @@ class CpuBackend:
                     moved += level_moved
                     # A step that ran in this process is one task.
                     tasks += len(chunks) or 1
-                    record("bootstrap", level, level.width, t0, t1)
-                    for worker, gates, seconds in chunks:
-                        record(
-                            "chunk", level, gates,
-                            max(t0, t1 - seconds), t1, worker,
+                    if observed:
+                        span("bootstrap", level, level.width, t0, t1)
+                        # A worker's chunk ends with its level.
+                        for worker, gates, seconds in chunks:
+                            span(
+                                "chunk", level, gates,
+                                max(t0, t1 - seconds), t1, worker,
+                            )
+                        obs.metrics.observe(
+                            "level_bootstrap_ms", (t1 - t0) * 1e3
                         )
+                        if obs.noise is not None:
+                            obs.noise.record_level(
+                                level.index,
+                                level.width * instances,
+                                fresh_inputs=fresh_inputs,
+                            )
+                        fresh_inputs = False
                 if len(level.free):
                     t0 = time.perf_counter()
                     free_gates(netlist, plane.a, plane.b, level.free, params)
-                    record(
-                        "free", level, len(level.free), t0,
-                        time.perf_counter(),
-                    )
+                    if observed:
+                        span(
+                            "free", level, len(level.free), t0,
+                            time.perf_counter(),
+                        )
             # Fancy indexing copies the outputs out of the plane, so
             # they outlive it.
             outputs = LweCiphertext(
@@ -481,11 +448,10 @@ class CpuBackend:
             wall_time_s=elapsed,
             ciphertext_bytes_moved=moved,
             tasks_submitted=tasks,
-            trace=events,
         )
-        if obs.active:
+        if observed:
             emit_execution_observability(
-                obs, name, netlist, schedule, events,
+                obs, name, netlist, schedule,
                 run_start=start, elapsed=elapsed,
                 ciphertext_bytes_moved=moved, instances=instances,
             )

@@ -89,6 +89,18 @@ class TestSynthesis:
         assert result.equivalent
         assert result.exhaustive
 
+    def test_model_layer_equivalence(self):
+        """A whole network, not only an adder: the chains matched inside
+        mnist_s_reduced rewrite without changing what it computes, and
+        honestly buy less (mostly non-arithmetic gates)."""
+        from repro.bench import mnist_workload
+
+        net = mnist_workload("S", "reduced").netlist
+        mb = synthesize(net, modulus=16)
+        assert check_equivalence(net, mb, random_trials=32).equivalent
+        assert mb.num_lut_bootstraps > 0
+        assert 1.0 < mb.synthesis.reduction < 5.0
+
     def test_low_modulus_equivalence(self):
         for p in (4, 8):
             net = adder_netlist(5)

@@ -4,6 +4,7 @@ reference on real FHE ciphertexts."""
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.chiseltorch import functional as F
 from repro.chiseltorch.dtypes import SInt
 from repro.core.compiler import TensorSpec, compile_function
@@ -202,15 +203,19 @@ class TestExecutionReportJson:
         ct = encrypt_bits(
             secret, rng.integers(0, 2, small_circuit.num_inputs).astype(bool), rng
         )
-        _, report = CpuBackend(cloud, trace=True).run(
-            small_circuit, ct
-        )
+        # Observed or not, a report is scalars only and round-trips.
+        with obs.observe():
+            _, report = CpuBackend(cloud).run(small_circuit, ct)
         text = report.to_json()
-        json.loads(text)  # valid JSON document
+        doc = json.loads(text)  # valid JSON document
+        assert "trace" not in doc
         back = type(report).from_json(text)
         assert back == report
-        assert back.trace == report.trace
-        assert back.trace and back.trace[0].kind == report.trace[0].kind
+        # An older server's reply still carries its event list: dropped.
+        legacy = dict(doc, trace=[{"level": 1, "kind": "bootstrap"}])
+        assert type(report).from_dict(legacy) == report
+        with pytest.raises(TypeError):
+            type(report).from_dict(dict(doc, tracee=[]))
 
     def test_json_roundtrip_without_trace(self, small_circuit):
         import json

@@ -61,14 +61,27 @@ class TestCpuBackendObservability:
     def test_trace_shim_populated_when_observing(
         self, adder_circuit, test_keys, rng
     ):
-        # trace=False on the backend, but ambient observation still
-        # fills the legacy per-run TraceEvent list.
+        # Ambient observation alone (no backend option) records the
+        # per-level view: bootstrap and free spans with their args.
         _, cloud = test_keys
         backend = CpuBackend(cloud)
-        with obs.observe():
+        with obs.observe() as ob:
             report = _run(backend, adder_circuit, test_keys[0], rng)
-        assert report.trace
-        assert any(e.kind == "free" for e in report.trace)
+        levels = [
+            s for s in ob.tracer.iter_spans(cat="execute")
+            if "kind" in s.args
+        ]
+        assert levels
+        assert any(s.args["kind"] == "free" for s in levels)
+        for span in levels:
+            assert span.name == f"L{span.args['level']} {span.args['kind']}"
+            assert set(span.args) == {"level", "kind", "gates"}
+            assert span.track is None
+        assert sum(
+            s.args["gates"] for s in levels if s.args["kind"] == "bootstrap"
+        ) == report.gates_bootstrapped
+        hist = ob.metrics.as_dict()["histograms"]["level_bootstrap_ms"]
+        assert hist["count"] == report.levels
 
     def test_noise_records_per_level(self, adder_circuit, test_keys, rng):
         _, cloud = test_keys
@@ -89,7 +102,7 @@ class TestCpuBackendObservability:
         _, cloud = test_keys
         backend = CpuBackend(cloud)
         report = _run(backend, adder_circuit, test_keys[0], rng)
-        assert report.trace == []
+        assert "trace" not in report.as_dict()
         assert obs.get().tracer.spans == []
 
     def test_explicit_bundle_overrides_ambient(

@@ -6,6 +6,7 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.hdl import arith
 from repro.hdl.builder import CircuitBuilder
 from repro.gatetypes import OP_LUT
@@ -117,6 +118,20 @@ class TestMatchesInProcess:
         assert np.array_equal(out.a, ref.a)
         assert np.array_equal(out.b, ref.b)
         assert np.array_equal(decrypt_bits(secret, out), ADDER_WANT)
+
+    def test_only_control_messages_cross_the_pipes(
+        self, adder_circuit, test_keys, adder_ct
+    ):
+        """No ciphertext byte is pickled; what is (level indices and
+        chunk reports) stays small — every run, warm pool or cold."""
+        _, cloud = test_keys
+        with DistributedCpuBackend(cloud, num_workers=2) as backend:
+            reports = [
+                backend.run(adder_circuit, adder_ct)[1] for _ in range(2)
+            ]
+        for report in reports:
+            assert report.ciphertext_bytes_moved == 0
+            assert 0 < report.extra["control_bytes_moved"] < 64 * 1024
 
 
 class TestPersistentPool:
@@ -236,38 +251,40 @@ class TestSpawnContext:
 
 
 class TestChunkTracing:
-    def test_trace_records_per_chunk_timings(
-        self, adder_circuit, test_keys, adder_ct
-    ):
+    @pytest.fixture()
+    def level_spans(self, adder_circuit, test_keys, adder_ct):
         _, cloud = test_keys
-        with DistributedCpuBackend(
-            cloud, num_workers=2, trace=True
-        ) as backend:
-            _, report = backend.run(adder_circuit, adder_ct)
-        chunks = [e for e in report.trace if e.kind == "chunk"]
+        with obs.observe() as ob:
+            with DistributedCpuBackend(cloud, num_workers=2) as backend:
+                _, report = backend.run(adder_circuit, adder_ct)
+        spans = [
+            s for s in ob.tracer.iter_spans(cat="execute")
+            if "kind" in s.args
+        ]
+        return report, spans
+
+    def test_trace_records_per_chunk_timings(self, level_spans):
+        _, spans = level_spans
+        chunks = [s for s in spans if s.args["kind"] == "chunk"]
         assert chunks
-        assert all(e.worker >= 0 for e in chunks)
-        assert all(e.end_s >= e.start_s for e in chunks)
+        assert all(s.args["worker"] in (0, 1) for s in chunks)
+        assert all(
+            s.track == f"worker-{s.args['worker']}" for s in chunks
+        )
+        assert all(s.end_s >= s.start_s for s in chunks)
         # Chunk gates per level sum to the level width.
         bootstraps = {
-            e.level: e.gates for e in report.trace if e.kind == "bootstrap"
+            s.args["level"]: s.args["gates"]
+            for s in spans
+            if s.args["kind"] == "bootstrap"
         }
         for level, width in bootstraps.items():
-            assert (
-                sum(e.gates for e in chunks if e.level == level) == width
+            assert width == sum(
+                s.args["gates"] for s in chunks if s.args["level"] == level
             )
 
-    def test_summary_separates_chunks(
-        self, adder_circuit, test_keys, adder_ct
-    ):
-        from repro.runtime import summarize_trace
-
-        _, cloud = test_keys
-        with DistributedCpuBackend(
-            cloud, num_workers=2, trace=True
-        ) as backend:
-            _, report = backend.run(adder_circuit, adder_ct)
-        summary = summarize_trace(report.trace)
+    def test_summary_separates_chunks(self, level_spans):
+        report, spans = level_spans
+        summary = obs.summarize_levels(spans)
         assert summary["chunk_events"] > 0
         assert summary["levels"] == report.levels
-

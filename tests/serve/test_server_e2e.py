@@ -184,6 +184,12 @@ def test_two_tenants_concurrent_batching_deadlines(
             assert pong["programs"] == 2
     cats = {span.cat for span in ob.tracer.spans}
     assert "serve" in cats
+    doc = obs.to_chrome_trace(ob.tracer, ob.metrics)
+    assert obs.validate_chrome_trace(doc) > 0
+    assert any(
+        e["ph"] == "M" and e["args"]["name"] == "serve"
+        for e in doc["traceEvents"]
+    )
 
 
 def test_oversized_frame_gets_busy_not_hangup(test_keys, program_add):
@@ -210,6 +216,39 @@ def test_oversized_frame_gets_busy_not_hangup(test_keys, program_add):
             assert np.array_equal(
                 got, _reference_bits(program_add, [1, 2], [3, -1])
             )
+            assert client.metrics()["stats"]["busy_rejections"] >= 1
+
+
+def test_ok_reply_report_is_scalars_only(test_keys, program_add):
+    """The serve loop always observes, but what it observed stays in
+    its tracer: the reply's ``report`` is the run's scalar fields — no
+    per-level event list — and rebuilds losslessly on the client."""
+    import dataclasses
+
+    from repro.runtime import ExecutionReport
+    from repro.serialization import save_ciphertext
+
+    secret_a, cloud_a = test_keys
+    with serving(ServeConfig(port=0)) as handle:
+        with FheServiceClient(
+            "127.0.0.1", handle.port, "tenant-a"
+        ) as client:
+            client.register_key(cloud_a)
+            pid = client.register_program(program_add)
+            ct = _encrypt(program_add, secret_a, 9, [2, 1], [0, -3])
+            reply = client.request(
+                3,  # CALL
+                {"program_id": pid},
+                payload=save_ciphertext(ct),
+            )
+    doc = reply.header["report"]
+    assert "trace" not in doc
+    assert set(doc) == {
+        f.name for f in dataclasses.fields(ExecutionReport)
+    }
+    report = ExecutionReport.from_dict(doc)
+    assert report.as_dict() == doc
+    assert report.gates_bootstrapped > 0 and report.levels > 0
 
 
 def test_static_admission_rejects_infeasible_deadline(

@@ -1,5 +1,7 @@
 """CLI tests (python -m repro.cli)."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -106,6 +108,102 @@ def test_run_mblut_distributed(capsys):
     out = capsys.readouterr().out
     assert "ok=True" in out and "ct_moved=0" in out
     assert "transport" not in out
+
+
+def test_mblut_check_cost_run_round_trip(capsys):
+    mblut = ["hamming_distance", "--mode", "mblut"]
+    assert main(["check"] + mblut + ["--modulus", "8"]) == 0
+    assert "mblut synthesis (p=8)" in capsys.readouterr().out
+    assert main(["cost"] + mblut) == 0
+    assert "mblut synthesis (p=16)" in capsys.readouterr().out
+    assert main(["run"] + mblut + ["--modulus", "8"]) == 0
+    out = capsys.readouterr().out
+    assert "cpu-batched" in out and "ok=True" in out
+
+
+def test_run_distributed_writes_trace_and_metrics(tmp_path, capsys):
+    import json
+
+    from repro.obs import validate_chrome_trace
+
+    trace, metrics = tmp_path / "trace.json", tmp_path / "metrics.json"
+    argv = "run hamming_distance --backend distributed --workers 2".split()
+    argv += ["--trace-out", str(trace), "--metrics-out", str(metrics)]
+    assert main(argv) == 0
+    assert "ok=True" in capsys.readouterr().out
+    doc = json.loads(trace.read_text())
+    assert validate_chrome_trace(doc) > 0
+    tracks = {
+        e["args"]["name"] for e in doc["traceEvents"] if e["ph"] == "M"
+    }
+    assert {t for t in tracks if t.startswith("worker-")} == {
+        "worker-0", "worker-1"
+    }
+    counters = json.loads(metrics.read_text())["counters"]
+    assert counters["bootstrapped_gates"] > 0
+
+
+_TIMELINE_ROW = re.compile(
+    r"^L(\d+) +(bootstrap|free|chunk/w\d+) +(\d+)g "
+    r"\|[ #=-]{60}\| +\d+\.\d ms$"
+)
+_SUMMARY_LINE = re.compile(
+    r"^levels=(\d+)  bootstrap=\d+\.\d ms  free=\d+\.\d ms  "
+    r"bootstrap_fraction=(\d+\.\d)%  widest_level=(\d+)$"
+)
+
+
+def _profile_timeline(out: str):
+    """(timeline rows, summary match) of a ``repro profile`` report."""
+    lines = out.splitlines()
+    begin = next(
+        i for i, l in enumerate(lines)
+        if l.startswith("== execution timeline")
+    )
+    end = next(i for i, l in enumerate(lines) if l.startswith("levels="))
+    rows = [_TIMELINE_ROW.match(l) for l in lines[begin + 1:end]]
+    assert all(rows), lines[begin + 1:end]
+    summary = _SUMMARY_LINE.match(lines[end])
+    assert summary, lines[end]
+    return rows, summary
+
+
+def test_profile_timeline_and_summary(capsys):
+    argv = "profile hamming_distance --repetitions 1 --warmup 0".split()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "(cpu-batched, " in out and "ok=True) ==" in out
+    rows, summary = _profile_timeline(out)
+    # One row per level span: hamming_distance is 17 bootstrapped
+    # levels (224 gates, widest 32) after one free CONST0 at level 0.
+    kinds = [row.group(2) for row in rows]
+    assert kinds == ["free"] + ["bootstrap"] * 17
+    assert [int(row.group(1)) for row in rows] == list(range(18))
+    assert sum(int(row.group(3)) for row in rows[1:]) == 224
+    assert rows[1].group(0).startswith("L1    bootstrap     32g |#")
+    assert summary.groups() == ("17", "100.0", "32")
+    assert "histogram level_bootstrap_ms count=17 " in out
+
+
+def test_profile_distributed_timeline_has_worker_chunk_rows(capsys):
+    argv = "profile hamming_distance --repetitions 1 --warmup 0".split()
+    assert main(argv + ["--backend", "distributed", "--workers", "2"]) == 0
+    rows, summary = _profile_timeline(capsys.readouterr().out)
+    assert summary.group(1) == "17"
+    chunk_gates = {}
+    for row in rows:
+        if row.group(2).startswith("chunk/w"):
+            assert row.group(2) in ("chunk/w0", "chunk/w1")
+            assert "=" in row.group(0) and "#" not in row.group(0)
+            level = int(row.group(1))
+            chunk_gates[level] = chunk_gates.get(level, 0) + int(row.group(3))
+    # Every bootstrapped level's chunk rows add up to its width.
+    widths = {
+        int(row.group(1)): int(row.group(3))
+        for row in rows
+        if row.group(2) == "bootstrap"
+    }
+    assert chunk_gates == widths
 
 
 @pytest.mark.parametrize(
@@ -311,6 +409,32 @@ def test_check_passes_json_schema(tmp_path, capsys):
     ]
     capsys.readouterr()
 
+
+def test_check_cache_dir_second_run_is_a_disk_hit(tmp_path, capsys):
+    import json
+
+    binary = tmp_path / "prog.pytfhe"
+    assert main(["compile", "hamming_distance", "-o", str(binary)]) == 0
+    cache_dir, metrics = tmp_path / "cache", tmp_path / "metrics.json"
+    argv = ["check", str(binary), "--cache-dir", str(cache_dir)]
+    argv += ["--metrics-out", str(metrics)]
+
+    def counters():
+        # Each invocation builds its own AnalysisCache over the
+        # directory, so only the files carry a verdict across.
+        assert main(argv) == 0
+        return json.loads(metrics.read_text())["counters"]
+
+    first = counters()
+    assert first["analyze_cache_miss"] == 1
+    assert "analyze_cache_hit" not in first
+    assert any(cache_dir.iterdir())
+    second = counters()
+    assert second["analyze_cache_hit"] == 1
+    assert "analyze_cache_miss" not in second
+    capsys.readouterr()
+
+
 # ----------------------------------------------------------------------
 # repro cost / repro calibrate — static cost certification
 # ----------------------------------------------------------------------
@@ -443,3 +567,140 @@ def test_call_against_in_process_server(capsys):
     out = capsys.readouterr().out
     assert out.count("ok=True") == 2
     assert "program " in out
+
+
+# ----------------------------------------------------------------------
+# The parser itself: every subcommand's options, in --help order, and
+# the four shared execution options' defaults / choices / help text
+# ----------------------------------------------------------------------
+_RUN_BACKEND_HELP = (
+    "where levels bootstrap (default: batched — in-process level-batched "
+    "SIMD bootstrapping, each BFS level one fused vectorized call; "
+    "'distributed' shards each level over a worker pool sharing the "
+    "ciphertext plane)"
+)
+_SERVE_BACKEND_HELP = (
+    "per-tenant executor; cross-request batches stack onto its level "
+    "batches either way"
+)
+_ENGINES = ("batched", "distributed")
+_OBS_OPTIONS = "--trace-out --trace-jsonl --metrics-out --noise"
+#: subcommand -> (options in --help order,
+#:                {shared option: (default, choices, type, help)})
+_PARSER_TABLE = {
+    "compile": ("workload --output", {}),
+    "check": (
+        "target --params --sigma-error --sigma-warn --no-noise "
+        "--no-dataflow --cost --no-cost --budget-ms --budget-mb --gatecost "
+        "--cost-backend --max-findings --no-cache --cache-dir --json "
+        "--fail-on --check-passes --trace-out --metrics-out --mode --modulus",
+        {
+            "--params": (
+                "tfhe-default-128", None, None,
+                "parameter set for noise certification, or 'none' to skip",
+            )
+        },
+    ),
+    "cost": (
+        "target --gatecost --budget-ms --budget-mb --backend --requests "
+        "--json --mode --modulus",
+        {
+            "--backend": (
+                None, ("batched", "2d", "distributed"), None,
+                "backend the budget applies to (arms CA003 checks)",
+            )
+        },
+    ),
+    "calibrate": (
+        "--params --output --repetitions --warmup --seed",
+        {
+            "--params": ("tfhe-test", None, None, None),
+            "--seed": (0, None, int, None),
+        },
+    ),
+    "disasm": ("binary --max-rows", {}),
+    "stats": ("binary", {}),
+    "estimate": ("binary", {}),
+    "run": (
+        "workload --backend --workers --runs --params --seed --mode "
+        "--modulus " + _OBS_OPTIONS,
+        {
+            "--backend": ("batched", _ENGINES, None, _RUN_BACKEND_HELP),
+            "--workers": (None, None, int, None),
+            "--params": ("tfhe-test", None, None, None),
+            "--seed": (0, None, int, None),
+        },
+    ),
+    "profile": (
+        "workload --backend --workers --params --seed --repetitions "
+        "--warmup " + _OBS_OPTIONS,
+        {
+            "--backend": ("batched", _ENGINES, None, None),
+            "--workers": (None, None, int, None),
+            "--params": ("tfhe-test", None, None, None),
+            "--seed": (0, None, int, None),
+        },
+    ),
+    "serve": (
+        "--host --port --backend --workers --max-pending --max-batch "
+        "--linger-ms --max-frame-bytes --no-check --gatecost --no-admission "
+        "--telemetry-port --flight-dir --no-noise-monitor " + _OBS_OPTIONS,
+        {
+            "--backend": ("batched", _ENGINES, None, _SERVE_BACKEND_HELP),
+            "--workers": (None, None, int, None),
+        },
+    ),
+    "top": ("--host --port --interval --iterations", {}),
+    "call": (
+        "workload --host --port --tenant --params --seed --requests "
+        "--deadline-ms --timeout",
+        {
+            "--params": ("tfhe-test", None, None, None),
+            "--seed": (0, None, int, None),
+        },
+    ),
+    "keygen": (
+        "--params --seed --secret-out --cloud-out",
+        {
+            "--params": ("tfhe-default-128", None, None, None),
+            "--seed": (None, None, int, None),
+        },
+    ),
+    "bench-gate": (
+        "--params --batch --repetitions --warmup --mode --modulus",
+        {"--params": ("tfhe-test", None, None, None)},
+    ),
+}
+
+
+def _subparsers():
+    import argparse
+
+    from repro.cli import build_parser
+
+    return next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ).choices
+
+
+def test_parser_table_covers_every_subcommand():
+    assert list(_subparsers()) == list(_PARSER_TABLE)
+
+
+@pytest.mark.parametrize("command", sorted(_PARSER_TABLE))
+def test_subcommand_options_are_pinned(command):
+    options, shared = _PARSER_TABLE[command]
+    actions = [a for a in _subparsers()[command]._actions if a.dest != "help"]
+    assert options.split() == [
+        a.option_strings[-1] if a.option_strings else a.dest
+        for a in actions
+    ]
+    declared = {
+        a.option_strings[-1]: (a.default, a.choices, a.type, a.help)
+        for a in actions
+        if a.option_strings
+        and a.option_strings[-1]
+        in ("--params", "--seed", "--backend", "--workers")
+    }
+    assert declared == shared
