@@ -23,15 +23,16 @@ import zipfile
 import numpy as np
 
 from .tfhe.keys import CloudKey, SecretKey
-from .tfhe.keyswitch import KeySwitchingKey
+from .tfhe.keyswitch import KeySwitchingKey, table_shape
 from .tfhe.lwe import LweCiphertext
 from .tfhe.params import TFHEParameters
-from .tfhe.polynomial import get_ring
 
 #: Envelope tag prepended to every ``save_*`` payload.
 MAGIC = b"RPRZ"
 #: Current payload format version (bump on incompatible layout change).
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+#: Oldest version still read: written is 3, readable is 2, nothing else.
+OLDEST_READABLE_VERSION = 2
 
 _ENVELOPE = struct.Struct(">4sH")
 
@@ -67,30 +68,38 @@ def _unpack(data: bytes):
             f"bad magic {magic!r} (expected {MAGIC!r}): payload is not "
             f"a repro serialization blob"
         )
-    if version > FORMAT_VERSION:
+    if not OLDEST_READABLE_VERSION <= version <= FORMAT_VERSION:
         raise SerializationError(
-            f"payload format version {version} is newer than this "
-            f"library supports (max {FORMAT_VERSION})"
+            f"payload format version {version} is not one this library "
+            f"reads ({OLDEST_READABLE_VERSION} to {FORMAT_VERSION})"
         )
     try:
         return np.load(
             io.BytesIO(data[_ENVELOPE.size:]), allow_pickle=False
         )
-    except (ValueError, OSError, zipfile.BadZipFile) as exc:
+    except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
         raise SerializationError(
             f"corrupt payload body: {exc}"
         ) from exc
 
 
-def _field(loaded, name: str) -> np.ndarray:
-    """Array access that turns a missing field into a typed error."""
+def _field(loaded, name: str, dtype=None, shape=None) -> np.ndarray:
+    """Array access that turns a missing field, or one whose dtype or
+    shape is not what the payload's own ``params`` give, into a typed
+    error."""
     try:
-        return loaded[name]
+        array = loaded[name]
     except KeyError as exc:
         raise SerializationError(
             f"payload is missing field {name!r}: wrong blob type for "
             f"this loader"
         ) from exc
+    if dtype is not None and (array.dtype != dtype or array.shape != shape):
+        raise SerializationError(
+            f"field {name!r} is {array.dtype} {array.shape}; this "
+            f"payload's parameter set needs {np.dtype(dtype)} {shape}"
+        )
+    return array
 
 
 # ----------------------------------------------------------------------
@@ -132,38 +141,47 @@ def load_secret_key(data: bytes) -> SecretKey:
 # Cloud keys
 # ----------------------------------------------------------------------
 def save_cloud_key(cloud: CloudKey) -> bytes:
-    """Ship the folded bootstrapping key as is (format version 2)."""
+    """Ship the folded bootstrapping key as is and the key-switch table
+    as the int32 values its floats hold (format version 3)."""
+    ksk = cloud.keyswitching_key
     return _pack(
         params=np.frombuffer(
             _params_to_json(cloud.params).encode(), dtype=np.uint8
         ),
         bootstrapping_key=cloud.bootstrapping_key,
-        ks_a=cloud.keyswitching_key.a,
-        ks_b=cloud.keyswitching_key.b,
+        ks_table=ksk.table.astype(np.int32),
+        ks_bodies=ksk.bodies.astype(np.int32),
     )
 
 
 def load_cloud_key(data: bytes) -> CloudKey:
-    """Inverse of :func:`save_cloud_key`; also reads version-1 payloads.
+    """Inverse of :func:`save_cloud_key`; also reads version-2 payloads.
 
-    Version 1 carried the full (redundant) spectrum
-    ``(n, (k+1)*l, k+1, N)``.  It is taken back to the exact int32
-    samples and transformed into the folded layout, so the same key
-    loads to the same array — and fingerprint — from either version.
+    Version 2 carried the key-switching key as int32 ``(kN, t, base, n)``
+    with an all-zero ``v = 0`` plane.  Its other planes are re-ordered
+    into the table, so the same key loads to the same arrays — and
+    fingerprint — from either version.
     """
     loaded = _unpack(data)
     params = _params_from_json(bytes(_field(loaded, "params")).decode())
-    spectra = _field(loaded, "bootstrapping_key")
-    if _ENVELOPE.unpack_from(data)[1] < 2:
-        ring = get_ring(params.tlwe_degree)
-        spectra = np.stack(
-            [ring.forward_half(ring.backward(full)) for full in spectra]
-        )
-    ksk = KeySwitchingKey(
-        a=_field(loaded, "ks_a"), b=_field(loaded, "ks_b"), params=params
+    shape = table_shape(params)
+    if _ENVELOPE.unpack_from(data)[1] < 3:
+        old = (params.extracted_lwe_dimension, params.ks_decomp_length,
+               params.ks_base)
+        table = _field(loaded, "ks_a", np.int32, old + shape[2:])
+        table = table[:, :, 1:].transpose(2, 0, 1, 3)
+        bodies = _field(loaded, "ks_b", np.int32, old)
+        bodies = bodies[:, :, 1:].transpose(2, 0, 1)
+    else:
+        table = _field(loaded, "ks_table", np.int32, shape)
+        bodies = _field(loaded, "ks_bodies", np.int32, shape[:2])
+    ksk = KeySwitchingKey(  # the one cast from the wire form, either version
+        table=np.ascontiguousarray(table, np.float64).reshape(shape),
+        bodies=np.ascontiguousarray(bodies, np.float64).reshape(shape[:2]),
+        params=params,
     )
     return CloudKey(
         params=params,
-        bootstrapping_key=spectra,
+        bootstrapping_key=_field(loaded, "bootstrapping_key"),
         keyswitching_key=ksk,
     )

@@ -44,7 +44,9 @@ class CloudKey:
     :func:`generate_keys` produces, what :mod:`repro.serialization`
     ships and what :func:`repro.tfhe.bootstrap.blind_rotate` consumes,
     unchanged.  ``bootstrapping_key[i]`` is bit ``i``'s
-    :attr:`repro.tfhe.tgsw.TgswFFT.spectrum`.
+    :attr:`repro.tfhe.tgsw.TgswFFT.spectrum`.  ``keyswitching_key``
+    likewise holds one table, the float64 planes
+    :func:`repro.tfhe.keyswitch.keyswitch_apply` multiplies against.
     """
 
     params: TFHEParameters
@@ -78,9 +80,9 @@ class CloudKey:
                     dataclasses.asdict(self.params), sort_keys=True
                 ).encode()
             )
-            digest.update(np.ascontiguousarray(self.bootstrapping_key).data)
-            digest.update(self.keyswitching_key.a.tobytes())
-            digest.update(self.keyswitching_key.b.tobytes())
+            ksk = self.keyswitching_key
+            for array in (self.bootstrapping_key, ksk.table, ksk.bodies):
+                digest.update(np.ascontiguousarray(array).data)
             cached = digest.hexdigest()[:16]
             self._fingerprint = cached
         return cached

@@ -8,60 +8,50 @@ stays cheap.
 The apply path is expressed as dense matrix products: the digit
 decomposition of the input mask is one-hot encoded per digit value and
 multiplied against per-value slices of the key-switch table.  Products
-of 0/1 masks with int32 table entries stay below 2**53, so the float64
-BLAS accumulation is exact before the final mod-2**32 wrap.
+of 0/1 masks with int32-valued table entries stay below 2**53, so the
+float64 BLAS accumulation is exact before the final mod-2**32 wrap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lwe import LweCiphertext, lwe_encrypt
+from .lwe import LweCiphertext
 from .params import TFHEParameters
-from .torus import wrap_int32
+from .torus import gaussian_torus, uniform_torus, wrap_int32
+
+#: Bounds the int32 mask that exists beside the table while it is filled.
+_GEN_ROWS = 32
 
 
 @dataclass
 class KeySwitchingKey:
-    """Precomputed key-switch table.
+    """The key-switch table, in the one form :func:`keyswitch_apply` reads.
 
-    ``a`` has shape ``(kN, t, base, n)`` and ``b`` shape
-    ``(kN, t, base)``; entry ``[i, j, v]`` encrypts
-    ``v * s'_i * 2**(32 - (j+1)*basebit)`` under the small key.  The
-    ``v = 0`` entries are exact zero samples so zero digits contribute
-    nothing (this mirrors the TFHE library skipping zero digits).
+    ``table`` is C-contiguous float64 ``(base-1, kN*t, n)`` and
+    ``bodies`` float64 ``(base-1, kN*t)``; entry ``[v-1, i*t + j]`` is
+    the (int32-valued) LWE sample of ``v * s'_i * 2**(32 - (j+1)*basebit)``
+    under the small key.  A zero digit contributes nothing, so ``v = 0``
+    has no plane (this mirrors the TFHE library skipping zero digits).
     """
 
-    a: np.ndarray
-    b: np.ndarray
+    table: np.ndarray
+    bodies: np.ndarray
     params: TFHEParameters
-    _float_tables: Optional[Dict[int, Tuple[np.ndarray, np.ndarray]]] = field(
-        default=None, repr=False, compare=False
-    )
 
     def nbytes(self) -> int:
-        return self.a.nbytes + self.b.nbytes
+        return self.table.nbytes + self.bodies.nbytes
 
-    def float_tables(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-        """Per-digit-value flattened float64 views (cached)."""
-        if self._float_tables is None:
-            kn = self.params.extracted_lwe_dimension
-            t = self.params.ks_decomp_length
-            n = self.params.lwe_dimension
-            tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-            for v in range(1, self.params.ks_base):
-                a_slice = (
-                    self.a[:, :, v, :]
-                    .reshape(kn * t, n)
-                    .astype(np.float64)
-                )
-                b_slice = self.b[:, :, v].reshape(kn * t).astype(np.float64)
-                tables[v] = (a_slice, b_slice)
-            self._float_tables = tables
-        return self._float_tables
+
+def table_shape(params: TFHEParameters) -> "tuple[int, int, int]":
+    """Shape of :attr:`KeySwitchingKey.table` for ``params``."""
+    return (
+        params.ks_base - 1,
+        params.extracted_lwe_dimension * params.ks_decomp_length,
+        params.lwe_dimension,
+    )
 
 
 def keyswitch_key_gen(
@@ -70,26 +60,41 @@ def keyswitch_key_gen(
     params: TFHEParameters,
     rng: np.random.Generator,
 ) -> KeySwitchingKey:
+    """Fill the table ``_GEN_ROWS`` extracted-key rows at a time.
+
+    The ``v = 0`` masks are drawn and dropped and the noise is drawn
+    after the last mask, so the generator's stream, and every key value,
+    is that of one ``lwe_encrypt`` over all ``(kN, t, base)`` messages.
+    """
     t = params.ks_decomp_length
     base = params.ks_base
     gamma = params.ks_decomp_log2_base
+    kn = params.extracted_lwe_dimension
+    planes, rows, n = table_shape(params)
+
+    table = np.empty((planes, kn, t, n), dtype=np.float64)
+    for start in range(0, kn, _GEN_ROWS):
+        table[:, start:start + _GEN_ROWS] = uniform_torus(
+            (min(_GEN_ROWS, kn - start), t, base, n), rng
+        )[:, :, 1:].transpose(2, 0, 1, 3)
+    noise = gaussian_torus(params.lwe_noise_std, (kn, t, base), rng)
 
     factors = np.array(
         [1 << (32 - (j + 1) * gamma) for j in range(t)], dtype=np.int64
     )
-    v = np.arange(base, dtype=np.int64)
-    mu = wrap_int32(
-        extracted_key.astype(np.int64)[:, None, None]
-        * factors[None, :, None]
-        * v[None, None, :]
+    mu = (
+        np.arange(1, base, dtype=np.int64)[:, None, None]
+        * np.asarray(extracted_key, dtype=np.int64)[None, :, None]
+        * factors[None, None, :]
     )
-    ct = lwe_encrypt(small_key, mu, params.lwe_noise_std, rng)
-    a = ct.a.copy()
-    b = ct.b.copy()
-    # Make the v == 0 entries exact zeros (a no-op when summed).
-    a[:, :, 0, :] = 0
-    b[:, :, 0] = 0
-    return KeySwitchingKey(a=a, b=b, params=params)
+    # |mask . key| < 2**31 * n < 2**53: the float64 product is exact.
+    phase = (table @ np.asarray(small_key, dtype=np.float64)).astype(np.int64)
+    bodies = wrap_int32(phase + mu + noise[:, :, 1:].transpose(2, 0, 1))
+    return KeySwitchingKey(
+        table=table.reshape(planes, rows, n),
+        bodies=bodies.astype(np.float64).reshape(planes, rows),
+        params=params,
+    )
 
 
 def keyswitch_apply(
@@ -99,7 +104,8 @@ def keyswitch_apply(
 
     ``ct`` is a batch of samples of dimension ``k*N``; the result is a
     batch of dimension ``n``.  Work is chunked along the batch axis to
-    bound the footprint of the one-hot temporaries.
+    bound the footprint of the one-hot temporaries.  A key or sample
+    of another parameter set's shape is a ``TypeError``.
     """
     params = ksk.params
     t = params.ks_decomp_length
@@ -108,12 +114,18 @@ def keyswitch_apply(
     kn = params.extracted_lwe_dimension
     n = params.lwe_dimension
 
+    if ksk.table.shape != table_shape(params) or ct.dimension != kn:
+        raise TypeError(
+            f"key switch at {params.name!r} needs a table of shape "
+            f"{table_shape(params)} and samples of dimension {kn}, not "
+            f"{ksk.table.shape} and {ct.dimension}"
+        )
+
     batch_shape = ct.batch_shape
     a_in = ct.a.reshape((-1, kn))
     b_in = ct.b.reshape((-1,))
     total = a_in.shape[0]
 
-    tables = ksk.float_tables()
     shifts = np.array(
         [32 - (j + 1) * gamma for j in range(t)], dtype=np.int64
     )
@@ -130,10 +142,10 @@ def keyswitch_apply(
         digits = digits.reshape(stop - start, kn * t)
         acc_a = np.zeros((stop - start, n), dtype=np.float64)
         acc_b = b_in[start:stop].astype(np.float64)
-        for v, (a_slice, b_slice) in tables.items():
+        for v in range(1, base):
             mask = (digits == v).astype(np.float64)
-            acc_a -= mask @ a_slice
-            acc_b -= mask @ b_slice
+            acc_a -= mask @ ksk.table[v - 1]
+            acc_b -= mask @ ksk.bodies[v - 1]
         out_a[start:stop] = acc_a.astype(np.int64)
         out_b[start:stop] = acc_b.astype(np.int64)
 

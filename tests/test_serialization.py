@@ -1,5 +1,7 @@
 """Serialization roundtrip tests for keys, ciphertexts and worker plans."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -107,7 +109,7 @@ class TestKeyRoundtrips:
         assert back.params == cloud.params
         assert len(back.bootstrapping_key) == len(cloud.bootstrapping_key)
         assert np.array_equal(
-            back.keyswitching_key.a, cloud.keyswitching_key.a
+            back.keyswitching_key.table, cloud.keyswitching_key.table
         )
 
     def test_reloaded_cloud_key_evaluates_gates(self, test_keys, rng):
@@ -126,6 +128,57 @@ class TestKeyRoundtrips:
         ct = encrypt_bits(secret, bits, rng)
         assert np.array_equal(decrypt_bits(back, ct), bits)
 
+
+def _repacked(blob: bytes, **replaced) -> bytes:
+    """``blob`` with some of its fields replaced, envelope kept."""
+    fields = dict(np.load(io.BytesIO(blob[6:])))
+    fields.update(replaced)
+    buffer = io.BytesIO()
+    buffer.write(blob[:6])
+    np.savez_compressed(buffer, **fields)
+    return buffer.getvalue()
+
+
+class TestMisfitCloudKey:
+    """A v3 key-switch table that is not what the payload's own
+    ``params`` give is refused at load, never broadcast at first use."""
+
+    def test_table_in_the_v2_layout(self, cloud_key):
+        p = cloud_key.params
+        old = np.zeros(
+            (p.extracted_lwe_dimension, p.ks_decomp_length, p.ks_base,
+             p.lwe_dimension),
+            dtype=np.int32,
+        )
+        with pytest.raises(SerializationError, match="ks_table"):
+            load_cloud_key(_repacked(save_cloud_key(cloud_key), ks_table=old))
+
+    def test_table_of_the_wrong_dtype(self, cloud_key):
+        table = cloud_key.keyswitching_key.table
+        with pytest.raises(SerializationError, match="float64"):
+            load_cloud_key(_repacked(save_cloud_key(cloud_key), ks_table=table))
+
+    def test_table_that_disagrees_with_its_params(self, cloud_key):
+        import dataclasses
+
+        from repro.serialization import _params_to_json
+
+        wider = dataclasses.replace(
+            cloud_key.params, lwe_dimension=cloud_key.params.lwe_dimension + 1
+        )
+        blob = _repacked(
+            save_cloud_key(cloud_key),
+            params=np.frombuffer(_params_to_json(wider).encode(), dtype=np.uint8),
+        )
+        with pytest.raises(SerializationError, match="ks_table"):
+            load_cloud_key(blob)
+
+    def test_bodies_of_another_length(self, cloud_key):
+        bodies = cloud_key.keyswitching_key.bodies[:, :-1].astype(np.int32)
+        with pytest.raises(SerializationError, match="ks_bodies"):
+            load_cloud_key(_repacked(save_cloud_key(cloud_key), ks_bodies=bodies))
+
+
 class TestEnvelope:
     """Magic + format-version header on every payload."""
 
@@ -141,6 +194,19 @@ class TestEnvelope:
     def test_truncated_payload_rejected(self, test_keys, rng):
         with pytest.raises(SerializationError, match="truncated"):
             load_ciphertext(self._blob(test_keys, rng)[:3])
+
+    def test_truncated_cloud_key_rejected(self, test_keys):
+        blob = save_cloud_key(test_keys[1])
+        assert int.from_bytes(blob[4:6], "big") == 3
+        for cut in (5, 6, 200, len(blob) // 2, len(blob) - 1):
+            with pytest.raises(SerializationError):
+                load_cloud_key(blob[:cut])
+
+    def test_retired_version_rejected(self, test_keys, rng):
+        blob = bytearray(self._blob(test_keys, rng))
+        blob[4:6] = (1).to_bytes(2, "big")
+        with pytest.raises(SerializationError, match="version 1"):
+            load_ciphertext(bytes(blob))
 
     def test_foreign_payload_rejected(self):
         with pytest.raises(SerializationError, match="bad magic"):
