@@ -11,6 +11,10 @@ gate-count advantage over the baseline frameworks:
   the composite TFHE gates (AND + NOT -> NAND, etc.), since TFHE
   evaluates e.g. ANDYN at the same cost as AND.
 
+These local rules are the one specification of synthesis: the passes
+in :mod:`repro.synth.passes` apply exactly them, as column sweeps over
+a built :class:`Netlist`.
+
 Baseline framework models construct their netlists with these switches
 off, reproducing their characteristic gate inflation (paper Fig. 14).
 """
@@ -19,15 +23,25 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..gatetypes import (
-    COMMUTATIVE,
-    Gate,
-    INVERT_A,
-    INVERT_B,
-    SWAP,
-    evaluate_plain,
-)
+from ..gatetypes import CODE_TRUTH, INVERT_A, INVERT_B, SWAP, Gate, op_name
 from .netlist import NO_INPUT, Netlist
+
+# Per-code tables of the per-gate path, derived once from ``gatetypes``
+# so that a request reads plain ints and never constructs a ``Gate``.
+# ``Gate`` members hash like their codes, so either keys these dicts.
+_CODE: Dict[int, int] = {gate: int(gate) for gate in Gate}
+_ARITY: Dict[int, int] = {int(gate): gate.arity for gate in Gate}
+#: Truth table of each code, bit ``2*a + b`` holding its output.
+_TRUTH: Dict[int, int] = {int(gate): int(CODE_TRUTH[gate]) for gate in Gate}
+_INVERT_A: Dict[int, int] = {int(k): int(v) for k, v in INVERT_A.items()}
+_INVERT_B: Dict[int, int] = {int(k): int(v) for k, v in INVERT_B.items()}
+#: Operand swap of every two-input gate (commutative gates map to
+#: themselves).
+_SWAP: Dict[int, int] = {int(k): int(v) for k, v in SWAP.items()}
+_AND, _OR, _XOR = int(Gate.AND), int(Gate.OR), int(Gate.XOR)
+_NAND, _NOR, _XNOR = int(Gate.NAND), int(Gate.NOR), int(Gate.XNOR)
+_ANDNY, _NOT, _BUF = int(Gate.ANDNY), int(Gate.NOT), int(Gate.BUF)
+_CONST0, _CONST1 = int(Gate.CONST0), int(Gate.CONST1)
 
 
 class CircuitBuilder:
@@ -60,6 +74,10 @@ class CircuitBuilder:
         self._output_names: List[str] = []
         self._cache: Dict[Tuple[int, int, int], int] = {}
         self._const_nodes: Dict[bool, int] = {}
+        #: ``node -> value`` of the (at most two) constant nodes.
+        self._const_of: Dict[int, bool] = {}
+        #: ``node -> operand`` of every NOT node.
+        self._not_of: Dict[int, int] = {}
         #: Structural-sharing cache hits (one per gate request answered
         #: by an existing node) — the observability layer reports this
         #: per synthesis pass.
@@ -98,40 +116,30 @@ class CircuitBuilder:
         node = self._const_nodes.get(value)
         if node is None:
             node = self._append(
-                Gate.CONST1 if value else Gate.CONST0, NO_INPUT, NO_INPUT
+                _CONST1 if value else _CONST0, NO_INPUT, NO_INPUT
             )
             self._const_nodes[value] = node
+            self._const_of[node] = value
         return node
 
     def const_value(self, node: int) -> Optional[bool]:
         """The constant carried by ``node``, or None if non-constant."""
-        idx = node - self._num_inputs
-        if idx < 0:
-            return None
-        op = self._ops[idx]
-        if op == int(Gate.CONST0):
-            return False
-        if op == int(Gate.CONST1):
-            return True
-        return None
+        return self._const_of.get(node)
 
-    def _op_of(self, node: int) -> Optional[int]:
-        idx = node - self._num_inputs
-        return self._ops[idx] if idx >= 0 else None
-
-    def _append(self, gate: Gate, a: int, b: int) -> int:
-        key = (int(gate), a, b)
+    def _append(self, code: int, a: int, b: int) -> int:
+        node = self._num_inputs + len(self._ops)
         if self.hash_cons:
+            key = (code, a, b)
             cached = self._cache.get(key)
             if cached is not None:
                 self.cse_hits += 1
                 return cached
-        self._ops.append(int(gate))
+            self._cache[key] = node
+        self._ops.append(code)
         self._in0.append(a)
         self._in1.append(b)
-        node = self._num_inputs + len(self._ops) - 1
-        if self.hash_cons:
-            self._cache[key] = node
+        if code == _NOT:
+            self._not_of[node] = a
         return node
 
     # ------------------------------------------------------------------
@@ -139,72 +147,63 @@ class CircuitBuilder:
     # ------------------------------------------------------------------
     def gate(self, gate: Gate, a: int = NO_INPUT, b: int = NO_INPUT) -> int:
         """Create (or reuse) a gate; returns the node carrying its output."""
-        gate = Gate(gate)
-        if gate.arity == 0:
-            return self.const(gate is Gate.CONST1)
-        if gate is Gate.BUF:
-            return a if self.fold_constants else self._append(gate, a, NO_INPUT)
-        if gate is Gate.NOT:
+        code = _CODE.get(gate)
+        if code is None:
+            raise ValueError(f"{gate!r} is not a valid Gate")
+        if _ARITY[code] == 2:
+            return self._gate2(code, a, b)
+        if code == _NOT:
             return self._not(a)
-        return self._gate2(gate, a, b)
+        if code == _BUF:
+            return a if self.fold_constants else self._append(code, a, NO_INPUT)
+        return self.const(code == _CONST1)
 
     def _not(self, a: int) -> int:
         if self.fold_constants:
-            cv = self.const_value(a)
+            cv = self._const_of.get(a)
             if cv is not None:
                 return self.const(not cv)
-            if self._op_of(a) == int(Gate.NOT):
-                return self._in0[a - self._num_inputs]
-        return self._append(Gate.NOT, a, NO_INPUT)
+            source = self._not_of.get(a)
+            if source is not None:
+                return source
+        return self._append(_NOT, a, NO_INPUT)
 
-    def _gate2(self, gate: Gate, a: int, b: int) -> int:
+    def _gate2(self, code: int, a: int, b: int) -> int:
         if a < 0 or b < 0:
-            raise ValueError(f"{gate.name} requires two inputs")
+            raise ValueError(f"{op_name(code)} requires two inputs")
         if self.fold_constants:
-            ca, cb = self.const_value(a), self.const_value(b)
-            if ca is not None and cb is not None:
-                return self.const(bool(evaluate_plain(gate, ca, cb)))
-            if ca is not None:
-                return self._fold_one_const(gate, ca, b, const_is_a=True)
-            if cb is not None:
-                return self._fold_one_const(gate, cb, a, const_is_a=False)
-            if a == b:
-                v0 = evaluate_plain(gate, 0, 0)
-                v1 = evaluate_plain(gate, 1, 1)
-                return self._shape_result(v0, v1, a)
+            ca = self._const_of.get(a)
+            cb = self._const_of.get(b)
+            if ca is not None or cb is not None or a == b:
+                truth = _TRUTH[code]
+                if ca is not None and cb is not None:
+                    return self.const(bool(truth >> (2 * ca + cb) & 1))
+                if ca is not None:
+                    return self._shape_result(
+                        truth >> 2 * ca & 1, truth >> (2 * ca + 1) & 1, b
+                    )
+                if cb is not None:
+                    return self._shape_result(
+                        truth >> cb & 1, truth >> (2 + cb) & 1, a
+                    )
+                return self._shape_result(truth & 1, truth >> 3 & 1, a)
         if self.absorb_inverters:
-            if self._op_of(a) == int(Gate.NOT) and gate in INVERT_A:
-                return self._gate2(
-                    INVERT_A[gate], self._in0[a - self._num_inputs], b
-                )
-            if self._op_of(b) == int(Gate.NOT) and gate in INVERT_B:
-                return self._gate2(
-                    INVERT_B[gate], a, self._in0[b - self._num_inputs]
-                )
+            source = self._not_of.get(a)
+            if source is not None and code in _INVERT_A:
+                return self._gate2(_INVERT_A[code], source, b)
+            source = self._not_of.get(b)
+            if source is not None and code in _INVERT_B:
+                return self._gate2(_INVERT_B[code], a, source)
         # Canonicalize operand order for sharing.
         if self.hash_cons and a > b:
-            if gate in COMMUTATIVE:
-                a, b = b, a
-            elif gate in SWAP:
-                gate, a, b = SWAP[gate], b, a
-        return self._append(gate, a, b)
-
-    def _fold_one_const(
-        self, gate: Gate, const: bool, x: int, const_is_a: bool
-    ) -> int:
-        if const_is_a:
-            v0 = evaluate_plain(gate, int(const), 0)
-            v1 = evaluate_plain(gate, int(const), 1)
-        else:
-            v0 = evaluate_plain(gate, 0, int(const))
-            v1 = evaluate_plain(gate, 1, int(const))
-        return self._shape_result(v0, v1, x)
+            code, a, b = _SWAP[code], b, a
+        return self._append(code, a, b)
 
     def _shape_result(self, value_at_0: int, value_at_1: int, x: int) -> int:
         """Resolve a unary residual function {0,1} -> {0,1} of node ``x``."""
         if value_at_0 == value_at_1:
             return self.const(bool(value_at_0))
-        if (value_at_0, value_at_1) == (0, 1):
+        if value_at_1:
             return x
         return self._not(x)
 
@@ -212,25 +211,25 @@ class CircuitBuilder:
     # Convenience gate helpers
     # ------------------------------------------------------------------
     def and_(self, a: int, b: int) -> int:
-        return self.gate(Gate.AND, a, b)
+        return self._gate2(_AND, a, b)
 
     def or_(self, a: int, b: int) -> int:
-        return self.gate(Gate.OR, a, b)
+        return self._gate2(_OR, a, b)
 
     def xor_(self, a: int, b: int) -> int:
-        return self.gate(Gate.XOR, a, b)
+        return self._gate2(_XOR, a, b)
 
     def nand_(self, a: int, b: int) -> int:
-        return self.gate(Gate.NAND, a, b)
+        return self._gate2(_NAND, a, b)
 
     def nor_(self, a: int, b: int) -> int:
-        return self.gate(Gate.NOR, a, b)
+        return self._gate2(_NOR, a, b)
 
     def xnor_(self, a: int, b: int) -> int:
-        return self.gate(Gate.XNOR, a, b)
+        return self._gate2(_XNOR, a, b)
 
     def not_(self, a: int) -> int:
-        return self.gate(Gate.NOT, a)
+        return self._not(a)
 
     def mux(self, sel: int, when_true: int, when_false: int) -> int:
         """2:1 multiplexer: ``sel ? when_true : when_false`` (3 gates)."""
@@ -241,7 +240,7 @@ class CircuitBuilder:
             if when_true == when_false:
                 return when_true
         taken = self.and_(when_true, sel)
-        skipped = self.gate(Gate.ANDNY, sel, when_false)
+        skipped = self._gate2(_ANDNY, sel, when_false)
         return self.or_(taken, skipped)
 
     # ------------------------------------------------------------------

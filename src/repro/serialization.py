@@ -22,6 +22,7 @@ import zipfile
 
 import numpy as np
 
+from .tfhe.bootstrap import key_shape
 from .tfhe.keys import CloudKey, SecretKey
 from .tfhe.keyswitch import KeySwitchingKey, table_shape
 from .tfhe.lwe import LweCiphertext
@@ -182,6 +183,8 @@ def load_cloud_key(data: bytes) -> CloudKey:
     )
     return CloudKey(
         params=params,
-        bootstrapping_key=_field(loaded, "bootstrapping_key"),
+        bootstrapping_key=_field(
+            loaded, "bootstrapping_key", np.complex128, key_shape(params)
+        ),
         keyswitching_key=ksk,
     )

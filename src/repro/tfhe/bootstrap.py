@@ -27,6 +27,18 @@ def _round_to_2n(values: np.ndarray, two_n: int) -> np.ndarray:
     return ((as_int + (1 << (shift - 1))) >> shift) & (two_n - 1)
 
 
+def key_shape(params: TFHEParameters) -> "tuple[int, int, int, int]":
+    """Shape of :attr:`CloudKey.bootstrapping_key` for ``params``:
+    ``(n, (k+1)*l, k+1, N/2)``."""
+    k = params.tlwe_k
+    return (
+        params.lwe_dimension,
+        (k + 1) * params.bs_decomp_length,
+        k + 1,
+        params.tlwe_degree // 2,
+    )
+
+
 def blind_rotate(
     test_poly: np.ndarray,
     ct: LweCiphertext,
@@ -52,15 +64,15 @@ def blind_rotate(
     """
     n_lwe, big_n, k = params.lwe_dimension, params.tlwe_degree, params.tlwe_k
     two_n = 2 * big_n
-    key_shape = (n_lwe, (k + 1) * params.bs_decomp_length, k + 1, big_n // 2)
+    shape = key_shape(params)
     if (
         not isinstance(bootstrapping_key, np.ndarray)
-        or bootstrapping_key.shape != key_shape
+        or bootstrapping_key.shape != shape
         or bootstrapping_key.dtype != np.complex128
     ):
         raise TypeError(
             f"bootstrapping_key must be CloudKey.bootstrapping_key: the "
-            f"stacked folded spectrum, complex128 of shape {key_shape}"
+            f"stacked folded spectrum, complex128 of shape {shape}"
         )
 
     batch_shape = ct.batch_shape

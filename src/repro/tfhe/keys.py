@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from .bootstrap import key_shape
 from .keyswitch import KeySwitchingKey, keyswitch_key_gen
 from .params import TFHEParameters, TFHE_DEFAULT_128
 from .polynomial import get_ring
@@ -106,11 +107,7 @@ def generate_keys(
     # One TGSW sample per bit, drawn in bit order and packed straight
     # into the key array; the transform then runs once, in place.
     half = params.tlwe_degree // 2
-    rows = (params.tlwe_k + 1) * params.bs_decomp_length
-    bootstrapping_key = np.empty(
-        (params.lwe_dimension, rows, params.tlwe_k + 1, half),
-        dtype=np.complex128,
-    )
+    bootstrapping_key = np.empty(key_shape(params), dtype=np.complex128)
     for packed, bit in zip(bootstrapping_key, lwe_key):
         sample = tgsw_encrypt_int(tlwe_key, int(bit), params, rng)
         packed.real = sample[..., :half]

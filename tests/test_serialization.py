@@ -178,6 +178,36 @@ class TestMisfitCloudKey:
         with pytest.raises(SerializationError, match="ks_bodies"):
             load_cloud_key(_repacked(save_cloud_key(cloud_key), ks_bodies=bodies))
 
+    # The bootstrapping key is checked the same way, so a misfit one
+    # cannot register and then fail at a tenant's first blind rotation.
+    def test_bootstrapping_key_of_another_parameter_set(self, cloud_key):
+        import dataclasses
+
+        from repro.tfhe.bootstrap import key_shape
+
+        other = dataclasses.replace(
+            cloud_key.params, bs_decomp_length=3, bs_decomp_log2_base=7
+        )
+        key = np.zeros(key_shape(other), dtype=np.complex128)
+        with pytest.raises(SerializationError, match="bootstrapping_key"):
+            load_cloud_key(
+                _repacked(save_cloud_key(cloud_key), bootstrapping_key=key)
+            )
+
+    def test_bootstrapping_key_with_a_truncated_first_axis(self, cloud_key):
+        key = cloud_key.bootstrapping_key[:-1]
+        with pytest.raises(SerializationError, match="bootstrapping_key"):
+            load_cloud_key(
+                _repacked(save_cloud_key(cloud_key), bootstrapping_key=key)
+            )
+
+    def test_bootstrapping_key_in_complex64(self, cloud_key):
+        key = cloud_key.bootstrapping_key.astype(np.complex64)
+        with pytest.raises(SerializationError, match="complex128"):
+            load_cloud_key(
+                _repacked(save_cloud_key(cloud_key), bootstrapping_key=key)
+            )
+
 
 class TestEnvelope:
     """Magic + format-version header on every payload."""
