@@ -79,11 +79,6 @@ class CostAnalysisConfig:
     #: Marginal per-gate cost inside a fused level, as a fraction of
     #: ``gate_ms`` (the batched engine's measured amortization).
     batched_marginal_fraction: float = 0.125
-    #: Cost of one multi-bit LUT bootstrap (LUT/B2D/D2B) relative to a
-    #: boolean gate bootstrap.  The blind rotation is the same size;
-    #: the factor exists so calibration can price the wider test
-    #: polynomial prep and post-add separately.
-    lut_cost_factor: float = 1.0
     #: Per-task overhead a distributed worker pays per gate (ms).
     task_overhead_ms: float = 0.45
     #: Synchronization barrier closing each distributed level (ms).
@@ -257,8 +252,8 @@ def _level_histograms(
     """Per-level (bootstrapped, free, LUT) gate counts, index = level.
 
     The LUT histogram counts the multi-bit programmable bootstraps
-    (LUT/B2D/D2B) — a subset of the bootstrapped histogram — so the
-    latency prediction can price them at ``lut_cost_factor``.
+    (LUT/B2D/D2B) — a subset of the bootstrapped histogram, priced like
+    any bootstrap because each is a row of the same level call.
     """
     if not flat.num_gates:
         empty = np.zeros(0, dtype=np.int64)
@@ -378,10 +373,7 @@ def certify_cost(
     free_total = int(free_hist.sum())
     lut_total = int(lut_hist.sum())
     profile = _profile_of(boot_hist)
-    # LUT bootstraps are priced at lut_cost_factor gate-equivalents;
-    # the weighted histogram flows into every engine prediction.
-    weighted_hist = boot_hist + (config.lut_cost_factor - 1.0) * lut_hist
-    predicted = _predict_latency(weighted_hist, free_total, config)
+    predicted = _predict_latency(boot_hist, free_total, config)
     peak_wires = _peak_live_wires(flat)
     certificate = CostCertificate(
         subject=flat.name,
@@ -394,7 +386,7 @@ def certify_cost(
         free_gates=free_total,
         depth=profile.depth,
         lut_bootstrapped=lut_total,
-        lut_ms=config.lut_cost_factor * cost.gate_ms,
+        lut_ms=cost.gate_ms,
         bootstrap_histogram=[int(x) for x in boot_hist],
         free_histogram=[int(x) for x in free_hist],
         peak_live_wires=peak_wires,

@@ -955,20 +955,23 @@ def cmd_bench_gate(args) -> int:
         # rotation with a table-shaped test polynomial; measure it so
         # the ~1x cost claim behind the gate-count reduction is checked
         # on this machine, not assumed.
-        from .mblut.kernels import _digit_test_poly, mb_bootstrap_batch
+        from .tfhe.lut import (
+            IntegerEncoding,
+            lut_test_polynomial,
+            programmable_bootstrap,
+        )
 
         p = args.modulus
-        table = rng.integers(0, p, size=p)
-        row = _digit_test_poly(table, p, p, params.tlwe_degree).astype(
-            np.int32
+        encoding = IntegerEncoding(p)
+        test_poly = lut_test_polynomial(
+            rng.integers(0, p, size=p), encoding, encoding,
+            params.tlwe_degree,
         )
-        rows = np.tile(row, (batch, 1))
-        post = np.zeros(batch, dtype=np.int32)
         ct = _random_samples(batch)
         best = float("inf")
         for _ in range(max(1, args.repetitions)):
             t0 = _time.perf_counter()
-            mb_bootstrap_batch(cloud, ct, rows, post)
+            programmable_bootstrap(cloud, ct, test_poly)
             best = min(best, _time.perf_counter() - t0)
         lut_rate = batch / best
         print(

@@ -8,11 +8,11 @@ Every real backend runs the same thing: a ``(nodes, R, n)`` ciphertext
 level by level along the BFS :class:`Schedule` (paper Algorithm 1).
 This module owns the three pieces of that walk:
 
-* :func:`bootstrap_level` — one level's bootstrapped gates, fused into
-  one vectorized blind rotation + key switch per gate vocabulary
-  (boolean gates, and LUT/B2D/D2B programmable bootstraps), gathered
-  from and scattered to the plane in place.  The functional analogue
-  of the paper's GPU batch execution (and MATCHA's batching lesson).
+* :func:`bootstrap_level` — one level's bootstrapped ops, boolean gates
+  and LUT/B2D/D2B alike, fused into one programmable bootstrap (one
+  vectorized blind rotation + key switch), gathered from and scattered
+  to the plane in place.  The functional analogue of the paper's GPU
+  batch execution (and MATCHA's batching lesson).
 * :func:`free_gates` — CONST/BUF/NOT/LIN on the same plane.
 * the one level loop (``CpuBackend._execute``, behind ``run_many``;
   ``run`` is its ``R = 1`` case).  The distributed backend overrides
@@ -33,18 +33,29 @@ from typing import Dict, Iterator, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from ..gatetypes import Gate, OP_LIN, op_name
-from ..hdl.netlist import NO_INPUT, Netlist
-from ..mblut.kernels import (
-    lin_combine,
-    mb_bootstrap_batch,
-    mb_test_poly_rows,
-    split_level,
+from ..gatetypes import (
+    CODE_ARITY,
+    CODE_USES_TABLE,
+    NUM_CODES,
+    OP_B2D,
+    OP_D2B,
+    OP_LIN,
+    OP_LUT,
+    Gate,
+    op_name,
 )
+from ..hdl.netlist import NO_INPUT, Netlist
 from ..obs import Observability
 from ..obs import get as _get_obs
-from ..tfhe.gates import evaluate_gates_batch, trivial_bit
+from ..tfhe.gates import MU_GATE, gate_linear_input, trivial_bit
 from ..tfhe.keys import CloudKey
+from ..tfhe.lut import (
+    IntegerEncoding,
+    lut_test_polynomial,
+    programmable_bootstrap,
+    rotation_slices,
+    validate_table,
+)
 from ..tfhe.lwe import LweCiphertext
 from ..tfhe.torus import wrap_int32
 from .scheduler import Level, Schedule, build_schedule
@@ -174,6 +185,70 @@ _CONST0, _CONST1, _BUF, _NOT = (
 )
 
 
+def level_test_polynomials(
+    netlist: Netlist, gate_ids: np.ndarray, big_n: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The test polynomial of every bootstrapped op ``gate_ids``.
+
+    Returns ``(rows, row_of, post)``: ``rows`` ``(k, N)`` int32 holds one
+    polynomial per distinct ``(op, table, in_prec, out_prec)``,
+    ``row_of`` maps each op to its row, and ``post`` ``(k,)`` int32 is
+    the torus offset each row adds after the key switch.  Per op:
+
+    * a boolean gate rotates the constant ``+1/8`` (``MU_GATE``);
+    * ``OP_LUT`` rotates :func:`~repro.tfhe.lut.lut_test_polynomial`;
+    * ``OP_D2B`` rotates the ``±1/8`` level of each input slice's bit;
+    * ``OP_B2D`` reads a ``±1/8`` sample, so the rotation resolves only
+      its sign: the constant ``C = (enc(v1) - enc(v0)) / 2`` plus
+      ``post = enc(v0) + C`` maps False to ``enc(v0)``, True to
+      ``enc(v1)``.
+
+    Tables are validated against their encodings
+    (:class:`~repro.tfhe.lut.LutTableError`).
+    """
+    codes = netlist.ops[gate_ids]
+    table = CODE_USES_TABLE[codes]
+    ids = gate_ids[table]
+    precs = netlist.node_precisions()
+    # (op, table, in_prec, out_prec); every boolean gate is all zeros.
+    fields = np.zeros((4, len(gate_ids)), dtype=np.int64)
+    fields[:, table] = (
+        codes[table], netlist.table_id[ids], precs[netlist.in0[ids]],
+        netlist.prec[ids],
+    )
+    top = int(precs.max()) + 1
+    key = np.ravel_multi_index(
+        fields, (NUM_CODES, len(netlist.tables) + 1, top, top)
+    )
+    _, first, row_of = np.unique(key, return_index=True, return_inverse=True)
+    rows = np.empty((len(first), big_n), dtype=np.int32)
+    post = np.zeros(len(first), dtype=np.int32)
+    for row, (code, tid, p, q) in enumerate(fields[:, first].T.tolist()):
+        if code == OP_LUT:
+            rows[row] = lut_test_polynomial(
+                netlist.tables[tid], IntegerEncoding(p), IntegerEncoding(q),
+                big_n,
+            )
+        elif code == OP_D2B:
+            bits = validate_table(
+                netlist.tables[tid], IntegerEncoding(p), IntegerEncoding(2)
+            )
+            hot = bits[rotation_slices(p, big_n)] != 0
+            mu = np.int64(MU_GATE)
+            rows[row] = wrap_int32(np.where(hot, mu, -mu))
+        elif code == OP_B2D:
+            enc = IntegerEncoding(q)
+            e0, e1 = enc.encode(
+                validate_table(netlist.tables[tid], IntegerEncoding(2), enc)
+            ).astype(np.int64)
+            half = (e1 - e0) // 2
+            rows[row] = wrap_int32(half)
+            post[row] = wrap_int32(e0 + half)
+        else:
+            rows[row] = MU_GATE
+    return rows, row_of, post
+
+
 def bootstrap_level(
     cloud_key: CloudKey,
     netlist: Netlist,
@@ -181,52 +256,48 @@ def bootstrap_level(
     b: np.ndarray,
     gate_ids: np.ndarray,
 ) -> int:
-    """Bootstrap the gates ``gate_ids`` of one level, in place.
+    """Bootstrap the ops ``gate_ids`` of one level, in place, in one call.
 
     ``a`` ``(nodes, R, n)`` / ``b`` ``(nodes, R)`` is the ciphertext
     plane; ``netlist`` is the caller's own in process, the broadcast
-    binary disassembled in a worker.  Boolean gates fuse into one
-    :func:`evaluate_gates_batch` call and multi-bit bootstraps into one
-    per-row-test-polynomial :func:`mb_bootstrap_batch` call.  Returns
-    the ciphertext bytes gathered from and scattered to the plane.
+    binary disassembled in a worker.  Every op is a row of one
+    :func:`~repro.tfhe.lut.programmable_bootstrap` call: its input is
+    ``ka*in0 + kb*in1 + eighths/8``
+    (:data:`~repro.tfhe.gates.LINEAR_FORM`) and its test polynomial comes
+    from :func:`level_test_polynomials`.  Returns the ciphertext bytes
+    gathered from and scattered to the plane: the operands each op
+    reads, plus its output.
     """
-    codes = netlist.ops[gate_ids].astype(np.int64)
-    bool_pos, mb_pos = split_level(codes)
     requests, dim = a.shape[1:]
+    codes = netlist.ops[gate_ids]
+    arity = CODE_ARITY[codes]
+    in0 = netlist.in0[gate_ids]
+    # A unary op's second operand is multiplied by kb = 0: read in0.
+    in1 = np.where(arity == 2, netlist.in1[gate_ids], in0)
 
     def gather(nodes: np.ndarray) -> LweCiphertext:
-        # The kernels see one flat batch: gates x requests samples.
+        # The kernel sees one flat batch: ops x requests samples.
         return LweCiphertext(a[nodes].reshape(-1, dim), b[nodes].reshape(-1))
 
-    def scatter(ids: np.ndarray, out: LweCiphertext) -> None:
-        nodes = ids + netlist.num_inputs
-        a[nodes] = out.a.reshape(-1, requests, dim)
-        b[nodes] = out.b.reshape(-1, requests)
-
-    moved = 0
-    if len(bool_pos):
-        ids = gate_ids[bool_pos]
-        ca, cb = gather(netlist.in0[ids]), gather(netlist.in1[ids])
-        out = evaluate_gates_batch(
-            cloud_key, np.repeat(codes[bool_pos], requests), ca, cb
-        )
-        scatter(ids, out)
-        moved += ca.nbytes() + cb.nbytes() + out.nbytes()
-    if len(mb_pos):
-        ids = gate_ids[mb_pos]
-        ct = gather(netlist.in0[ids])
-        rows, post = mb_test_poly_rows(
-            netlist, ids, cloud_key.params.tlwe_degree
-        )
-        out = mb_bootstrap_batch(
-            cloud_key,
-            ct,
-            np.repeat(rows, requests, axis=0),
-            np.repeat(post, requests),
-        )
-        scatter(ids, out)
-        moved += ct.nbytes() + out.nbytes()
-    return moved
+    linear = gate_linear_input(
+        np.repeat(codes, requests), gather(in0), gather(in1)
+    )
+    rows, row_of, post = level_test_polynomials(
+        netlist, gate_ids, cloud_key.params.tlwe_degree
+    )
+    per_sample = np.repeat(row_of, requests)
+    # One distinct row (every all-boolean level) broadcasts as is.
+    out = programmable_bootstrap(
+        cloud_key,
+        linear,
+        rows[0] if len(rows) == 1 else rows[per_sample],
+        post[per_sample],
+    )
+    nodes = gate_ids + netlist.num_inputs
+    a[nodes] = out.a.reshape(-1, requests, dim)
+    b[nodes] = out.b.reshape(-1, requests)
+    samples = (int(arity.sum()) + len(gate_ids)) * requests
+    return samples * (dim + 1) * a.itemsize
 
 
 def free_gates(
@@ -258,7 +329,7 @@ def free_gates(
             b[node] = const.b
         elif code == OP_LIN:
             other = int(netlist.in1[gate_idx])
-            out = lin_combine(
+            out = IntegerEncoding(int(netlist.prec[gate_idx])).lin_combine(
                 LweCiphertext(a[src], b[src]),
                 None
                 if other == NO_INPUT
@@ -266,7 +337,6 @@ def free_gates(
                 int(netlist.kx[gate_idx]),
                 int(netlist.ky[gate_idx]),
                 int(netlist.kconst[gate_idx]),
-                int(netlist.prec[gate_idx]),
             )
             a[node] = out.a
             b[node] = out.b

@@ -169,9 +169,11 @@ def parse_prologue(data: bytes, max_frame_bytes: int) -> tuple:
 
 
 def _decode_header(raw: bytes) -> Dict[str, Any]:
+    # ValueError covers bad UTF-8, bad JSON and an integer literal past
+    # the int-conversion digit limit; deep nesting raises RecursionError.
     try:
         header = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"undecodable frame header: {exc}") from exc
     if not isinstance(header, dict):
         raise ProtocolError(

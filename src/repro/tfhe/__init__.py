@@ -24,6 +24,7 @@ from .lut import (
     encrypt_int,
     lut_test_polynomial,
     multiply_table,
+    programmable_bootstrap,
     relu_table,
     square_table,
     validate_table,
@@ -48,6 +49,7 @@ __all__ = [
     "LutTableError",
     "apply_lut",
     "lut_test_polynomial",
+    "programmable_bootstrap",
     "validate_table",
     "bootstrap_output_variance",
     "decrypt_int",

@@ -11,35 +11,39 @@ functional counterpart of the paper's GPU batch execution.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from ..gatetypes import Gate
+from ..gatetypes import BOOTSTRAPPED_GATES, NUM_CODES, TABLE_OPS, Gate
 from .bootstrap import bootstrap_to_extracted
 from .keys import CloudKey
 from .keyswitch import keyswitch_apply
+from .lut import programmable_bootstrap
 from .lwe import LweCiphertext, lwe_trivial
 from .torus import fraction_to_torus, wrap_int32
 
 #: Message levels for the binary gate encoding: True = +1/8, False = -1/8.
 MU_GATE = fraction_to_torus(1, 8)
 
-#: (coeff_a, coeff_b, constant_eighths) per bootstrapped gate: the
-#: pre-bootstrap sample is ``ka*ca + kb*cb + (0, const/8)``.
-_LINEAR: Dict[Gate, Tuple[int, int, int]] = {
-    Gate.AND: (1, 1, -1),
-    Gate.NAND: (-1, -1, 1),
-    Gate.OR: (1, 1, 1),
-    Gate.NOR: (-1, -1, -1),
-    Gate.XOR: (2, 2, 2),
-    Gate.XNOR: (-2, -2, -2),
-    Gate.ANDNY: (-1, 1, -1),
-    Gate.ANDYN: (1, -1, -1),
-    Gate.ORNY: (-1, 1, 1),
-    Gate.ORYN: (1, -1, 1),
-}
+#: ``LINEAR_FORM[code] = (ka, kb, eighths)`` for every bootstrapped op:
+#: its pre-bootstrap sample is ``ka*in0 + kb*in1 + (0, eighths/8)``.  A
+#: table op (LUT/B2D/D2B) rotates its one operand as is: ``(1, 0, 0)``.
+LINEAR_FORM = np.zeros((NUM_CODES, 3), dtype=np.int64)
+LINEAR_FORM[list(TABLE_OPS)] = (1, 0, 0)
+for _gate, _form in (
+    (Gate.AND, (1, 1, -1)),
+    (Gate.NAND, (-1, -1, 1)),
+    (Gate.OR, (1, 1, 1)),
+    (Gate.NOR, (-1, -1, -1)),
+    (Gate.XOR, (2, 2, 2)),
+    (Gate.XNOR, (-2, -2, -2)),
+    (Gate.ANDNY, (-1, 1, -1)),
+    (Gate.ANDYN, (1, -1, -1)),
+    (Gate.ORNY, (-1, 1, 1)),
+    (Gate.ORYN, (1, -1, 1)),
+):
+    LINEAR_FORM[_gate] = _form
 
 
 def trivial_bit(value: bool, params) -> LweCiphertext:
@@ -49,63 +53,33 @@ def trivial_bit(value: bool, params) -> LweCiphertext:
 
 
 def gate_linear_input(
-    gate: Gate, ca: LweCiphertext, cb: LweCiphertext
+    codes, ca: LweCiphertext, cb: LweCiphertext
 ) -> LweCiphertext:
-    """Pre-bootstrap linear combination for a bootstrapped gate."""
-    ka, kb, const = _LINEAR[gate]
-    eighth = np.int64(MU_GATE)
-    a = ca.a.astype(np.int64) * ka + cb.a.astype(np.int64) * kb
-    b = ca.b.astype(np.int64) * ka + cb.b.astype(np.int64) * kb + const * eighth
-    return LweCiphertext(wrap_int32(a), wrap_int32(b))
+    """Pre-bootstrap sample(s) of bootstrapped op(s) ``codes``.
 
-
-_obs_get = None
-
-
-def _ambient_obs():
-    """Lazy hook into :func:`repro.obs.get`.
-
-    ``repro.obs`` imports ``repro.tfhe.params``, so a module-level
-    import here would cycle through the package __init__; resolving on
-    first use (and caching the getter) keeps the disabled-path cost to
-    one call + one attribute check per *batched* bootstrap.
+    ``codes`` is one op code or one per sample of ``ca``/``cb``; each
+    sample is ``ka*ca + kb*cb + eighths/8`` by :data:`LINEAR_FORM`.
     """
-    global _obs_get
-    if _obs_get is None:
-        from .. import obs as _obs_module
-
-        _obs_get = _obs_module.get
-    return _obs_get()
+    ka, kb, eighths = LINEAR_FORM[codes].T
+    a = (
+        ca.a.astype(np.int64) * ka[..., None]
+        + cb.a.astype(np.int64) * kb[..., None]
+    )
+    b = (
+        ca.b.astype(np.int64) * ka
+        + cb.b.astype(np.int64) * kb
+        + eighths * np.int64(MU_GATE)
+    )
+    return LweCiphertext(wrap_int32(a), wrap_int32(b))
 
 
 def bootstrap_binary(cloud: CloudKey, ct: LweCiphertext) -> LweCiphertext:
     """Bootstrap + key switch back to the small key (message ±1/8).
 
-    When observability is on, the two phases land in the
-    ``bootstrap_phase_ms`` histogram (``phase=blind_rotate`` /
-    ``phase=keyswitch``) — the split that tells you whether a slow
-    level is rotation-bound or switching-bound.
+    The programmable bootstrap of the constant ``MU_GATE`` polynomial.
     """
-    obs = _ambient_obs()
-    if not obs.active:
-        extracted = bootstrap_to_extracted(
-            ct, cloud.bootstrapping_key, cloud.params, MU_GATE
-        )
-        return keyswitch_apply(cloud.keyswitching_key, extracted)
-    t0 = time.perf_counter()
-    extracted = bootstrap_to_extracted(
-        ct, cloud.bootstrapping_key, cloud.params, MU_GATE
-    )
-    t1 = time.perf_counter()
-    out = keyswitch_apply(cloud.keyswitching_key, extracted)
-    t2 = time.perf_counter()
-    obs.metrics.observe(
-        "bootstrap_phase_ms", (t1 - t0) * 1e3, phase="blind_rotate"
-    )
-    obs.metrics.observe(
-        "bootstrap_phase_ms", (t2 - t1) * 1e3, phase="keyswitch"
-    )
-    return out
+    test_poly = np.full(cloud.params.tlwe_degree, MU_GATE, dtype=np.int32)
+    return programmable_bootstrap(cloud, ct, test_poly)
 
 
 def evaluate_gate(
@@ -179,30 +153,8 @@ def evaluate_gates_batch(
     bootstrapped two-input gates); ``ca``/``cb`` are matching batches.
     """
     codes = np.asarray(gate_codes, dtype=np.int64)
-    ka = np.empty_like(codes)
-    kb = np.empty_like(codes)
-    kc = np.empty_like(codes)
-    for gate, (ga, gb, gc) in _LINEAR.items():
-        mask = codes == int(gate)
-        ka[mask] = ga
-        kb[mask] = gb
-        kc[mask] = gc
-    known = np.zeros_like(codes, dtype=bool)
-    for gate in _LINEAR:
-        known |= codes == int(gate)
+    known = np.isin(codes, BOOTSTRAPPED_GATES)
     if not known.all():
         bad = sorted(set(codes[~known].tolist()))
         raise ValueError(f"non-bootstrapped gate codes in batch: {bad}")
-
-    eighth = np.int64(MU_GATE)
-    a = (
-        ca.a.astype(np.int64) * ka[..., None]
-        + cb.a.astype(np.int64) * kb[..., None]
-    )
-    b = (
-        ca.b.astype(np.int64) * ka
-        + cb.b.astype(np.int64) * kb
-        + kc * eighth
-    )
-    linear = LweCiphertext(wrap_int32(a), wrap_int32(b))
-    return bootstrap_binary(cloud, linear)
+    return bootstrap_binary(cloud, gate_linear_input(codes, ca, cb))

@@ -2,10 +2,11 @@
 
 The paper's background (Section II-B) highlights TFHE's *programmable*
 bootstrapping: noise reduction that simultaneously applies an arbitrary
-lookup-table function.  This module exposes that capability beyond the
-boolean gates: integers modulo ``p`` are encoded into the positive half
-of the torus, and one bootstrap evaluates any unary function
-``Z_p -> Z_p`` (or into a different output modulus).
+lookup-table function.  :func:`programmable_bootstrap` is the stack's
+one bootstrap: a boolean gate is its constant-test-polynomial case, and
+on integers modulo ``p``, encoded into the positive half of the torus,
+it evaluates any unary function ``Z_p -> Z_p`` (or into a different
+output modulus).
 
 Encoding: message ``m`` lives at the center of its slice,
 ``(2m + 1) / (4p)`` — all messages stay in ``[0, 1/2)`` so the
@@ -16,6 +17,7 @@ addition of encodings is exact while the (integer) sum stays below
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -94,6 +96,33 @@ class IntegerEncoding:
         """Torus distance from a slice center to its boundary."""
         return 1.0 / (4 * self.modulus)
 
+    def lin_combine(
+        self,
+        ca: LweCiphertext,
+        cb: Optional[LweCiphertext],
+        kx: int,
+        ky: int,
+        kconst: int,
+    ) -> LweCiphertext:
+        """Leveled digit combination ``kx*a + ky*b + kconst`` (no bootstrap).
+
+        Each operand encoding carries a ``+1/(4p)`` slice-center offset, so
+        the weighted sum is off-center by ``(kx + ky - 1)/(4p)``; the exact
+        plaintext correction ``(2*kconst + 1 - K) / (4p)`` re-centers the
+        result on the slice of the intended message.  Exact for power-of-two
+        moduli (``4p`` divides ``2**32``).
+        """
+        a = ca.a.astype(np.int64) * kx
+        b = ca.b.astype(np.int64) * kx
+        total_k = kx
+        if cb is not None:
+            a = a + cb.a.astype(np.int64) * ky
+            b = b + cb.b.astype(np.int64) * ky
+            total_k += ky
+        delta = 2 * kconst + 1 - total_k
+        b = b + (delta * _TWO32) // (4 * self.modulus)
+        return LweCiphertext(wrap_int32(a), wrap_int32(b))
+
 
 def encrypt_int(
     secret: SecretKey,
@@ -113,15 +142,63 @@ def decrypt_int(
     return encoding.decode(lwe_phase(secret.lwe_key, ct))
 
 
-def add_ints(a: LweCiphertext, b: LweCiphertext) -> LweCiphertext:
-    """Homomorphic addition of encodings.
+_obs_get = None
 
-    Exact only while the plaintext sum stays below the modulus; the
-    center offsets accumulate (two encodings add to an off-center-by-
-    ``1/(4p)`` value), so re-center with a LUT before deep chains.
+
+def _ambient_obs():
+    """Lazy hook into :func:`repro.obs.get`.
+
+    ``repro.obs`` imports ``repro.tfhe.params``, so a module-level
+    import here would cycle through the package __init__; resolving on
+    first use (and caching the getter) keeps the disabled-path cost to
+    one call + one attribute check per *batched* bootstrap.
     """
-    combined = a + b
-    return combined
+    global _obs_get
+    if _obs_get is None:
+        from .. import obs as _obs_module
+
+        _obs_get = _obs_module.get
+    return _obs_get()
+
+
+def programmable_bootstrap(
+    cloud: CloudKey,
+    ct: LweCiphertext,
+    test_poly: np.ndarray,
+    post: Optional[np.ndarray] = None,
+) -> LweCiphertext:
+    """The one bootstrap: ``ct`` -> a fresh sample of ``test_poly``'s value.
+
+    Blind-rotates ``test_poly`` by each sample's phase, extracts the
+    constant coefficient and key-switches back to the small key, then
+    adds the torus offset ``post`` (per sample, or ``None``).
+    ``test_poly`` is one ``(N,)`` polynomial for the whole batch or one
+    row per sample.  A bootstrapped boolean gate is the constant
+    ``MU_GATE`` polynomial; a lookup table is :func:`lut_test_polynomial`.
+
+    When observability is on, the two phases land in the
+    ``bootstrap_phase_ms`` histogram (``phase=blind_rotate`` /
+    ``phase=keyswitch``) — the split that tells you whether a slow
+    level is rotation-bound or switching-bound.
+    """
+    params = cloud.params
+    t0 = time.perf_counter()
+    acc = blind_rotate(test_poly, ct, cloud.bootstrapping_key, params)
+    extracted = tlwe_extract_lwe(acc, params)
+    t1 = time.perf_counter()
+    out = keyswitch_apply(cloud.keyswitching_key, extracted)
+    obs = _ambient_obs()
+    if obs.active:
+        t2 = time.perf_counter()
+        obs.metrics.observe(
+            "bootstrap_phase_ms", (t1 - t0) * 1e3, phase="blind_rotate"
+        )
+        obs.metrics.observe(
+            "bootstrap_phase_ms", (t2 - t1) * 1e3, phase="keyswitch"
+        )
+    if post is None:
+        return out
+    return LweCiphertext(out.a, wrap_int32(out.b.astype(np.int64) + post))
 
 
 def apply_lut(
@@ -137,15 +214,11 @@ def apply_lut(
     ``table`` must have ``encoding_in.modulus`` entries; outputs are
     encoded under ``encoding_out`` (defaults to the input encoding).
     """
-    params = cloud.params
     encoding_out = encoding_out or encoding_in
     test_poly = lut_test_polynomial(
-        table, encoding_in, encoding_out, params.tlwe_degree
+        table, encoding_in, encoding_out, cloud.params.tlwe_degree
     )
-
-    acc = blind_rotate(test_poly, ct, cloud.bootstrapping_key, params)
-    extracted = tlwe_extract_lwe(acc, params)
-    return keyswitch_apply(cloud.keyswitching_key, extracted)
+    return programmable_bootstrap(cloud, ct, test_poly)
 
 
 def lut_test_polynomial(
@@ -156,14 +229,31 @@ def lut_test_polynomial(
 ) -> np.ndarray:
     """The blind-rotation test polynomial realizing ``table``.
 
-    Position ``j`` corresponds to phase ``j / 2N`` in ``[0, 1/2)``;
-    slice index is ``floor(2p * phase) = (p * j) // N``.  Validates the
-    table against both encodings (:class:`LutTableError` on mismatch).
+    Validates the table against both encodings (:class:`LutTableError`
+    on mismatch) and against the ring (:func:`rotation_slices`).
     """
     entries = validate_table(table, encoding_in, encoding_out)
-    p = encoding_in.modulus
-    slice_of = (np.arange(big_n, dtype=np.int64) * p) // big_n
-    return encoding_out.encode(entries[slice_of])
+    return encoding_out.encode(
+        entries[rotation_slices(encoding_in.modulus, big_n)]
+    )
+
+
+def rotation_slices(modulus: int, big_n: int) -> np.ndarray:
+    """Input slice of each test-polynomial position: ``(p * j) // N``.
+
+    Position ``j`` corresponds to phase ``j / 2N`` in ``[0, 1/2)``,
+    whose slice is ``floor(2p * phase)``.  Each of the ``p`` slices
+    needs at least one position, so ``p > N`` is a
+    :class:`LutTableError` rather than a table that silently loses
+    entries.
+    """
+    if modulus > big_n:
+        raise LutTableError(
+            f"modulus p={modulus} exceeds the ring degree N={big_n}: each "
+            f"slice needs at least one of the N rotation positions, so "
+            f"{modulus - big_n} table entries would be dropped"
+        )
+    return (np.arange(big_n, dtype=np.int64) * modulus) // big_n
 
 
 def relu_table(modulus: int, threshold: Optional[int] = None) -> list:

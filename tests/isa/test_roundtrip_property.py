@@ -38,66 +38,105 @@ COLUMNS = (
 
 
 @st.composite
-def netlists(draw):
+def netlists(draw, moduli=(4, 8, 16), max_gates=24, typed=False):
     """A random valid netlist: topological, arity-correct, output-bearing.
 
     Half the draws are plain boolean circuits; the other half may also
     place digit input wires, LIN gates and table ops (sharing or adding
     tables), in the canonical column form the binary stores: gates keep
     only the columns their op reads.
+
+    ``typed=True`` draws only multi-bit netlists an encrypted run can
+    execute: boolean gates read boolean wires, LIN/LUT/D2B read digit
+    wires, B2D reads a boolean wire, and every table fits its operand's
+    and its output's modulus.
     """
-    multibit = draw(st.booleans())
+    multibit = typed or draw(st.booleans())
     kinds = ["binary", "unary", "const"]
     if multibit:
         kinds += ["lin", "lut", "b2d", "d2b"]
-    modulus = st.sampled_from([4, 8, 16])
-    num_inputs = draw(st.integers(min_value=1, max_value=6))
-    num_gates = draw(st.integers(min_value=1, max_value=24))
+    modulus = st.sampled_from(moduli)
+    num_inputs = draw(st.integers(min_value=2 if typed else 1, max_value=6))
+    num_gates = draw(st.integers(min_value=1, max_value=max_gates))
     input_prec = [
         draw(modulus) if multibit and draw(st.booleans()) else 0
         for _ in range(num_inputs)
     ]
+    if typed:  # at least one wire of each kind
+        input_prec[:2] = [0, draw(modulus)]
     input_bound = [
         draw(st.integers(min_value=0, max_value=p - 1)) if p else 1
         for p in input_prec
     ]
+    node_prec = list(input_prec)
     ops, in0, in1 = [], [], []
     prec, kx, ky, kconst, table_id, tables = [], [], [], [], [], []
+
+    def operand(node, digit):
+        if not typed:
+            return draw(st.integers(min_value=0, max_value=node - 1))
+        return draw(st.sampled_from(
+            [n for n in range(node) if bool(node_prec[n]) == digit]
+        ))
+
+    def table(size, bound):
+        if typed:
+            fits = [
+                i for i, t in enumerate(tables)
+                if len(t) == size and max(t) < bound
+            ]
+            entries = st.lists(
+                st.integers(min_value=0, max_value=bound - 1),
+                min_size=size, max_size=size,
+            )
+        else:
+            fits = list(range(len(tables)))
+            entries = st.lists(
+                st.integers(min_value=0, max_value=1023),
+                min_size=2, max_size=30,  # B2D reads entries 0 and 1
+            )
+        if not fits or draw(st.booleans()):
+            tables.append(draw(entries))
+            return len(tables) - 1
+        return draw(st.sampled_from(fits))
+
     for idx in range(num_gates):
         node = num_inputs + idx
-        earlier = st.integers(min_value=0, max_value=node - 1)
         kind = draw(st.sampled_from(kinds))
         row = dict(in0=NO_INPUT, in1=NO_INPUT, prec=0, kx=0, ky=0,
                    kconst=0, table_id=-1)
         if kind == "binary":
             row.update(op=draw(st.sampled_from(TWO_INPUT_GATES)),
-                       in0=draw(earlier), in1=draw(earlier))
+                       in0=operand(node, False), in1=operand(node, False))
         elif kind == "unary":
             row.update(op=draw(st.sampled_from([Gate.NOT, Gate.BUF])),
-                       in0=draw(earlier))
+                       in0=operand(node, False))
         elif kind == "const":
             row.update(op=draw(st.sampled_from([Gate.CONST0, Gate.CONST1])))
         elif kind == "lin":
             coeff = st.integers(min_value=-128, max_value=127)
+            src = operand(node, True)
             row.update(
-                op=OP_LIN, in0=draw(earlier), prec=draw(modulus),
-                in1=draw(st.one_of(st.just(NO_INPUT), earlier)),
+                op=OP_LIN, in0=src,
+                prec=node_prec[src] if typed else draw(modulus),
+                in1=operand(node, True) if draw(st.booleans()) else NO_INPUT,
                 kx=draw(coeff), ky=draw(coeff),
                 kconst=draw(st.integers(-(1 << 15), (1 << 15) - 1)),
             )
         else:
-            if not tables or draw(st.booleans()):
-                tables.append(draw(st.lists(
-                    st.integers(min_value=0, max_value=1023),
-                    min_size=2, max_size=30,  # B2D reads entries 0 and 1
-                )))
+            src = operand(node, kind != "b2d")
+            out_prec = 0 if kind == "d2b" else draw(modulus)
             row.update(
                 op={"lut": OP_LUT, "b2d": OP_B2D, "d2b": OP_D2B}[kind],
-                in0=draw(earlier),
-                prec=0 if kind == "d2b" else draw(modulus),
-                table_id=draw(st.integers(0, len(tables) - 1)),
+                in0=src,
+                prec=out_prec,
+                table_id=table(
+                    2 if kind == "b2d" else node_prec[src],
+                    out_prec or 2,
+                ),
             )
         ops.append(int(row["op"]))
+        node_prec.append(row["prec"])
         for column, name in (
             (in0, "in0"), (in1, "in1"), (prec, "prec"), (kx, "kx"),
             (ky, "ky"), (kconst, "kconst"), (table_id, "table_id"),

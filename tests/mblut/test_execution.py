@@ -15,7 +15,7 @@ from repro.mblut import (
     encrypt_mb_inputs,
     synthesize,
 )
-from repro.runtime import CpuBackend
+from repro.runtime import CpuBackend, build_schedule
 
 WIDTH = 6
 MODULUS = 8
@@ -97,8 +97,13 @@ class TestEncryptedExecution:
         ]
         phases = {s["labels"]["phase"]: s for s in series}
         assert set(phases) == {"blind_rotate", "keyswitch"}
-        # One observation per fused bootstrap call: at least one per level.
-        assert phases["blind_rotate"]["count"] >= report.levels
+        # One observation per fused bootstrap call: one per level.
+        bootstrapped_levels = sum(
+            1 for level in build_schedule(mb_adder).levels if level.width
+        )
+        assert bootstrapped_levels == report.levels
+        for phase in phases.values():
+            assert phase["count"] == bootstrapped_levels
         assert phases["blind_rotate"]["sum"] > 0
         assert phases["keyswitch"]["sum"] > 0
 

@@ -3,7 +3,8 @@
 In-process at ``R = 1`` and ``R = 3`` and distributed (two workers) at
 ``R = 1`` and ``R = 3`` all run the one level loop; each must decrypt
 to ``netlist.evaluate``, and the distributed output must equal the
-in-process output ciphertext for ciphertext at the same ``R``.
+in-process output ciphertext for ciphertext, and row ``r`` of an
+``R = 3`` run must equal the ``R = 1`` run of row ``r``.
 """
 
 import numpy as np
@@ -70,9 +71,13 @@ class TestBackendsAgreeOnRandomNetlists:
             assert np.array_equal(decrypt_bits(secret, one), want[0])
         for many in (local_many, dist_many):
             assert np.array_equal(decrypt_bits(secret, many), want)
-        # Same kernel on the same batch shape: not just the same
-        # plaintext, the same ciphertext.  (Across different R only
-        # the plaintext must agree: BLAS may round differently.)
+        # Not just the same plaintext, the same ciphertext: across
+        # backends, and across R — a sample's bootstrap never depends
+        # on what else is in its batch.
         for dist, ref in ((dist_one, local_one), (dist_many, local_many)):
             assert np.array_equal(dist.a, ref.a)
             assert np.array_equal(dist.b, ref.b)
+        for row in range(len(stacked)):
+            alone = local_one if row == 0 else local.run(nl, stacked[row])[0]
+            assert np.array_equal(local_many[row].a, alone.a)
+            assert np.array_equal(local_many[row].b, alone.b)

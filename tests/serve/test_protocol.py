@@ -1,11 +1,14 @@
 """Wire-protocol frame tests (no sockets)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.protocol import (
     MAGIC,
     PROLOGUE_SIZE,
     PROTOCOL_VERSION,
+    Frame,
     FrameTooLarge,
     MessageKind,
     ProtocolError,
@@ -102,3 +105,44 @@ class TestPrologueValidation:
         )
         with pytest.raises(ProtocolError, match="JSON object"):
             decode_frame(data)
+
+
+def _with_header(header: bytes) -> bytes:
+    import struct
+
+    return struct.pack(
+        ">4sHHII", MAGIC, PROTOCOL_VERSION, MessageKind.PING, len(header), 0
+    ) + header
+
+
+class TestHostileHeaders:
+    def test_deeply_nested_header_is_a_protocol_error(self):
+        with pytest.raises(ProtocolError, match="undecodable"):
+            decode_frame(_with_header(b"[" * 200_000))
+
+    def test_overlong_integer_header_is_a_protocol_error(self):
+        with pytest.raises(ProtocolError, match="undecodable"):
+            decode_frame(_with_header(b'{"a": ' + b"9" * 5000 + b"}"))
+
+    @given(st.binary(max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bytes_decode_or_raise_protocol_error(self, data):
+        try:
+            assert isinstance(decode_frame(data), Frame)
+        except ProtocolError:
+            pass
+
+    @given(
+        st.one_of(
+            st.binary(max_size=256),
+            st.text(alphabet='[]{}":,0123456789 ab', max_size=256).map(
+                str.encode
+            ),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_valid_prologue_random_header_decodes_or_raises(self, header):
+        try:
+            assert isinstance(decode_frame(_with_header(header)), Frame)
+        except ProtocolError:
+            pass

@@ -219,6 +219,38 @@ def test_oversized_frame_gets_busy_not_hangup(test_keys, program_add):
             assert client.metrics()["stats"]["busy_rejections"] >= 1
 
 
+def test_nested_header_gets_bad_request_and_server_keeps_serving():
+    """A frame header nested past the JSON decoder's recursion limit
+    draws BAD_REQUEST instead of killing the connection task, and a
+    second connection is still served."""
+    import socket
+    import struct
+
+    from repro.serve.protocol import (
+        MAGIC,
+        PROTOCOL_VERSION,
+        MessageKind,
+        read_frame_sync,
+    )
+
+    header = b"[" * 200_000
+    frame = struct.pack(
+        ">4sHHII", MAGIC, PROTOCOL_VERSION, MessageKind.PING, len(header), 0
+    ) + header
+    with serving(ServeConfig(port=0)) as handle:
+        with socket.create_connection(
+            ("127.0.0.1", handle.port), timeout=30
+        ) as sock:
+            sock.sendall(frame)
+            reply = read_frame_sync(sock)
+        assert reply.status == "BAD_REQUEST"
+        assert "undecodable frame header" in reply.header["message"]
+        with FheServiceClient(
+            "127.0.0.1", handle.port, "tenant-a", retries=0
+        ) as client:
+            assert client.ping()["tenants"] == 0
+
+
 def test_ok_reply_report_is_scalars_only(test_keys, program_add):
     """The serve loop always observes, but what it observed stays in
     its tracer: the reply's ``report`` is the run's scalar fields — no

@@ -48,10 +48,11 @@ class TestNetlistPlanRoundtrip:
         assert plan.tables == [] and not plan.is_multibit
 
     def test_roundtrip_preserves_multibit_columns(self):
-        """The plan carries every column the LUT kernels read, so a
+        """The plan carries every column the level kernel reads, so a
         worker builds the same test polynomials as the driver."""
+        from repro.gatetypes import CODE_USES_TABLE
         from repro.mblut import synthesize
-        from repro.mblut.kernels import mb_test_poly_rows, split_level
+        from repro.runtime.executors import level_test_polynomials
 
         mb = synthesize(self._adder(), modulus=8)
         plan = disassemble(assemble(mb))
@@ -65,11 +66,11 @@ class TestNetlistPlanRoundtrip:
         assert len(plan.tables) == len(mb.tables)
         for got, want in zip(plan.tables, mb.tables):
             assert np.array_equal(got, want)
-        lut_gates = split_level(mb.ops)[1]
+        lut_gates = np.flatnonzero(CODE_USES_TABLE[mb.ops])
         assert len(lut_gates)
         for got, want in zip(
-            mb_test_poly_rows(plan, lut_gates, 64),
-            mb_test_poly_rows(mb, lut_gates, 64),
+            level_test_polynomials(plan, lut_gates, 64),
+            level_test_polynomials(mb, lut_gates, 64),
         ):
             assert np.array_equal(got, want)
 

@@ -12,7 +12,12 @@ from repro.tfhe import (
     relu_table,
     square_table,
 )
-from repro.tfhe.lut import LutTableError, add_ints, validate_table
+from repro.tfhe.lut import (
+    LutTableError,
+    lut_test_polynomial,
+    rotation_slices,
+    validate_table,
+)
 from repro.tfhe.torus import torus_distance
 
 
@@ -61,7 +66,7 @@ class TestEncryptedIntegers:
         enc = IntegerEncoding(8)
         a = encrypt_int(secret, 3, enc, rng)
         b = encrypt_int(secret, 2, enc, rng)
-        total = add_ints(a, b)
+        total = a + b
         # Two center offsets accumulate: phase = (2*5 + 2) / 32; still
         # decodes to 5 (floor of slice index).
         assert decrypt_int(secret, total, enc) == 5
@@ -158,6 +163,26 @@ class TestApplyLut:
         ct = encrypt_int(secret, 1, enc_in, rng)
         with pytest.raises(LutTableError):
             apply_lut(cloud, ct, [0] * 7 + [5], enc_in, enc_out)
+
+    def test_modulus_past_ring_degree_is_refused(self, test_keys, rng):
+        """p > N would leave some slices without a rotation position:
+        with p = 2N every odd entry would be silently ignored."""
+        secret, cloud = test_keys
+        big_n = cloud.params.tlwe_degree
+        enc = IntegerEncoding(2 * big_n)
+        ct = encrypt_int(secret, 1, IntegerEncoding(8), rng)
+        with pytest.raises(LutTableError, match=f"p={2 * big_n}.*N={big_n}"):
+            apply_lut(cloud, ct, list(range(2 * big_n)), enc)
+        # p = N is the largest modulus that reaches every entry.
+        poly = lut_test_polynomial(
+            list(range(8)), IntegerEncoding(8), IntegerEncoding(8), 8
+        )
+        assert np.array_equal(
+            IntegerEncoding(8).decode(poly), np.arange(8)
+        )
+        assert np.array_equal(
+            np.unique(rotation_slices(big_n, big_n)), np.arange(big_n)
+        )
 
     def test_lut_table_error_is_value_error(self):
         assert issubclass(LutTableError, ValueError)
