@@ -512,7 +512,10 @@ def _execution_backend(args, cloud):
     from .runtime import CpuBackend, DistributedCpuBackend
 
     if args.backend == "distributed":
-        return DistributedCpuBackend(cloud, num_workers=args.workers)
+        try:
+            return DistributedCpuBackend(cloud, num_workers=args.workers)
+        except ValueError as exc:
+            raise SystemExit(f"--workers: {exc}") from None
     return CpuBackend(cloud)
 
 

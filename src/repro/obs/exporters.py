@@ -292,6 +292,8 @@ def render_levels(spans: Iterable[Span], width: int = 60) -> str:
 
     Rows are in start-time order whatever order the spans were
     recorded in, so a level's chunk rows follow its bootstrap row.
+    A chunk row is tagged ``chunk/w<id>`` for a helper process and
+    ``chunk/co`` for the coordinator's own shard.
     """
     rows = sorted(_level_spans(spans), key=lambda s: (s.start_s, s.end_s))
     if not rows:
@@ -305,7 +307,10 @@ def render_levels(spans: Iterable[Span], width: int = 60) -> str:
         begin = int((span.start_s - t0) / extent * width)
         length = max(1, int(span.duration_s / extent * width))
         bar = " " * begin + glyphs[kind] * length
-        tag = f"chunk/w{span.args['worker']}" if kind == "chunk" else kind
+        tag = kind
+        if kind == "chunk":
+            worker = span.args["worker"]
+            tag = "chunk/co" if worker < 0 else f"chunk/w{worker}"
         lines.append(
             f"L{span.args['level']:<4d} {tag:9s} {span.args['gates']:6d}g "
             f"|{bar:<{width}}| {span.duration_s * 1e3:8.1f} ms"

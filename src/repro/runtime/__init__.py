@@ -6,6 +6,7 @@ from .distributed import (
     shutdown_shared_pools,
 )
 from .executors import (
+    COORDINATOR,
     CpuBackend,
     ExecutionReport,
     MAX_FHE_NODES,
@@ -16,6 +17,7 @@ from .scheduler import Level, Schedule, build_schedule, shard_level
 from .shm import SharedCiphertextPlane, ShmActorPool, default_mp_context
 
 __all__ = [
+    "COORDINATOR",
     "CpuBackend",
     "DistributedCpuBackend",
     "ExecutionReport",

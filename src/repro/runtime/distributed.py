@@ -6,7 +6,11 @@ evaluations as tasks (Section IV-D).  Here the actors are the
 persistent workers of a :class:`~repro.runtime.shm.ShmActorPool`: the
 run's ciphertext plane lives in shared memory, each worker runs
 :func:`~repro.runtime.executors.bootstrap_level` on its shard of every
-level in place, and only level indices cross the pipes.
+level in place, and only level indices cross the pipes.  The driving
+process is an actor as well: it bootstraps the smallest shard of each
+level itself between dispatching the level and collecting it, so
+``num_workers`` helper processes keep ``num_workers + 1`` cores busy
+(the default, one helper per other core, puts every core to work).
 
 :class:`DistributedCpuBackend` is :class:`CpuBackend` with two things
 replaced — where the plane lives and who runs the bootstrap step — so
@@ -123,8 +127,8 @@ class DistributedCpuBackend(CpuBackend):
     def _bootstrap_step(
         self, netlist, plane: Plane, level: Level
     ) -> Tuple[int, Sequence[Chunk]]:
-        """Each worker bootstraps its shard of the level in the plane;
-        no ciphertext byte crosses a pipe."""
+        """Each worker, this process included, bootstraps its shard of
+        the level in the plane; no ciphertext byte crosses a pipe."""
         return 0, self.pool.run_level(level.index)
 
     def _finish(self, report: ExecutionReport, obs: Observability) -> None:

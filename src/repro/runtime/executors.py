@@ -348,6 +348,9 @@ def free_gates(
 #: ``(worker id, gates, seconds)``.
 Chunk = Tuple[int, int, float]
 
+#: The worker id of a chunk the driving process ran itself.
+COORDINATOR = -1
+
 
 class Plane(Protocol):
     """A run's ciphertexts: one LWE sample per node per request."""
@@ -452,10 +455,15 @@ class CpuBackend:
         ) -> None:
             # Chunks land on their worker's track and carry its id.
             on_worker = {} if worker is None else {"worker": worker}
+            if worker is None:
+                track = None
+            elif worker == COORDINATOR:
+                track = "coordinator"
+            else:
+                track = f"worker-{worker}"
             obs.tracer.add(
                 f"L{level.index} {kind}", cat="execute",
-                start_s=t0, end_s=t1,
-                track=None if worker is None else f"worker-{worker}",
+                start_s=t0, end_s=t1, track=track,
                 level=level.index, kind=kind, gates=gates, **on_worker,
             )
 

@@ -60,9 +60,12 @@ def shard_level(
 ) -> List[np.ndarray]:
     """Split one level's gates into at most ``num_shards`` contiguous chunks.
 
-    The worker pool plans every level with this helper before a run:
-    chunk ``i`` of every level belongs to worker ``i``, so only the
-    level index crosses a pipe per level.  Empty chunks are dropped.
+    The worker pool plans every level with this helper before a run,
+    with one shard more than it has helper processes: the last (the
+    smallest, since ``array_split`` puts the extra gates first) is the
+    coordinator's own, and chunk ``i`` of the rest belongs to worker
+    ``i``, so only the level index crosses a pipe per level.  Empty
+    chunks are dropped.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be positive")

@@ -10,7 +10,12 @@ Workers attach once per run and call the same
 :func:`~repro.runtime.executors.bootstrap_level` as the in-process
 engine on their shard of each level, *in place*, so the only per-level
 traffic is a ``("level", index)`` command and a small completion
-record.
+record.  The coordinator is a worker too: it bootstraps the smallest
+shard of every level on the same plane while the helper processes run
+theirs, so ``num_workers`` helpers keep ``num_workers + 1`` cores busy.
+Every process runs its shard with OpenBLAS on one thread: the
+processes already fill the cores, and BLAS threads on top of them
+spin against each other.
 
 Workers are persistent processes (a miniature Ray actor each): the
 serialized cloud key is broadcast exactly once when the pool starts,
@@ -21,19 +26,22 @@ both the ``fork`` and ``spawn`` start methods.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import multiprocessing
 import os
 import pickle
 import time
 from multiprocessing import shared_memory
 from multiprocessing.connection import wait as _wait_ready
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ..hdl.netlist import Netlist
 from ..isa import assemble, disassemble
 from ..tfhe.keys import CloudKey
-from .executors import Chunk, bootstrap_level
+from .executors import COORDINATOR, Chunk, bootstrap_level
 from .scheduler import Schedule, shard_level
 
 #: Environment override for the multiprocessing start method
@@ -54,6 +62,59 @@ def default_mp_context():
         available = multiprocessing.get_all_start_methods()
         method = "fork" if "fork" in available else "spawn"
     return multiprocessing.get_context(method)
+
+
+#: ``(get, set)`` thread-count symbols, by OpenBLAS build.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_threads():
+    """``(get, set)`` for the thread count of the OpenBLAS numpy loaded.
+
+    The library is found by path in ``/proc/self/maps``; ``None`` where
+    there is no such file or no OpenBLAS (BLAS threading is then left
+    as it is).
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {
+                line.split()[-1] for line in maps if "openblas" in line.lower()
+            }
+        for path in sorted(paths):
+            lib = ctypes.CDLL(path)
+            for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+                get = getattr(lib, get_name, None)
+                set_ = getattr(lib, set_name, None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    except OSError:
+        pass
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the body with OpenBLAS on one thread, then restore the count."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 class SharedCiphertextPlane:
@@ -177,7 +238,8 @@ def _shm_worker_main(conn, worker_id: int, key_blob: bytes) -> None:
                 level_index = message[1]
                 ids = chunks[level_index]
                 t0 = time.perf_counter()
-                bootstrap_level(key, netlist, plane.a, plane.b, ids)
+                with _one_blas_thread():
+                    bootstrap_level(key, netlist, plane.a, plane.b, ids)
                 duration = time.perf_counter() - t0
                 _send(conn, ("done", worker_id, level_index, len(ids), duration))
             elif command == "end_run":
@@ -207,6 +269,8 @@ def _shm_worker_main(conn, worker_id: int, key_blob: bytes) -> None:
 class ShmActorPool:
     """Persistent workers sharing a ciphertext plane with the driver.
 
+    ``num_workers`` counts helper processes (default: one per core but
+    this one); the coordinator bootstraps a shard of every level itself.
     The pool broadcasts the serialized cloud key once, at start; each
     ``run()`` of the owning backend then costs one plan broadcast plus
     a few dozen bytes of level commands.  ``run_count`` and
@@ -224,7 +288,15 @@ class ShmActorPool:
     ):
         from ..serialization import save_cloud_key
 
-        self.num_workers = num_workers or max(1, (os.cpu_count() or 2) - 1)
+        if num_workers is None:
+            num_workers = max(1, (os.cpu_count() or 2) - 1)
+        elif num_workers < 1:
+            raise ValueError(
+                f"num_workers must be at least 1 helper process, "
+                f"got {num_workers}"
+            )
+        self.num_workers = num_workers
+        self._cloud_key = cloud_key
         self.fingerprint = cloud_key.fingerprint()
         self.lwe_dimension = cloud_key.params.lwe_dimension
         context = context or default_mp_context()
@@ -247,6 +319,8 @@ class ShmActorPool:
         self.plan_bytes = 0
         self._plane: Optional[SharedCiphertextPlane] = None
         self._workers_by_level: Dict[int, List[int]] = {}
+        self._netlist: Optional[Netlist] = None
+        self._own_shards: Dict[int, np.ndarray] = {}
         self._procs = []
         self._conns = []
         for worker_id in range(self.num_workers):
@@ -277,7 +351,9 @@ class ShmActorPool:
         The binary *is* the plan (the paper's deployment model): each
         worker disassembles it once per run and resolves its chunk's
         op codes, operands and tables locally, so only chunk *indices*
-        cross the pipe per level.
+        cross the pipe per level.  The coordinator keeps the smallest
+        shard of each level (``array_split`` puts the extra gates
+        first), since it also dispatches and collects.
         """
         if self.closed:
             raise RuntimeError("pool is shut down")
@@ -293,10 +369,14 @@ class ShmActorPool:
                 w: {} for w in range(self.num_workers)
             }
             self._workers_by_level = {}
+            self._own_shards = {}
             for level in schedule.levels:
                 if not level.width:
                     continue
-                shards = shard_level(level.bootstrapped, self.num_workers)
+                *shards, own = shard_level(
+                    level.bootstrapped, self.num_workers + 1
+                )
+                self._own_shards[level.index] = own
                 self._workers_by_level[level.index] = list(range(len(shards)))
                 for worker_id, shard in enumerate(shards):
                     chunks_by_worker[worker_id][level.index] = shard
@@ -317,6 +397,7 @@ class ShmActorPool:
             plane.unlink()
             raise
         self._plane = plane
+        self._netlist = netlist
         return plane
 
     def _send_or_abort(self, worker_id: int, message) -> int:
@@ -332,7 +413,9 @@ class ShmActorPool:
 
     def run_level(self, level_index: int) -> List[Chunk]:
         """Execute one BFS level; returns ``(worker, gates, seconds)``
-        per chunk.  Only the level index crosses the pipe."""
+        per chunk, the coordinator's own shard as worker
+        :data:`~repro.runtime.executors.COORDINATOR`.  Only the level
+        index crosses the pipe."""
         if self.closed:
             raise RuntimeError("pool is shut down")
         workers = self._workers_by_level.get(level_index, [])
@@ -340,8 +423,25 @@ class ShmActorPool:
             self.control_bytes += self._send_or_abort(
                 worker_id, ("level", level_index)
             )
+        chunks: List[Chunk] = []
+        own = self._own_shards.get(level_index)
+        if own is not None:
+            netlist, plane = self._netlist, self._plane
+            assert netlist is not None and plane is not None, "no run"
+            t0 = time.perf_counter()
+            try:
+                with _one_blas_thread():
+                    bootstrap_level(
+                        self._cloud_key, netlist, plane.a, plane.b, own
+                    )
+            except BaseException:
+                # Workers may still owe replies for this level: a pool
+                # left half-drained cannot run again, so tear it down.
+                self._abort()
+                raise
+            chunks.append((COORDINATOR, len(own), time.perf_counter() - t0))
         replies = self._collect("done", set(workers))
-        return [
+        return chunks + [
             (worker_id, message[3], message[4])
             for worker_id, message in replies
         ]
@@ -350,6 +450,8 @@ class ShmActorPool:
         """Detach workers from the plane and destroy the segment."""
         plane, self._plane = self._plane, None
         self._workers_by_level = {}
+        self._own_shards = {}
+        self._netlist = None
         if plane is None:
             return
         try:
@@ -405,9 +507,12 @@ class ShmActorPool:
         return replies
 
     def _abort(self) -> None:
-        """Tear everything down after a worker crash or protocol error."""
+        """Tear everything down after a worker crash, a failed
+        coordinator shard or a protocol error."""
         plane, self._plane = self._plane, None
         self._workers_by_level = {}
+        self._own_shards = {}
+        self._netlist = None
         for proc in self._procs:
             if proc.is_alive():
                 proc.terminate()

@@ -133,7 +133,9 @@ class TestDistributedObservability:
             if s.track is not None
         ]
         assert chunk_spans
-        assert all(s.track.startswith("worker-") for s in chunk_spans)
+        assert {s.track for s in chunk_spans} == {
+            "coordinator", "worker-0", "worker-1"
+        }
         assert ob.metrics.counter_value(
             "tasks_submitted", transport="shm"
         ) == report.tasks_submitted

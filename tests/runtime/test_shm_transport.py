@@ -1,6 +1,7 @@
 """Shared-memory worker pool tests: plane, pool lifecycle, crash safety."""
 
 import multiprocessing
+import os
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -10,7 +11,9 @@ from repro import obs
 from repro.hdl import arith
 from repro.hdl.builder import CircuitBuilder
 from repro.gatetypes import OP_LUT
+from repro.runtime import shm as shm_module
 from repro.runtime import (
+    COORDINATOR,
     CpuBackend,
     DistributedCpuBackend,
     SharedCiphertextPlane,
@@ -191,10 +194,12 @@ class TestCrashSafety:
         segment = plane.meta[0]
         pool._procs[0].kill()
         pool._procs[0].join()
+        # A level worker 0 has a shard of (width 1 runs on the
+        # coordinator alone).
         level = next(
             level.index
             for level in schedule.levels
-            if level.width
+            if 0 in pool._workers_by_level.get(level.index, ())
             and (code is None or code in circuit.ops[level.bootstrapped])
         )
         with pytest.raises(RuntimeError, match="died"):
@@ -219,6 +224,103 @@ class TestCrashSafety:
             assert backend.pool._plane is None
         finally:
             backend.shutdown()
+
+
+class TestCoordinatorShardFailures:
+    """Break the pool on purpose while the coordinator is inside its own
+    shard; each ending leaves no segment, no live worker, and a fresh
+    shared pool that still computes what the in-process engine does."""
+
+    @staticmethod
+    def _inside_own_shard(monkeypatch, hook):
+        """Call ``hook(pool)`` when this process starts its own shard;
+        the already-started workers keep the real kernel."""
+        real = shm_module.bootstrap_level
+        coordinator = os.getpid()
+
+        def patched(*args):
+            if os.getpid() == coordinator:
+                hook()
+            return real(*args)
+
+        monkeypatch.setattr(shm_module, "bootstrap_level", patched)
+
+    @pytest.mark.parametrize("ending", ["worker_killed", "shard_raises"])
+    def test_pool_ends_clean_and_is_replaced(
+        self, ending, adder_circuit, test_keys, adder_ct, monkeypatch
+    ):
+        _, cloud = test_keys
+        try:
+            pool = shared_pool(cloud, 1)
+            segments = []
+
+            def hook():
+                segments.append(pool._plane.meta[0])
+                if ending == "shard_raises":
+                    raise ZeroDivisionError("coordinator shard failed")
+                if len(segments) == 1:
+                    pool._procs[0].kill()
+                    pool._procs[0].join()
+
+            self._inside_own_shard(monkeypatch, hook)
+            backend = DistributedCpuBackend(cloud, pool=pool)
+            if ending == "shard_raises":
+                expected = pytest.raises(
+                    ZeroDivisionError, match="coordinator shard failed"
+                )
+            else:
+                expected = pytest.raises(RuntimeError, match="worker 0")
+            with expected:
+                backend.run(adder_circuit, adder_ct)
+            monkeypatch.undo()
+            assert pool.closed
+            assert pool._plane is None
+            assert all(proc.exitcode is not None for proc in pool._procs)
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=segments[0])
+
+            fresh = shared_pool(cloud, 1)
+            assert fresh is not pool
+            got, _ = DistributedCpuBackend(cloud, pool=fresh).run(
+                adder_circuit, adder_ct
+            )
+            want, _ = CpuBackend(cloud).run(adder_circuit, adder_ct)
+            assert np.array_equal(got.a, want.a)
+            assert np.array_equal(got.b, want.b)
+        finally:
+            shutdown_shared_pools()
+
+
+def test_shards_run_on_one_blas_thread_then_restore_it():
+    threads = shm_module._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's OpenBLAS is not visible in /proc/self/maps")
+    get, _ = threads
+    before = get()
+    with shm_module._one_blas_thread():
+        assert get() == 1
+    assert get() == before
+
+
+class TestWorkerCount:
+    def test_default_is_one_helper_per_other_core(self, test_keys):
+        _, cloud = test_keys
+        with ShmActorPool(cloud) as pool:
+            assert pool.num_workers == max(1, (os.cpu_count() or 2) - 1)
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_pool_rejects_fewer_than_one_helper(self, test_keys, count):
+        _, cloud = test_keys
+        before = len(multiprocessing.active_children())
+        with pytest.raises(ValueError, match="num_workers"):
+            ShmActorPool(cloud, num_workers=count)
+        assert len(multiprocessing.active_children()) == before
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_backend_rejects_fewer_than_one_helper(self, test_keys, count):
+        _, cloud = test_keys
+        with pytest.raises(ValueError, match="num_workers"):
+            DistributedCpuBackend(cloud, num_workers=count)
 
 
 class TestSpawnContext:
@@ -267,21 +369,28 @@ class TestChunkTracing:
         _, spans = level_spans
         chunks = [s for s in spans if s.args["kind"] == "chunk"]
         assert chunks
-        assert all(s.args["worker"] in (0, 1) for s in chunks)
-        assert all(
-            s.track == f"worker-{s.args['worker']}" for s in chunks
-        )
+        assert all(s.args["worker"] in (COORDINATOR, 0, 1) for s in chunks)
+        for s in chunks:
+            if s.args["worker"] == COORDINATOR:
+                assert s.track == "coordinator"
+            else:
+                assert s.track == f"worker-{s.args['worker']}"
         assert all(s.end_s >= s.start_s for s in chunks)
-        # Chunk gates per level sum to the level width.
+        # Chunk gates per level sum to the level width, and the
+        # coordinator runs a shard of every level, never the largest.
         bootstraps = {
             s.args["level"]: s.args["gates"]
             for s in spans
             if s.args["kind"] == "bootstrap"
         }
         for level, width in bootstraps.items():
-            assert width == sum(
-                s.args["gates"] for s in chunks if s.args["level"] == level
-            )
+            gates = {
+                s.args["worker"]: s.args["gates"]
+                for s in chunks if s.args["level"] == level
+            }
+            assert width == sum(gates.values())
+            assert gates[COORDINATOR] == min(gates.values())
+        assert {s.args["worker"] for s in chunks} == {COORDINATOR, 0, 1}
 
     def test_summary_separates_chunks(self, level_spans):
         report, spans = level_spans

@@ -110,6 +110,27 @@ def test_run_mblut_distributed(capsys):
     assert "transport" not in out
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_run_rejects_fewer_than_one_worker(count):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    argv = "run hamming_distance --backend distributed --workers".split()
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv, count],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "--workers: num_workers must be at least 1" in proc.stderr
+    assert f"got {count}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_mblut_check_cost_run_round_trip(capsys):
     mblut = ["hamming_distance", "--mode", "mblut"]
     assert main(["check"] + mblut + ["--modulus", "8"]) == 0
@@ -139,12 +160,13 @@ def test_run_distributed_writes_trace_and_metrics(tmp_path, capsys):
     assert {t for t in tracks if t.startswith("worker-")} == {
         "worker-0", "worker-1"
     }
+    assert "coordinator" in tracks
     counters = json.loads(metrics.read_text())["counters"]
     assert counters["bootstrapped_gates"] > 0
 
 
 _TIMELINE_ROW = re.compile(
-    r"^L(\d+) +(bootstrap|free|chunk/w\d+) +(\d+)g "
+    r"^L(\d+) +(bootstrap|free|chunk/co|chunk/w\d+) +(\d+)g "
     r"\|[ #=-]{60}\| +\d+\.\d ms$"
 )
 _SUMMARY_LINE = re.compile(
@@ -191,12 +213,15 @@ def test_profile_distributed_timeline_has_worker_chunk_rows(capsys):
     rows, summary = _profile_timeline(capsys.readouterr().out)
     assert summary.group(1) == "17"
     chunk_gates = {}
+    coordinator_levels = set()
     for row in rows:
-        if row.group(2).startswith("chunk/w"):
-            assert row.group(2) in ("chunk/w0", "chunk/w1")
+        if row.group(2).startswith("chunk/"):
+            assert row.group(2) in ("chunk/co", "chunk/w0", "chunk/w1")
             assert "=" in row.group(0) and "#" not in row.group(0)
             level = int(row.group(1))
             chunk_gates[level] = chunk_gates.get(level, 0) + int(row.group(3))
+            if row.group(2) == "chunk/co":
+                coordinator_levels.add(level)
     # Every bootstrapped level's chunk rows add up to its width.
     widths = {
         int(row.group(1)): int(row.group(3))
@@ -204,6 +229,8 @@ def test_profile_distributed_timeline_has_worker_chunk_rows(capsys):
         if row.group(2) == "bootstrap"
     }
     assert chunk_gates == widths
+    # The coordinator bootstraps a shard of every level.
+    assert coordinator_levels == set(widths)
 
 
 @pytest.mark.parametrize(
