@@ -19,9 +19,9 @@ binaries, with four analysis families:
   :class:`~repro.analyze.cost.CostCertificate` and gated against
   declared latency/memory budgets;
 * **multi-bit coherence** (``MB``) — digit precision overflow over
-  leveled LIN chains and LUT table/precision agreement, plus the NB
-  and CA families lifted to ``p``-ary encodings
-  (:mod:`repro.analyze.mb`).
+  leveled LIN chains and LUT table/precision agreement
+  (:mod:`repro.analyze.mb`); the NB and CA families cover ``p``-ary
+  encodings as they are.
 
 The checkers run on :class:`~repro.hdl.facts.FlatCircuitFacts`, the
 structure-of-arrays view a netlist derives once and caches, as
@@ -75,7 +75,7 @@ from .findings import (
     Severity,
 )
 from .hazards import check_program, check_schedule
-from .mb import certify_noise_mb, check_mb, check_program_mb
+from .mb import check_mb, check_program_mb
 from .noisecert import LevelCertificate, NoiseCertificate, certify_noise
 from .passcheck import (
     DEFAULT_PASSES,
@@ -113,7 +113,6 @@ __all__ = [
     "analyze_binary_cached",
     "analyze_netlist",
     "analyze_netlist_cached",
-    "certify_noise_mb",
     "check_mb",
     "check_program_mb",
     "binary_digest",

@@ -31,7 +31,7 @@ from .cost import (
 from .dataflow import check_dataflow
 from .findings import DEFAULT_MAX_FINDINGS_PER_RULE, Collector, Report
 from .hazards import check_program, check_schedule
-from .mb import certify_noise_mb, check_mb
+from .mb import check_mb
 from .noisecert import NoiseCertificate, certify_noise
 from .structural import check_structure
 
@@ -107,11 +107,11 @@ def analyze_netlist(
 
     The netlist's own columns pick the families.  A multi-bit netlist
     (a digit wire, a LIN/LUT op or a table) gets the MB coherence
-    checks and the ``p``-ary noise certification; the boolean-only
-    structural and dataflow families skip it (the constructor enforces
-    the structural invariants, and bit-level constant propagation has
-    no digit semantics yet).  Hazard replay and cost certification run
-    over the whole op vocabulary either way.
+    checks; the boolean-only structural and dataflow families skip it
+    (the constructor enforces the structural invariants, and bit-level
+    constant propagation has no digit semantics yet).  Hazard replay,
+    noise certification and cost certification run over the whole op
+    vocabulary either way.
     """
     col = Collector(max_per_rule=config.max_findings_per_rule)
     families: List[str] = []
@@ -138,18 +138,14 @@ def analyze_netlist(
         if config.noise and config.params is not None:
             families.append("noise")
             assert schedule is not None
-            thresholds = dict(
+            certificate = certify_noise(
+                netlist,
+                schedule,
+                config.params,
                 error_sigmas=config.error_sigmas,
                 warn_sigmas=config.warn_sigmas,
                 max_expected_failures=config.max_expected_failures,
                 collector=col,
-            )
-            certificate = (
-                certify_noise(schedule, config.params, **thresholds)
-                if boolean
-                else certify_noise_mb(
-                    netlist, schedule, config.params, **thresholds
-                )
             )
         if config.dataflow and boolean:
             families.append("dataflow")

@@ -38,7 +38,7 @@ from .analyzer import analyze_binary as _analyze_binary
 from .analyzer import analyze_netlist as _analyze_netlist
 from .cost import CostCertificate
 from .findings import Report
-from .noisecert import NoiseCertificate
+from .noisecert import CERTIFICATE_VERSION, NoiseCertificate
 
 Entry = Dict[str, Any]
 
@@ -84,8 +84,10 @@ def binary_digest(data: bytes) -> str:
 
 
 def config_digest(config: AnalyzerConfig) -> str:
-    """Digest of every config field that shapes the analysis output."""
+    """Digest of every config field that shapes the analysis output,
+    and of the noise model's version."""
     doc = (
+        CERTIFICATE_VERSION,
         repr(config.params),
         config.structural,
         config.hazards,

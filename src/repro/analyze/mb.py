@@ -1,8 +1,9 @@
-"""Multi-bit program analysis (the ``MB`` rule family + the NB lift).
+"""Multi-bit program analysis (the ``MB`` rule family).
 
 Netlists with digit wires share the analyzer's flat-array machinery —
-the hazard replay and the cost certification run unchanged over the
-whole op vocabulary — but three things are genuinely new:
+the hazard replay, the noise certification and the cost certification
+run unchanged over the whole op vocabulary — but two things are
+genuinely new:
 
 * **MB001** — interval analysis over leveled LIN chains: a digit
   wire whose static message range escapes ``[0, p-1]`` wraps the
@@ -10,11 +11,6 @@ whole op vocabulary — but three things are genuinely new:
 * **MB002** — table/precision coherence: each programmable-bootstrap
   table must have exactly ``p_in`` entries for its operand's modulus,
   entries inside the output modulus, and a resolvable table id.
-* **noise** — the NB certification re-derived for ``p``-ary
-  encodings: a digit's decision margin is ``1/(4p)`` (half a slice)
-  instead of the boolean ``1/8``, and LIN chains amplify input
-  variance by the sum of squared coefficients before the next
-  bootstrap decides.
 
 :func:`~repro.analyze.analyze_netlist` runs these families on any
 netlist whose columns carry a digit wire or a table;
@@ -24,7 +20,6 @@ netlist whose columns carry a digit wire or a table;
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -34,7 +29,6 @@ from ..gatetypes import (
     OP_B2D,
     OP_D2B,
     OP_LIN,
-    OP_LUT,
     TABLE_OPS,
     Gate,
     op_name,
@@ -50,15 +44,7 @@ from ..isa.encoding import (
     decode_ext_field1,
     decode_words,
 )
-from ..runtime.scheduler import Schedule
-from ..tfhe.noise import (
-    bootstrap_output_variance,
-    fresh_lwe_variance,
-    modswitch_variance,
-)
-from ..tfhe.params import TFHEParameters
 from .findings import Collector
-from .noisecert import LevelCertificate, NoiseCertificate
 from .rules import RULES
 
 
@@ -207,153 +193,6 @@ def check_mb(
                     node=node,
                 )
     return col
-
-
-# ======================================================================
-# NB — noise certification for p-ary encodings
-# ======================================================================
-def certify_noise_mb(
-    netlist: Netlist,
-    schedule: Schedule,
-    params: TFHEParameters,
-    error_sigmas: float = 4.0,
-    warn_sigmas: float = 6.0,
-    max_expected_failures: float = 1e-6,
-    collector: Optional[Collector] = None,
-) -> NoiseCertificate:
-    """Certify a multi-bit schedule's decision margins under ``params``.
-
-    Per-wire variance is propagated exactly: primary inputs carry the
-    fresh-encryption variance, every bootstrap resets its output to
-    the blind-rotate + keyswitch variance, and a LIN gate amplifies by
-    ``kx^2``/``ky^2`` (the constant add is exact).  Each bootstrapped
-    gate then decides against its own margin — ``1/(4p)`` for a
-    modulus-``p`` digit read by LUT/D2B, the boolean ``1/8`` for B2D
-    and plain gates — so the certificate's per-level sigmas shrink as
-    ``p`` grows, which is exactly the precision/noise trade the
-    multi-bit path buys into.
-    """
-    col = collector if collector is not None else Collector()
-    n_in = netlist.num_inputs
-    num_nodes = netlist.num_nodes
-    ops = netlist.ops
-    in0, in1 = netlist.in0, netlist.in1
-    precs = netlist.node_precisions()
-
-    fresh = fresh_lwe_variance(params)
-    boot_var = bootstrap_output_variance(params)
-    mod_var = modswitch_variance(params)
-
-    # Topological variance propagation (gate operands point backward).
-    var = np.zeros(num_nodes, dtype=np.float64)
-    var[:n_in] = fresh
-    gate_margin = np.zeros(netlist.num_gates, dtype=np.float64)
-    gate_var = np.zeros(netlist.num_gates, dtype=np.float64)
-    bootstrapped = np.zeros(netlist.num_gates, dtype=bool)
-    for idx in range(netlist.num_gates):
-        code = int(ops[idx])
-        node = n_in + idx
-        a = int(in0[idx])
-        b = int(in1[idx])
-        va = var[a] if a != NO_INPUT else 0.0
-        vb = var[b] if b != NO_INPUT else 0.0
-        if code == OP_LIN:
-            kx, ky = int(netlist.kx[idx]), int(netlist.ky[idx])
-            var[node] = kx * kx * va + (ky * ky * vb if b != NO_INPUT else 0)
-            continue
-        if code in TABLE_OPS:
-            bootstrapped[idx] = True
-            if code == OP_B2D:
-                gate_margin[idx] = 1.0 / 8.0
-            else:
-                p_in = max(int(precs[a]), 2)
-                gate_margin[idx] = 1.0 / (4.0 * p_in)
-            gate_var[idx] = va + mod_var
-            var[node] = boot_var
-            continue
-        gate = Gate(code)
-        if gate.needs_bootstrap:
-            bootstrapped[idx] = True
-            gate_margin[idx] = 1.0 / 8.0
-            # Worst boolean linear combination doubles both operands.
-            gate_var[idx] = 4.0 * (va + vb) + mod_var
-            var[node] = boot_var
-        elif gate.arity == 0:
-            var[node] = 0.0
-        else:
-            var[node] = va  # NOT/BUF: negation preserves variance
-
-    certificates: List[LevelCertificate] = []
-    expected_failures = 0.0
-    first_bootstrap: Optional[int] = None
-    for level in schedule.levels:
-        if not level.width:
-            continue
-        if first_bootstrap is None:
-            first_bootstrap = level.index
-        ids = np.asarray(level.bootstrapped, dtype=np.int64)
-        ids = ids[bootstrapped[ids]]
-        if not ids.size:
-            continue
-        sigmas = np.sqrt(gate_var[ids])
-        with np.errstate(divide="ignore"):
-            z = np.where(sigmas > 0, gate_margin[ids] / sigmas, np.inf)
-        margin_sigmas = float(z.min())
-        p_fail = np.array(
-            [math.erfc(v / math.sqrt(2.0)) if np.isfinite(v) else 0.0
-             for v in z]
-        )
-        expected_failures += float(p_fail.sum())
-        worst = int(ids[int(np.argmin(z))])
-        certificates.append(
-            LevelCertificate(
-                level=level.index,
-                gates=int(ids.size),
-                fresh_inputs=level.index == first_bootstrap,
-                margin_sigmas=margin_sigmas,
-                failure_probability=float(p_fail.max()),
-            )
-        )
-        worst_code = int(ops[worst])
-        worst_desc = op_name(worst_code)
-        if worst_code in (OP_LUT, OP_D2B):
-            worst_desc += f" over p={int(precs[int(in0[worst])])}"
-        if margin_sigmas < error_sigmas:
-            col.add(
-                RULES["NB001"],
-                f"level {level.index} ({ids.size} bootstraps, worst: "
-                f"gate {n_in + worst} {worst_desc}) has "
-                f"{margin_sigmas:.2f} sigma of decision margin, below "
-                f"the hard threshold of {error_sigmas:.2f}",
-                level=level.index,
-                fix_hint="lower the digit modulus p, shorten LIN "
-                "chains, or use lower-noise parameters",
-            )
-        elif margin_sigmas < warn_sigmas:
-            col.add(
-                RULES["NB002"],
-                f"level {level.index} ({ids.size} bootstraps, worst: "
-                f"gate {n_in + worst} {worst_desc}) has "
-                f"{margin_sigmas:.2f} sigma of decision margin, below "
-                f"the warning threshold of {warn_sigmas:.2f}",
-                level=level.index,
-            )
-    if expected_failures > max_expected_failures:
-        col.add(
-            RULES["NB003"],
-            f"expected wrong bootstrap decisions across the circuit is "
-            f"{expected_failures:.3e} (> {max_expected_failures:.1e} "
-            f"budget) over {int(bootstrapped.sum())} bootstraps",
-            fix_hint="tighten parameters, lower p, or shrink the "
-            "circuit",
-        )
-    return NoiseCertificate(
-        params_name=params.name,
-        error_sigmas=error_sigmas,
-        warn_sigmas=warn_sigmas,
-        levels=certificates,
-        expected_failures=expected_failures,
-    )
 
 
 # ======================================================================

@@ -1,10 +1,23 @@
 """Static noise-budget certification (the ``NB`` rule family).
 
-Walks the BFS schedule with the analytic noise model of
-:mod:`repro.tfhe.noise` and the active parameter set, *before any
-ciphertext exists*: each bootstrapped level's predicted decision
-margin is expressed in sigmas of the worst-case input noise, and a
-level whose margin drops below the configured threshold fails
+One certifier for boolean and multi-bit netlists alike.  Before any
+ciphertext exists, it propagates the analytic noise model of
+:mod:`repro.tfhe.noise` over every wire as a column sweep:
+
+* a primary input carries the fresh-encryption variance, and every
+  bootstrapped output is reset to the blind-rotate + key-switch
+  variance;
+* the free NOT/BUF/CONST/LIN chains between bootstraps settle by a
+  fixed point: NOT/BUF copy their operand's variance, a constant is
+  exact, and LIN amplifies by ``kx^2``/``ky^2`` (its constant add is
+  exact);
+* each bootstrapped gate decides against its own margin: ``1/8`` for
+  boolean gates (whose worst linear combination, XOR, doubles both
+  operands) and B2D, ``1/(4p)`` — half a slice — for a LUT/D2B over a
+  modulus-``p`` digit.
+
+A level's margin is the minimum over its gates, expressed in sigmas of
+the decision noise; a level below the configured threshold fails
 compilation instead of decrypting to garbage hours later.
 """
 
@@ -14,11 +27,40 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
+from ..gatetypes import (
+    CODE_USES_TABLE,
+    NO_INPUT,
+    OP_D2B,
+    OP_LIN,
+    OP_LUT,
+    Gate,
+    op_name,
+)
+from ..hdl.netlist import Netlist
 from ..runtime.scheduler import Schedule
-from ..tfhe.noise import level_noise_budget
+from ..tfhe.noise import (
+    bootstrap_output_variance,
+    fresh_lwe_variance,
+    modswitch_variance,
+)
 from ..tfhe.params import TFHEParameters
 from .findings import Collector
 from .rules import RULES
+
+#: Version of the noise model behind a certificate.  The analysis cache
+#: folds it into its keys, so a changed model never serves old verdicts.
+CERTIFICATE_VERSION = 2
+
+#: Decision margin of a gate-encoded bit (boolean gates and B2D).
+_GATE_MARGIN = 1.0 / 8.0
+
+_NB001_HINT = (
+    "use lower-noise parameters (smaller lwe_noise_std / tlwe_noise_std "
+    "or longer decompositions); on digit wires, lower p or shorten LIN "
+    "chains"
+)
 
 
 @dataclass
@@ -48,6 +90,18 @@ class NoiseCertificate:
             return None
         return min(self.levels, key=lambda c: c.margin_sigmas)
 
+    def summary(self) -> str:
+        """One line: level count, worst margin, expected failures."""
+        worst = self.worst
+        if worst is None:
+            return f"noise certificate ({self.params_name}): no levels"
+        return (
+            f"noise certificate ({self.params_name}): "
+            f"{len(self.levels)} level(s), worst margin "
+            f"{worst.margin_sigmas:.1f} sigma at L{worst.level}, "
+            f"expected failures {self.expected_failures:.2e}"
+        )
+
     def as_dict(self) -> dict:
         return {
             "params": self.params_name,
@@ -69,7 +123,51 @@ class NoiseCertificate:
         )
 
 
+def _wire_variances(
+    netlist: Netlist, params: TFHEParameters
+) -> np.ndarray:
+    """Per-node phase variance (torus^2) under ``params``.
+
+    Inputs and bootstrapped outputs are fixed up front; the free gates
+    are then re-evaluated together until nothing changes.  Their chains
+    are acyclic, so the fixed point is unique and is reached after one
+    sweep per gate of the longest chain.
+    """
+    n_in = netlist.num_inputs
+    var = np.zeros(netlist.num_nodes, dtype=np.float64)
+    var[:n_in] = fresh_lwe_variance(params)
+    needs = netlist.needs_bootstrap
+    var[n_in:][needs] = bootstrap_output_variance(params)
+    free = np.nonzero(~needs)[0]
+    if not free.size:
+        return var
+    codes = netlist.ops[free]
+    lin = codes == OP_LIN
+    # NOT/BUF copy in0; constants read nothing; LIN scales both.
+    weight0 = np.where(
+        lin,
+        np.square(netlist.kx[free], dtype=np.float64),
+        (codes == Gate.NOT) | (codes == Gate.BUF),
+    )
+    src1 = netlist.in1[free]
+    weight1 = np.where(
+        lin & (src1 != NO_INPUT),
+        np.square(netlist.ky[free], dtype=np.float64),
+        0.0,
+    )
+    # An unused operand reads node 0 with weight 0.
+    src0 = np.where(weight0 != 0, netlist.in0[free], 0)
+    src1 = np.where(weight1 != 0, src1, 0)
+    nodes = n_in + free
+    while True:
+        settled = weight0 * var[src0] + weight1 * var[src1]
+        if np.array_equal(settled, var[nodes]):
+            return var
+        var[nodes] = settled
+
+
 def certify_noise(
+    netlist: Netlist,
     schedule: Schedule,
     params: TFHEParameters,
     error_sigmas: float = 4.0,
@@ -80,65 +178,91 @@ def certify_noise(
     """Certify every bootstrapped level of ``schedule`` under ``params``.
 
     Findings land in ``collector`` (``NB001`` at error severity below
-    ``error_sigmas``, ``NB002`` below ``warn_sigmas``); the returned
-    certificate carries the per-level numbers for reporting either way.
+    ``error_sigmas``, ``NB002`` below ``warn_sigmas``, ``NB003`` when
+    the expected wrong decisions exceed ``max_expected_failures``); the
+    returned certificate carries the per-level numbers either way.
     """
     col = collector if collector is not None else Collector()
-    budgets = {
-        True: level_noise_budget(params, fresh_inputs=True),
-        False: level_noise_budget(params, fresh_inputs=False),
-    }
+    n_in = netlist.num_inputs
+    var = _wire_variances(netlist, params)
+
+    # Per-gate decision variance and margin of every bootstrap.
+    gates = np.nonzero(netlist.needs_bootstrap)[0]
+    codes = netlist.ops[gates]
+    src0 = netlist.in0[gates]
+    # A bootstrap is a boolean gate or a table op (LIN is free).
+    boolean = ~CODE_USES_TABLE[codes]
+    src1 = np.where(boolean, netlist.in1[gates], 0)
+    decision = np.where(
+        boolean, 4.0 * (var[src0] + var[src1]), var[src0]
+    ) + modswitch_variance(params)
+    margin = np.full(len(gates), _GATE_MARGIN)
+    digit = (codes == OP_LUT) | (codes == OP_D2B)
+    if digit.any():
+        p_in = netlist.node_precisions()[src0[digit]]
+        margin[digit] = 1.0 / (4.0 * np.maximum(p_in, 2))
+    with np.errstate(divide="ignore"):
+        gate_z = margin / np.sqrt(decision)
+    z = np.zeros(netlist.num_gates)
+    z[gates] = gate_z
+
+    # Level minima from the schedule; erfc only on the distinct z.
+    levels = [level for level in schedule.levels if level.width]
     certificates: List[LevelCertificate] = []
     expected_failures = 0.0
-    first_bootstrap: Optional[int] = None
-    for level in schedule.levels:
-        if not level.width:
+    if levels:
+        widths = np.array([level.width for level in levels])
+        level_z = z[np.concatenate([level.bootstrapped for level in levels])]
+        minima = np.minimum.reduceat(level_z, np.cumsum(widths) - widths)
+        distinct, counts = np.unique(level_z, return_counts=True)
+        p_fail = np.array([
+            math.erfc(v / math.sqrt(2.0)) if math.isfinite(v) else 0.0
+            for v in distinct.tolist()
+        ])
+        expected_failures = float(counts @ p_fail)
+        level_p = p_fail[np.searchsorted(distinct, minima)]
+        for level, margin_sigmas, p in zip(
+            levels, minima.tolist(), level_p.tolist()
+        ):
+            certificates.append(
+                LevelCertificate(
+                    level=level.index,
+                    gates=level.width,
+                    fresh_inputs=level is levels[0],
+                    margin_sigmas=margin_sigmas,
+                    failure_probability=p,
+                )
+            )
+    for level, cert in zip(levels, certificates):
+        if cert.margin_sigmas < error_sigmas:
+            rule, kind, bound = "NB001", "hard", error_sigmas
+        elif cert.margin_sigmas < warn_sigmas:
+            rule, kind, bound = "NB002", "warning", warn_sigmas
+        else:
             continue
-        if first_bootstrap is None:
-            first_bootstrap = level.index
-        fresh = level.index == first_bootstrap
-        budget = budgets[fresh]
-        sigma = math.sqrt(budget.decision_variance)
-        margin_sigmas = (
-            budget.decision_margin / sigma if sigma else math.inf
+        ids = level.bootstrapped
+        worst = int(ids[int(np.argmin(z[ids]))])
+        code = int(netlist.ops[worst])
+        desc = op_name(code)
+        if code in (OP_LUT, OP_D2B):
+            desc += f" over p={netlist.node_prec(int(netlist.in0[worst]))}"
+        col.add(
+            RULES[rule],
+            f"level {level.index} ({level.width} bootstraps, "
+            f"{'fresh' if cert.fresh_inputs else 'bootstrapped'} inputs, "
+            f"worst: gate {n_in + worst} {desc}) has "
+            f"{cert.margin_sigmas:.2f} sigma of decision margin, below the "
+            f"{kind} threshold of {bound:.2f}",
+            level=level.index,
+            fix_hint=_NB001_HINT if rule == "NB001" else None,
         )
-        p_fail = budget.failure_probability()
-        expected_failures += p_fail * level.width
-        certificates.append(
-            LevelCertificate(
-                level=level.index,
-                gates=level.width,
-                fresh_inputs=fresh,
-                margin_sigmas=margin_sigmas,
-                failure_probability=p_fail,
-            )
-        )
-        if margin_sigmas < error_sigmas:
-            col.add(
-                RULES["NB001"],
-                f"level {level.index} ({level.width} gates, "
-                f"{'fresh' if fresh else 'bootstrapped'} inputs) has "
-                f"{margin_sigmas:.2f} sigma of decision margin, below the "
-                f"hard threshold of {error_sigmas:.2f}",
-                level=level.index,
-                fix_hint="use lower-noise parameters (smaller "
-                "lwe_noise_std / tlwe_noise_std or longer decompositions)",
-            )
-        elif margin_sigmas < warn_sigmas:
-            col.add(
-                RULES["NB002"],
-                f"level {level.index} ({level.width} gates) has "
-                f"{margin_sigmas:.2f} sigma of decision margin, below the "
-                f"warning threshold of {warn_sigmas:.2f}",
-                level=level.index,
-            )
     if expected_failures > max_expected_failures:
         col.add(
             RULES["NB003"],
-            f"expected wrong gate decryptions across the circuit is "
+            f"expected wrong bootstrap decisions across the circuit is "
             f"{expected_failures:.3e} (> {max_expected_failures:.1e} "
-            f"budget) over {schedule.num_bootstrapped} bootstrapped gates",
-            fix_hint="tighten parameters or shrink the circuit",
+            f"budget) over {schedule.num_bootstrapped} bootstraps",
+            fix_hint="tighten parameters, lower p, or shrink the circuit",
         )
     return NoiseCertificate(
         params_name=params.name,

@@ -14,13 +14,15 @@ A small operator toolbox around the library:
   (default ``batched``: the in-process level-batched SIMD
   bootstrapping engine; ``distributed`` shards each level over a
   shared-memory worker pool, reused across ``--runs``); ``--trace-out`` /
-  ``--metrics-out`` / ``--noise`` capture the run through the
-  observability layer; ``--mode mblut`` (also on ``check``, ``cost``
+  ``--metrics-out`` capture the run through the observability layer
+  and ``--noise`` prints the noise certificate of the executed
+  schedule; ``--mode mblut`` (also on ``check``, ``cost``
   and ``bench-gate``) compiles matched arithmetic onto multi-bit LUT
   bootstraps first;
 * ``profile``  — compile + run one workload fully instrumented and
   print a combined Fig.-7/Fig.-8-style report (gate phases, compile
-  passes, execution Gantt, metrics, noise margins);
+  passes, execution Gantt, metrics; ``--noise`` adds the noise
+  certificate);
 * ``serve``    — run the multi-tenant FHE inference service
   (:mod:`repro.serve`): tenants register cloud keys and programs over
   the wire, concurrent same-program requests coalesce into SIMD
@@ -245,13 +247,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.json != "-":
         print(report.render_text())
         if analysis.noise is not None and analysis.noise.levels:
-            worst = analysis.noise.worst
-            print(
-                f"noise certificate ({analysis.noise.params_name}): "
-                f"{len(analysis.noise.levels)} level(s), worst margin "
-                f"{worst.margin_sigmas:.1f} sigma at L{worst.level}, "
-                f"expected failures {analysis.noise.expected_failures:.2e}"
-            )
+            print(analysis.noise.summary())
         if args.cost and analysis.cost is not None:
             print(analysis.cost.render_text())
         if passcheck is not None:
@@ -444,7 +440,9 @@ def _resolve_params(name: str):
     return params
 
 
-def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_obs_arguments(
+    parser: argparse.ArgumentParser, noise: bool = True
+) -> None:
     parser.add_argument(
         "--trace-out",
         default=None,
@@ -463,11 +461,12 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="FILE",
         help="write the metrics registry as JSON",
     )
-    parser.add_argument(
-        "--noise",
-        action="store_true",
-        help="record predicted per-level noise margins",
-    )
+    if noise:
+        parser.add_argument(
+            "--noise",
+            action="store_true",
+            help="print the noise certificate of the executed schedule",
+        )
 
 
 def _wants_observability(args) -> bool:
@@ -475,7 +474,6 @@ def _wants_observability(args) -> bool:
         getattr(args, "trace_out", None)
         or getattr(args, "trace_jsonl", None)
         or getattr(args, "metrics_out", None)
-        or getattr(args, "noise", False)
     )
 
 
@@ -496,15 +494,6 @@ def _finish_observability(ob, args) -> None:
         with open(args.metrics_out, "w") as handle:
             handle.write(ob.metrics.to_json() + "\n")
         print(f"wrote metrics to {args.metrics_out}")
-    if ob.noise is not None and ob.noise.records:
-        print("\nnoise-budget telemetry (predicted, per level):")
-        print(ob.noise.render_text())
-        worst = ob.noise.worst
-        print(
-            f"worst margin: {worst.margin_sigmas:.1f} sigma at "
-            f"L{worst.level}"
-            + ("  ** LOW MARGIN **" if ob.noise.any_flagged() else "")
-        )
 
 
 def _execution_backend(args, cloud):
@@ -523,17 +512,14 @@ def cmd_run(args) -> int:
     import numpy as np
 
     from . import obs as obslib
+    from .analyze import certify_noise
     from .runtime import build_schedule
     from .tfhe import decrypt_bits, encrypt_bits, generate_keys
 
     params = _resolve_params(args.params)
     mblut = args.mode == "mblut"
     observed = _wants_observability(args)
-    ctx = (
-        obslib.observe(noise_params=params if args.noise else None)
-        if observed
-        else nullcontext(obslib.DISABLED)
-    )
+    ctx = obslib.observe() if observed else nullcontext(obslib.DISABLED)
     with ctx as ob:
         workload = _workload_by_name(args.workload)
         source = workload.netlist
@@ -550,27 +536,21 @@ def cmd_run(args) -> int:
         else:
             ciphertext = encrypt_bits(secret, bits, rng)
         schedule = build_schedule(netlist)
-        if mblut:
+        cert = certify_noise(netlist, schedule, params)
+        if args.noise:
+            print(cert.summary())
+        worst = cert.worst
+        if mblut and worst is not None and worst.margin_sigmas < 4.0:
             # Multi-bit slices are 1/(4p) wide, so a parameter set that
             # is fine for boolean gates may be hopeless here; say so
             # before spending minutes on a run that cannot decrypt.
-            from .analyze import certify_noise_mb
-
-            cert = certify_noise_mb(netlist, schedule, params)
-            worst = (
-                min(l.margin_sigmas for l in cert.levels)
-                if cert.levels
-                else float("inf")
+            print(
+                f"warning: certified decision margin is only "
+                f"{worst.margin_sigmas:.1f} sigma at p={args.modulus} "
+                f"on {params.name} (expected wrong decisions: "
+                f"{cert.expected_failures:.2e}); decryption failures are "
+                f"likely — lower --modulus or use --params tfhe-mb-128"
             )
-            if worst < 4.0:
-                print(
-                    f"warning: certified decision margin is only "
-                    f"{worst:.1f} sigma at p={args.modulus} on "
-                    f"{params.name} (expected wrong decisions: "
-                    f"{cert.expected_failures:.2e}); decryption "
-                    f"failures are likely — lower --modulus or use "
-                    f"--params tfhe-mb-128"
-                )
 
         backend = _execution_backend(args, cloud)
         status = 0
@@ -604,13 +584,12 @@ def cmd_profile(args) -> int:
     import numpy as np
 
     from . import obs as obslib
+    from .analyze import certify_noise
     from .runtime import build_schedule, profile_gate
     from .tfhe import decrypt_bits, encrypt_bits, generate_keys
 
     params = _resolve_params(args.params)
-    with obslib.observe(
-        noise_params=params if args.noise else None
-    ) as ob:
+    with obslib.observe() as ob:
         # Touch the netlist inside the observed block so elaboration
         # and synthesis pass spans land in the trace.
         workload = _workload_by_name(args.workload)
@@ -672,6 +651,9 @@ def cmd_profile(args) -> int:
 
     print("\n== metrics ==")
     print(ob.metrics.render_text())
+    if args.noise:
+        print("\n== noise ==")
+        print(certify_noise(netlist, schedule, params).summary())
     _finish_observability(ob, args)
     return 0 if ok else 1
 
@@ -700,7 +682,6 @@ def cmd_serve(args) -> int:
         admission_engine=None if args.no_admission else args.backend,
         telemetry_port=args.telemetry_port,
         flight_dir=args.flight_dir,
-        noise_monitoring=not args.no_noise_monitor,
     )
 
     async def _main(server: FheServer) -> None:
@@ -1353,14 +1334,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="dump the flight recorder's recent-span ring here on "
-        "BUSY/DEADLINE/crash/noise-breach",
+        "BUSY/DEADLINE/crash",
     )
-    p.add_argument(
-        "--no-noise-monitor",
-        action="store_true",
-        help="disable the runtime noise-vs-certificate watchdog",
-    )
-    _add_obs_arguments(p)
+    _add_obs_arguments(p, noise=False)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(

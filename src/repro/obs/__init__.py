@@ -1,4 +1,4 @@
-"""Unified observability: tracing, metrics, and noise telemetry.
+"""Unified observability: tracing and metrics.
 
 Every layer of the framework — synthesis passes, the compiler, key
 generation, the execution backends, and the distributed worker pools —
@@ -8,7 +8,7 @@ workload in :func:`observe` to collect everything::
 
     from repro import obs
 
-    with obs.observe(noise_params=params) as ob:
+    with obs.observe() as ob:
         compiled = compile_model(model, shape)
         out, report = backend.run(compiled.netlist, ct)
 
@@ -17,8 +17,9 @@ workload in :func:`observe` to collect everything::
 
 The Chrome trace loads in Perfetto (distributed chunk spans appear on
 per-worker tracks); ``ob.metrics`` holds gate-type counters, per-pass
-synthesis deltas, and transport byte counts; ``ob.noise`` (when
-enabled) records the predicted noise margin of every executed level.
+synthesis deltas, and transport byte counts.  Noise margins are not
+telemetry: they are static, and ``repro.analyze.certify_noise`` states
+them per level before a program runs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import contextlib
 import threading
 from typing import Iterator, Optional
 
-from ..tfhe.params import TFHEParameters
 from .exporters import (
     chrome_trace_events,
     jsonl_lines,
@@ -52,12 +52,6 @@ from .metrics import (
     MetricsRegistry,
     NullMetrics,
 )
-from .noisetrack import (
-    LevelNoiseRecord,
-    NoiseBreach,
-    NoiseMonitor,
-    NoiseTracker,
-)
 from .tracer import (
     NULL_TRACER,
     Instant,
@@ -73,7 +67,7 @@ from .tracer import (
 
 
 class Observability:
-    """A tracer + metrics registry (+ optional noise tracker) bundle."""
+    """A tracer + metrics registry bundle."""
 
     active = True
 
@@ -81,11 +75,9 @@ class Observability:
         self,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        noise: Optional[NoiseTracker] = None,
     ):
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.noise = noise
 
 
 class _DisabledObservability(Observability):
@@ -127,26 +119,18 @@ def set_ambient(obs: Observability) -> Observability:
 
 @contextlib.contextmanager
 def observe(
-    noise_params: Optional[TFHEParameters] = None,
-    warn_sigmas: float = 4.0,
     obs: Optional[Observability] = None,
 ) -> Iterator[Observability]:
-    """Collect spans/metrics (and optionally noise) for a code block.
+    """Collect spans/metrics for a code block.
 
     Sets the ambient bundle for the duration of the ``with`` block and
     restores the previous one afterwards (nesting is allowed; the
-    innermost bundle wins).  Pass ``noise_params`` to enable per-level
-    noise-budget telemetry for runs executed inside the block, or an
-    existing ``obs`` bundle to accumulate across several blocks.
+    innermost bundle wins).  Pass an existing ``obs`` bundle to
+    accumulate across several blocks.
     """
     global _ambient
     if obs is None:
-        noise = (
-            NoiseTracker(noise_params, warn_sigmas=warn_sigmas)
-            if noise_params is not None
-            else None
-        )
-        obs = Observability(noise=noise)
+        obs = Observability()
     with _ambient_lock:
         previous, _ambient = _ambient, obs
     try:
@@ -161,11 +145,7 @@ __all__ = [
     "DISABLED",
     "FlightRecorder",
     "Instant",
-    "LevelNoiseRecord",
     "MetricsRegistry",
-    "NoiseBreach",
-    "NoiseMonitor",
-    "NoiseTracker",
     "NullMetrics",
     "NullTracer",
     "NULL_METRICS",

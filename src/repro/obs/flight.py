@@ -6,9 +6,8 @@ are always the ones *just before* something went wrong.  The
 keeps the most recent ``capacity`` span/instant records in a ring
 (``collections.deque`` with ``maxlen``), and on :meth:`trigger` writes
 them out as a valid Chrome ``trace_event`` document named after the
-trigger reason — so a BUSY storm, a blown deadline, a worker crash,
-or a noise-margin breach each leave a Perfetto-loadable post-mortem
-under the dump directory.
+trigger reason — so a BUSY storm, a blown deadline or a worker crash
+each leave a Perfetto-loadable post-mortem under the dump directory.
 
 Dumps are rate-limited (``min_dump_interval_s`` per reason) so a
 rejection storm produces one file, not thousands.  A recorder with no
@@ -76,8 +75,8 @@ class FlightRecorder:
                      **args) -> None:
         """Record a synthetic instant directly into the ring.
 
-        For events that are not spans (e.g. "queue full", "margin
-        breach") emitted by components that don't own a tracer.
+        For events that are not spans (e.g. "queue full") emitted by
+        components that don't own a tracer.
         """
         if not self.enabled:
             return

@@ -469,7 +469,6 @@ class CpuBackend:
 
         moved = 0
         tasks = 0
-        fresh_inputs = True
         with self._plane(netlist, schedule, instances) as plane:
             plane.a[:n_in] = np.swapaxes(inputs.a, 0, 1)
             plane.b[:n_in] = np.swapaxes(inputs.b, 0, 1)
@@ -494,13 +493,6 @@ class CpuBackend:
                         obs.metrics.observe(
                             "level_bootstrap_ms", (t1 - t0) * 1e3
                         )
-                        if obs.noise is not None:
-                            obs.noise.record_level(
-                                level.index,
-                                level.width * instances,
-                                fresh_inputs=fresh_inputs,
-                            )
-                        fresh_inputs = False
                 if len(level.free):
                     t0 = time.perf_counter()
                     free_gates(netlist, plane.a, plane.b, level.free, params)

@@ -159,7 +159,7 @@ class RequestScheduler:
         return len(self._pending)
 
     def _record_trouble(self, reason: str, **context) -> None:
-        """Note a BUSY/DEADLINE/crash/breach on the flight recorder."""
+        """Note a BUSY/DEADLINE/crash on the flight recorder."""
         if self.flight is None:
             return
         self.flight.record_event(f"serve:{reason}", **context)
@@ -395,23 +395,17 @@ class RequestScheduler:
         batch_ctx = (
             live[0].ctx.child() if live[0].ctx is not None else None
         )
-        noise = obs.noise if obs.active else None
 
         def _execute():
-            noise_start = len(noise.records) if noise is not None else 0
             with use_trace_context(batch_ctx):
-                outputs, report = runtime.server.execute_many(
+                return runtime.server.execute_many(
                     program.netlist, stacked, schedule=program.schedule
                 )
-            fresh_noise = (
-                noise.records[noise_start:] if noise is not None else []
-            )
-            return outputs, report, fresh_noise
 
         loop = asyncio.get_running_loop()
         t0 = time.perf_counter()
         try:
-            outputs, report, fresh_noise = await loop.run_in_executor(
+            outputs, report = await loop.run_in_executor(
                 self._executor, _execute
             )
         except Exception as exc:
@@ -458,7 +452,6 @@ class RequestScheduler:
                     report.gates_bootstrapped / report.wall_time_s,
                     backend="serve",
                 )
-        self._check_noise(obs, live[0], program, fresh_noise)
         for i, request in enumerate(live):
             result = BatchResult(
                 ciphertext=LweCiphertext(outputs.a[i], outputs.b[i]),
@@ -475,44 +468,3 @@ class RequestScheduler:
             )
             if not request.future.done():
                 request.future.set_result(result)
-
-    def _check_noise(
-        self,
-        obs,
-        primary: ServeRequest,
-        program: RegisteredProgram,
-        fresh_noise: list,
-    ) -> None:
-        """Compare this batch's noise records to the static cert."""
-        monitor = getattr(primary.runtime, "monitor", None)
-        if monitor is None or not fresh_noise:
-            return
-        try:
-            breaches = monitor.check(
-                program.program_id, program.schedule, fresh_noise
-            )
-        except Exception:
-            # Monitoring must never fail a request that executed fine.
-            return
-        if not breaches:
-            return
-        if obs.active:
-            obs.metrics.inc(
-                "noise_margin_breaches", len(breaches),
-                tenant=primary.tenant,
-            )
-            worst = min(breaches, key=lambda b: b.observed_sigmas)
-            obs.tracer.instant(
-                "noise-margin-breach", cat="serve",
-                tenant=primary.tenant,
-                program=program.program_id[:12],
-                level=worst.level,
-                observed_sigmas=worst.observed_sigmas,
-                certified_sigmas=worst.certified_sigmas,
-                reason=worst.reason,
-            )
-        self._record_trouble(
-            "noise-margin-breach", tenant=primary.tenant,
-            program=program.program_id[:12],
-            breaches=len(breaches),
-        )

@@ -31,7 +31,6 @@ from ..core.compiler import CheckArg, verify_compiled
 from ..core.session import Server
 from ..hdl.netlist import Netlist
 from ..isa import disassemble
-from ..obs import NoiseMonitor
 from ..obs import get as _get_obs
 from ..runtime.scheduler import Schedule, build_schedule
 from ..serialization import SerializationError, load_cloud_key
@@ -199,9 +198,6 @@ class TenantRuntime:
     tenant: str
     key_fingerprint: str
     server: Server = field(repr=False)
-    #: Runtime-vs-certificate noise watchdog for this tenant's params
-    #: (``None`` when noise monitoring is disabled).
-    monitor: Optional[NoiseMonitor] = field(default=None, repr=False)
 
 
 class TenantKeystore:
@@ -217,13 +213,9 @@ class TenantKeystore:
         self,
         backend: str = "batched",
         num_workers: Optional[int] = None,
-        noise_monitoring: bool = True,
-        noise_warn_sigmas: float = 4.0,
     ):
         self.backend = backend
         self.num_workers = num_workers
-        self.noise_monitoring = noise_monitoring
-        self.noise_warn_sigmas = noise_warn_sigmas
         self._lock = threading.Lock()
         self._tenants: Dict[str, TenantRuntime] = {}
 
@@ -280,14 +272,6 @@ class TenantKeystore:
             tenant=tenant,
             key_fingerprint=fingerprint,
             server=server,
-            monitor=(
-                NoiseMonitor(
-                    cloud_key.params,
-                    warn_sigmas=self.noise_warn_sigmas,
-                )
-                if self.noise_monitoring
-                else None
-            ),
         )
         with self._lock:
             raced = self._tenants.get(tenant)

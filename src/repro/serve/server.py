@@ -93,9 +93,6 @@ class ServeConfig:
     flight_dir: Optional[str] = None
     flight_capacity: int = 2048
     flight_enabled: bool = True
-    #: Runtime noise watchdog (static-cert comparison) per tenant.
-    noise_monitoring: bool = True
-    noise_warn_sigmas: float = 4.0
     #: Span bound for the server-owned tracer installed when no
     #: ambient observability is active at start().
     max_trace_spans: int = 65536
@@ -124,8 +121,6 @@ class FheServer:
         self.keystore = TenantKeystore(
             backend=self.config.backend,
             num_workers=self.config.num_workers,
-            noise_monitoring=self.config.noise_monitoring,
-            noise_warn_sigmas=self.config.noise_warn_sigmas,
         )
         self.flight = FlightRecorder(
             capacity=self.config.flight_capacity,

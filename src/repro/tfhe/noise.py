@@ -122,24 +122,6 @@ def gate_failure_probability(params: TFHEParameters) -> float:
     return budget.failure_probability()
 
 
-def level_noise_budget(
-    params: TFHEParameters, fresh_inputs: bool
-) -> GateNoiseBudget:
-    """Worst-case noise budget of one BFS level's gates.
-
-    The first bootstrapped level consumes fresh encryptions only; any
-    later level may mix bootstrapped outputs with primary inputs, so
-    its worst-case input variance is the larger of the two.  This is
-    what the observability layer records per level during traced runs.
-    """
-    fresh = fresh_lwe_variance(params)
-    if fresh_inputs:
-        input_variance = fresh
-    else:
-        input_variance = max(fresh, bootstrap_output_variance(params))
-    return GateNoiseBudget(params=params, input_variance=input_variance)
-
-
 def measure_bootstrap_noise_std(
     secret: SecretKey,
     cloud: CloudKey,

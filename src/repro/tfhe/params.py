@@ -15,9 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Adding 1.5 * 2**52 rounds a float64 exactly below this power of two.
-EXACT_ROUNDING_LOG2 = 51
-
 
 @dataclass(frozen=True)
 class TFHEParameters:
@@ -72,23 +69,6 @@ class TFHEParameters:
             raise ValueError("key-switch decomposition exceeds 32 bits")
 
     @property
-    def external_product_bound(self) -> int:
-        """Largest external-product coefficient: ``(k+1)*l*N`` products
-        of a gadget digit at ``Bg/2`` and a key coefficient at ``2**31``."""
-        terms = (self.tlwe_k + 1) * self.bs_decomp_length * self.tlwe_degree
-        return terms * (self.bs_base >> 1) << 31
-
-    @property
-    def rounds_exactly(self) -> bool:
-        """Whether the blind-rotation kernel rounds this set exactly.
-
-        The kernel rounds by adding ``1.5 * 2**52``, exact below
-        ``2**EXACT_ROUNDING_LOG2``.  The tuner offers only sets for
-        which this holds; the kernel refuses the others.
-        """
-        return self.external_product_bound < 2**EXACT_ROUNDING_LOG2
-
-    @property
     def extracted_lwe_dimension(self) -> int:
         """Dimension of LWE samples extracted from a TLWE sample."""
         return self.tlwe_k * self.tlwe_degree
@@ -135,7 +115,7 @@ TFHE_DEFAULT_128 = TFHEParameters(
 #: key-switch target noise drops, keeping the worst LIN chain
 #: (three bootstrapped operands at unit coefficients) above 6 sigma of
 #: decision margin for p up to 16.  The static NB certification
-#: (``repro.analyze.mb.certify_noise_mb``) enforces exactly this.
+#: (``repro.analyze.certify_noise``) enforces exactly this.
 TFHE_MB_128 = TFHEParameters(
     name="tfhe-mb-128",
     lwe_dimension=1024,

@@ -8,13 +8,12 @@ evaluated in the FFT domain with the TGSW rows pre-transformed.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .params import EXACT_ROUNDING_LOG2, TFHEParameters
+from .params import TFHEParameters
 from .polynomial import get_ring
 from .tlwe import tlwe_encrypt_zero
 from .torus import wrap_int32
@@ -62,41 +61,29 @@ def decomposition_offset(params: TFHEParameters) -> int:
     return offset
 
 
-def _digit_constants(params: TFHEParameters) -> tuple:
-    """``(offset, shifts, mask, half)``: the decomposition's numpy scalars."""
-    beta = params.bs_decomp_log2_base
-    shifts = [
-        np.uint32(32 - (j + 1) * beta) for j in range(params.bs_decomp_length)
-    ]
-    return (
-        np.uint32(decomposition_offset(params)),
-        shifts,
-        np.uint32(params.bs_base - 1),
-        np.int32(params.bs_base >> 1),
-    )
-
-
 def _gadget_digits(
-    tlwe: np.ndarray, constants: tuple, values: np.ndarray, digits: np.ndarray
+    tlwe: np.ndarray, params: TFHEParameters, values: np.ndarray, digits: np.ndarray
 ) -> np.ndarray:
     """Signed gadget digits of ``tlwe``, written into ``digits``.
 
     The one decomposition in the package.  ``tlwe`` is int32
     ``batch + (k+1, N)``; ``values`` (same shape) and ``digits``
-    (``batch + (k+1, l, N)``) are uint32 buffers the caller owns, and
-    ``constants`` is :func:`_digit_constants` of the parameter set.  The
+    (``batch + (k+1, l, N)``) are uint32 buffers the caller owns.  The
     offset add wraps in uint32, which is exact: no digit window
     straddles bit 32.  Returns ``digits`` viewed as int32.
     """
-    offset, shifts, mask, half = constants
+    beta = params.bs_decomp_log2_base
+    offset = np.uint32(decomposition_offset(params))
     np.add(tlwe.view(np.uint32), offset, out=values)
     # One scalar shift per digit: numpy's shift loop is several times
     # slower when the shift amounts are an (even stride-0) array.
-    for j, shift in enumerate(shifts):
-        np.right_shift(values, shift, out=digits[..., j, :])
-    digits &= mask
+    for j in range(params.bs_decomp_length):
+        np.right_shift(
+            values, np.uint32(32 - (j + 1) * beta), out=digits[..., j, :]
+        )
+    digits &= np.uint32(params.bs_base - 1)
     signed = digits.view(np.int32)
-    signed -= half
+    signed -= np.int32(params.bs_base >> 1)
     return signed
 
 
@@ -111,7 +98,7 @@ def tgsw_decompose(tlwe: np.ndarray, params: TFHEParameters) -> np.ndarray:
     lead, n = tlwe.shape[:-1], tlwe.shape[-1]
     values = np.empty(tlwe.shape, dtype=np.uint32)
     digits = np.empty(lead + (params.bs_decomp_length, n), dtype=np.uint32)
-    signed = _gadget_digits(tlwe, _digit_constants(params), values, digits)
+    signed = _gadget_digits(tlwe, params, values, digits)
     return signed.reshape(lead[:-1] + (-1, n))
 
 
@@ -133,11 +120,8 @@ class TgswFFT:
         return TgswFFT(ring.forward_half(sample))
 
 
-#: Index of the low int32 word of a float64 in memory.
+#: Index of the low int32 word of an int64 in memory.
 _LOW_WORD = 0 if sys.byteorder == "little" else 1
-#: Added to a float64 below 2**EXACT_ROUNDING_LOG2 in magnitude, puts
-#: the nearest integer in the low mantissa bits.
-_ROUNDING_SHIFT = 1.5 * 2**52
 
 
 class ExternalProductKernel:
@@ -153,20 +137,15 @@ class ExternalProductKernel:
         k, ell = params.tlwe_k, params.bs_decomp_length
         big_n = params.tlwe_degree
         half = big_n // 2
-        if not params.rounds_exactly:
-            raise ValueError(
-                f"{params.name}: (k+1)*l*N*(Bg/2)*2**31 = 2**"
-                f"{math.log2(params.external_product_bound):.2f} is not "
-                f"below 2**{EXACT_ROUNDING_LOG2}, the bound under which "
-                "the external product rounds exactly"
-            )
-        self.digit_constants = _digit_constants(params)
+        self.params = params
         self.ring = get_ring(big_n)
         self.values = np.empty((batch, k + 1, big_n), dtype=np.uint32)
         self.digits = np.empty((batch, k + 1, ell, big_n), dtype=np.uint32)
         self.packed = np.empty((batch, k + 1, ell, half), dtype=np.complex128)
         self.product = np.empty((batch, k + 1, half), dtype=np.complex128)
         self.term = np.empty_like(self.product)
+        self.rounded = np.empty((batch, k + 1, half, 2), dtype=np.float64)
+        self.words = np.empty((batch, k + 1, half, 2), dtype=np.int64)
 
     def add_product(
         self, acc: np.ndarray, tgsw: np.ndarray, tlwe: np.ndarray
@@ -177,9 +156,7 @@ class ExternalProductKernel:
         ``acc`` and ``tlwe`` are int32 ``(batch, k+1, N)``.
         """
         batch, rows, half = len(tlwe), len(tgsw), self.product.shape[-1]
-        digits = _gadget_digits(
-            tlwe, self.digit_constants, self.values, self.digits
-        )
+        digits = _gadget_digits(tlwe, self.params, self.values, self.digits)
         # Coefficient halves go straight into the packed FFT input.
         packed = self.packed
         packed.real = digits[..., :half]
@@ -193,15 +170,14 @@ class ExternalProductKernel:
             np.multiply(spectrum[:, row, None], tgsw[row], out=term)
             product += term
         self.ring.unfold(product)
-        # Each (re, im) pair holds coefficients (j, j + N/2).  Adding
-        # 1.5 * 2**52 rounds a value below 2**51 to the nearest integer
-        # (ties to even, as rint) and leaves it in the low mantissa
-        # bits: the low word of each double is the value mod 2**32, the
-        # torus.
-        coefficients = product.view(np.float64)
-        coefficients += _ROUNDING_SHIFT
-        low = coefficients.view(np.int32).reshape(batch, -1, half, 4)
-        low = low[..., _LOW_WORD::2]
+        # Each (re, im) pair holds coefficients (j, j + N/2); the low
+        # word of its rounded int64 is the value mod 2**32, the torus.
+        np.rint(
+            product.view(np.float64).reshape(self.rounded.shape),
+            out=self.rounded,
+        )
+        np.copyto(self.words, self.rounded, casting="unsafe")
+        low = self.words.view(np.int32)[..., _LOW_WORD::2]
         halves = acc.reshape(batch, -1, 2, half)
         halves += low.transpose(0, 1, 3, 2)
 

@@ -7,8 +7,6 @@ a longer decomposition lowers noise but adds FFT/table work.  The tuner
 sweeps the small discrete grid and returns the cheapest configuration
 whose predicted gate-failure probability meets the target — the noise
 model of :mod:`repro.tfhe.noise` doing design work, not just analysis.
-Grid points the blind-rotation kernel cannot round exactly
-(:attr:`TFHEParameters.rounds_exactly`) are never offered.
 """
 
 from __future__ import annotations
@@ -88,8 +86,6 @@ def tune_decomposition(
                         ks_decomp_length=t,
                         ks_decomp_log2_base=gamma,
                     )
-                    if not candidate_params.rounds_exactly:
-                        continue
                     failure = gate_failure_probability(candidate_params)
                     log2_failure = (
                         math.log2(failure) if failure > 0 else -1074.0
@@ -127,8 +123,6 @@ def sweep_candidates(
                 bs_decomp_length=ell,
                 bs_decomp_log2_base=beta,
             )
-            if not candidate_params.rounds_exactly:
-                continue
             failure = gate_failure_probability(candidate_params)
             log2_failure = math.log2(failure) if failure > 0 else -1074.0
             if log2_failure <= target_log2_failure:

@@ -15,6 +15,7 @@ from repro.analyze import (
     binary_digest,
     netlist_digest,
 )
+import repro.analyze.cache as cache_module
 from repro.analyze.cache import config_digest
 from repro.isa.assembler import assemble
 from repro.tfhe.params import TFHE_TEST
@@ -150,6 +151,24 @@ class TestDiskCache:
         assert analysis.report.subject == nl.name
         # The miss repaired the entry on disk.
         assert json.loads(path.read_text())["report"]
+
+    def test_entry_of_another_noise_model_version_misses(
+        self, tmp_path, monkeypatch
+    ):
+        nl = full_adder()
+        config = DEFAULT_CONFIG.with_params(TFHE_TEST)
+        version = cache_module.CERTIFICATE_VERSION
+        monkeypatch.setattr(cache_module, "CERTIFICATE_VERSION", version - 1)
+        stale = AnalysisCache(directory=str(tmp_path))
+        analyze_netlist_cached(nl, config, cache=stale)
+        monkeypatch.setattr(cache_module, "CERTIFICATE_VERSION", version)
+        assert len(list(tmp_path.glob("*.json"))) == 1
+        fresh = AnalysisCache(directory=str(tmp_path))
+        with obs.observe() as ob:
+            analysis = analyze_netlist_cached(nl, config, cache=fresh)
+            assert counters(ob) == (1, 0)
+        assert analysis.noise is not None
+        assert len(list(tmp_path.glob("*.json"))) == 2
 
     def test_clear_empties_memory_but_not_disk(self, tmp_path):
         cache = AnalysisCache(directory=str(tmp_path))

@@ -11,6 +11,8 @@ from repro.analyze import (
     check_program_mb,
 )
 from repro.analyze.cache import netlist_digest
+from repro.analyze.noisecert import certify_noise
+from repro.bench import vip_workload
 from repro.analyze.mb import check_mb
 from repro.gatetypes import OP_LIN, OP_LUT
 from repro.hdl.arith import ripple_add
@@ -19,8 +21,12 @@ from repro.hdl.netlist import NO_INPUT, Netlist
 from repro.isa import assemble
 from repro.isa.encoding import INSTRUCTION_BYTES
 from repro.mblut import synthesize
-from repro.tfhe import TFHE_DEFAULT_128
+from repro.runtime.scheduler import build_schedule
+from repro.tfhe import TFHE_DEFAULT_128, TFHE_TEST
 from repro.tfhe.params import TFHE_MB_128
+
+from ..analyze import noisecert_oracle as oracle
+from ..analyze.test_noisecert import assert_certificates_equal
 
 
 def adder_mb(width=8, modulus=16):
@@ -132,6 +138,28 @@ class TestNoiseCertification:
                 lv.margin_sigmas for lv in analysis.noise.levels
             )
         assert margins[16] < margins[4]
+
+
+    @pytest.mark.parametrize(
+        "program",
+        ["hamming_distance/p8", "fibonacci/p16", "adder8/p16"],
+    )
+    @pytest.mark.parametrize(
+        "params", [TFHE_TEST, TFHE_MB_128], ids=lambda p: p.name
+    )
+    def test_certificate_equals_the_per_gate_walk(self, program, params):
+        name, modulus = program.split("/p")
+        netlist = (
+            adder_mb(modulus=int(modulus))
+            if name == "adder8"
+            else synthesize(vip_workload(name).netlist, modulus=int(modulus))
+        )
+        schedule = build_schedule(netlist)
+        got = certify_noise(netlist, schedule, params)
+        assert got.levels
+        assert_certificates_equal(
+            got, oracle.certify_per_gate(netlist, schedule, params)
+        )
 
 
 class TestCostCertification:

@@ -101,7 +101,6 @@ class TestAmbient:
         with observe() as ob:
             assert get_obs() is ob
             assert ob.active is True
-            assert ob.noise is None
         assert get_obs().active is False
 
     def test_nested_observe_innermost_wins(self):

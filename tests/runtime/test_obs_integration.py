@@ -1,5 +1,5 @@
 """End-to-end observability: backends and compiler emit into the
-ambient bundle set by ``obs.observe`` (spans, metrics, noise)."""
+ambient bundle set by ``obs.observe`` (spans, metrics)."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from repro.core.compiler import TensorSpec, compile_function
 from repro.hdl import arith
 from repro.hdl.builder import CircuitBuilder
 from repro.runtime import CpuBackend, DistributedCpuBackend
-from repro.tfhe import TFHE_TEST, decrypt_bits, encrypt_bits
+from repro.tfhe import decrypt_bits, encrypt_bits
 
 
 @pytest.fixture(scope="module")
@@ -82,19 +82,6 @@ class TestCpuBackendObservability:
         ) == report.gates_bootstrapped
         hist = ob.metrics.as_dict()["histograms"]["level_bootstrap_ms"]
         assert hist["count"] == report.levels
-
-    def test_noise_records_per_level(self, adder_circuit, test_keys, rng):
-        _, cloud = test_keys
-        backend = CpuBackend(cloud)
-        with obs.observe(noise_params=TFHE_TEST) as ob:
-            report = _run(backend, adder_circuit, test_keys[0], rng)
-        assert len(ob.noise.records) == report.levels
-        # First bootstrapped level sees fresh encryptions: more margin.
-        first, *rest = ob.noise.records
-        assert all(
-            first.margin_sigmas >= r.margin_sigmas for r in rest
-        )
-        assert ob.noise.worst is not None
 
     def test_disabled_ambient_emits_nothing(
         self, adder_circuit, test_keys, rng

@@ -142,6 +142,24 @@ def test_mblut_check_cost_run_round_trip(capsys):
     assert "cpu-batched" in out and "ok=True" in out
 
 
+def test_run_noise_prints_the_certificate_of_the_executed_schedule(capsys):
+    """``run --noise`` reports the analyzer's certificate, LUT levels
+    decided against 1/(4p), not a boolean 1/8 re-evaluation."""
+    from repro.analyze import AnalyzerConfig, analyze_netlist
+    from repro.bench import vip_workload
+    from repro.mblut import synthesize
+    from repro.tfhe import TFHE_TEST
+
+    argv = "run hamming_distance --mode mblut --modulus 8 --noise".split()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    netlist = synthesize(vip_workload("hamming_distance").netlist, modulus=8)
+    cert = analyze_netlist(netlist, AnalyzerConfig(params=TFHE_TEST)).noise
+    assert cert.summary() in out.splitlines()
+    assert f"worst margin {cert.worst.margin_sigmas:.1f} sigma" in out
+    assert "ok=True" in out
+
+
 def test_run_distributed_writes_trace_and_metrics(tmp_path, capsys):
     import json
 
@@ -615,7 +633,8 @@ _SERVE_BACKEND_HELP = (
     "batches either way"
 )
 _ENGINES = ("batched", "distributed")
-_OBS_OPTIONS = "--trace-out --trace-jsonl --metrics-out --noise"
+_EXPORT_OPTIONS = "--trace-out --trace-jsonl --metrics-out"
+_OBS_OPTIONS = _EXPORT_OPTIONS + " --noise"
 #: subcommand -> (options in --help order,
 #:                {shared option: (default, choices, type, help)})
 _PARSER_TABLE = {
@@ -675,7 +694,7 @@ _PARSER_TABLE = {
     "serve": (
         "--host --port --backend --workers --max-pending --max-batch "
         "--linger-ms --max-frame-bytes --no-check --gatecost --no-admission "
-        "--telemetry-port --flight-dir --no-noise-monitor " + _OBS_OPTIONS,
+        "--telemetry-port --flight-dir " + _EXPORT_OPTIONS,
         {
             "--backend": ("batched", _ENGINES, None, _SERVE_BACKEND_HELP),
             "--workers": (None, None, int, None),

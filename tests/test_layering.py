@@ -1,9 +1,11 @@
-"""The runtime executes ops and tables; it never imports the compiler.
+"""Layers that must not reach up the stack.
 
-``repro.mblut`` is a compiler pass plus client encoding.  Every module
-under ``repro.runtime`` and ``repro.tfhe`` is parsed (not imported), and
-any import of ``repro.mblut`` — absolute, relative, or deferred inside a
-function — fails this test.
+The runtime executes ops and tables; it never imports the compiler:
+``repro.mblut`` is a compiler pass plus client encoding.  Observability
+records what ran; it never re-derives what the analyzer certifies, so
+``repro.obs`` never imports ``repro.analyze``.  Every module under a
+guarded layer is parsed (not imported), and any forbidden import —
+absolute, relative, or deferred inside a function — fails these tests.
 """
 
 import ast
@@ -34,17 +36,24 @@ def imported_names(path: Path, root: Path = SRC):
                 yield node.lineno, f"{base}.{alias.name}"
 
 
-@pytest.mark.parametrize("layer", LAYERS)
-def test_layer_does_not_import_mblut(layer):
+def offenders(layer: str, forbidden: str):
     modules = sorted((SRC / layer).rglob("*.py"))
     assert modules
-    offenders = [
+    return [
         f"{path.relative_to(SRC)}:{line} imports {name}"
         for path in modules
         for line, name in imported_names(path)
-        if name == FORBIDDEN or name.startswith(FORBIDDEN + ".")
+        if name == forbidden or name.startswith(forbidden + ".")
     ]
-    assert offenders == []
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_layer_does_not_import_mblut(layer):
+    assert offenders(layer, FORBIDDEN) == []
+
+
+def test_obs_does_not_import_analyze():
+    assert offenders("repro/obs", "repro.analyze") == []
 
 
 def test_relative_imports_resolve(tmp_path):

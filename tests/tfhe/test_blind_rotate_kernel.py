@@ -6,7 +6,6 @@ summation order inside the product does not show: the ciphertexts are
 required to be *equal*, not merely close.
 """
 
-import dataclasses
 import threading
 
 import numpy as np
@@ -16,12 +15,7 @@ from repro.tfhe import TFHE_TEST, generate_keys
 from repro.tfhe.bootstrap import blind_rotate
 from repro.tfhe.lwe import LweCiphertext
 from repro.tfhe.params import TFHE_DEFAULT_128, TFHE_MB_128
-from repro.tfhe.tgsw import (
-    ExternalProductKernel,
-    TgswFFT,
-    external_product,
-    tgsw_decompose,
-)
+from repro.tfhe.tgsw import TgswFFT, external_product, tgsw_decompose
 
 from . import blind_rotate_oracle as oracle
 
@@ -110,25 +104,6 @@ class TestAgainstOracle:
             test_poly, ct, cloud.bootstrapping_key, TFHE_DEFAULT_128
         )
         np.testing.assert_array_equal(got, _oracle(test_poly, ct, cloud))
-
-
-class TestRoundingBound:
-    def test_shipped_sets_round_exactly(self):
-        for params in (TFHE_TEST, TFHE_DEFAULT_128, TFHE_MB_128):
-            assert params.rounds_exactly
-            ExternalProductKernel(params, 1)
-        # The closest shipped set: 2 * 3 * 2048 * 64 * 2**31 = 1.5 * 2**50.
-        assert TFHE_MB_128.external_product_bound == 3 * 2**49
-
-    @pytest.mark.parametrize("beta", [8, 10])
-    def test_set_past_the_bound_is_refused(self, beta):
-        # 2 * 3 * 2048 * 2**(beta-1) * 2**31 >= 1.5 * 2**51.
-        wide = dataclasses.replace(
-            TFHE_MB_128, name="wide-digits", bs_decomp_log2_base=beta
-        )
-        assert not wide.rounds_exactly
-        with pytest.raises(ValueError, match=r"wide-digits.*2\*\*51"):
-            ExternalProductKernel(wide, 1)
 
 
 class TestOneKeyForm:

@@ -17,8 +17,6 @@ from repro.tfhe import (
     generate_keys,
 )
 from repro.tfhe.noise import gate_failure_probability
-from repro.tfhe.params import TFHE_MB_128
-from repro.tfhe.tgsw import ExternalProductKernel
 from repro.tfhe.tuning import (
     bootstrap_cost_units,
     sweep_candidates,
@@ -74,25 +72,6 @@ class TestTuner:
         costs = [c.relative_cost for c in candidates]
         assert costs == sorted(costs)
         assert all(c.log2_failure <= -40 for c in candidates)
-
-    @pytest.mark.parametrize(
-        "base", [TFHE_TEST, TFHE_DEFAULT_128, TFHE_MB_128], ids=lambda p: p.name
-    )
-    def test_every_candidate_builds_a_kernel(self, base):
-        """The tuner offers only decompositions the kernel rounds exactly."""
-        candidates = sweep_candidates(base, target_log2_failure=-40)
-        candidates.append(tune_decomposition(base, target_log2_failure=-40))
-        for candidate in candidates:
-            ExternalProductKernel(candidate.params, 1)
-
-    def test_sweep_skips_sets_the_kernel_refuses(self):
-        names = {
-            c.params.name
-            for c in sweep_candidates(TFHE_MB_128, target_log2_failure=-40)
-        }
-        # l=3, b=8 and l=4, b=7 would be 1.5 * 2**51 and 2**51.
-        assert not names & {"tfhe-mb-128-l3b8", "tfhe-mb-128-l4b7"}
-        assert "tfhe-mb-128-l3b7" in names
 
 
 class TestTunedParametersLive:
