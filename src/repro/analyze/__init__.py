@@ -75,7 +75,7 @@ from .findings import (
     Severity,
 )
 from .hazards import check_program, check_schedule
-from .mb import check_mb, check_program_mb
+from .mb import check_mb
 from .noisecert import LevelCertificate, NoiseCertificate, certify_noise
 from .passcheck import (
     DEFAULT_PASSES,
@@ -114,7 +114,6 @@ __all__ = [
     "analyze_netlist",
     "analyze_netlist_cached",
     "check_mb",
-    "check_program_mb",
     "binary_digest",
     "catalog_by_family",
     "certify_cost",

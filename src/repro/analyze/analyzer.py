@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 from ..hdl.netlist import Netlist
-from ..isa.assembler import disassemble
+from ..isa.decoder import decode
 from ..obs import get as _get_obs
 from ..runtime.scheduler import Schedule, build_schedule
 from ..tfhe.params import TFHEParameters
@@ -174,21 +174,23 @@ def analyze_binary(
 ) -> Analysis:
     """Analyze a packed program: stream lint, then netlist families.
 
-    The ``IS`` stream checks always run.  When they produce no error
-    findings the stream is disassembled and the structural/hazard/noise
-    families run on the recovered netlist; otherwise the report carries
-    the stream findings alone (the binary is not executable anyway).
+    The stream is decoded once.  Its ``IS`` checks always run; when
+    they produce no error findings the netlist is built from the same
+    decode and the structural/hazard/noise families run on it;
+    otherwise the report carries the stream findings alone (the binary
+    is not executable anyway).
     """
     col = Collector(max_per_rule=config.max_findings_per_rule)
     with _get_obs().tracer.span(
         "analyze:binary", cat="compile", bytes=len(data)
     ):
-        check_program(data, col)
+        stream = decode(data)
+        check_program(stream, col)
         stream_report = col.into_report(name, ["stream"])
         if stream_report.has_errors:
             _publish(stream_report)
             return Analysis(report=stream_report, families=["stream"])
-        netlist = disassemble(data, name=name)
+        netlist = stream.netlist(name)
     analysis = analyze_netlist(netlist, config)
     analysis.report.merge(stream_report)
     analysis.report.subject = name

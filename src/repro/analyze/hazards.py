@@ -10,35 +10,28 @@ Two subjects are checked:
   gate must never read a slot its own level's parallel batch writes —
   that read races the write across workers.
 
-* A packed 128-bit instruction stream (:mod:`repro.isa.encoding`),
-  walked leniently so a corrupt binary yields findings with byte
-  offsets instead of a parse exception.
+* A packed 128-bit instruction stream, decoded leniently by
+  :func:`repro.isa.decode` so a corrupt binary yields findings with
+  byte offsets instead of a parse exception; this module only maps the
+  decoder's defect kinds to rules.
 
-Both checks replay whole schedule levels (and whole instruction
-streams) as numpy array transforms.  The vectorized replay preserves
-the execution model exactly — per level, the bootstrapped batch reads,
-then commits in parallel, then free gates run in listed order — it just
-evaluates each phase with array masks instead of a Python loop; the
-per-gate reference walks in ``tests/analyze/legacy_oracle.py`` produce
-bit-identical reports.
+The schedule check replays whole levels as numpy array transforms.
+The vectorized replay preserves the execution model exactly — per
+level, the bootstrapped batch reads, then commits in parallel, then
+free gates run in listed order — it just evaluates each phase with
+array masks instead of a Python loop; the per-gate reference walks in
+``tests/analyze/legacy_oracle.py`` produce bit-identical reports.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from ..gatetypes import CODE_ARITY, KNOWN_CODE, Gate, op_name
+from ..gatetypes import CODE_ARITY, op_name
 from ..hdl.netlist import Netlist
-from ..isa.encoding import (
-    FIELD_ALL_ONES,
-    INPUT_MARKER,
-    INSTRUCTION_BYTES,
-    OUTPUT_MARKER,
-    decode_words,
-    is_mb_binary,
-)
+from ..isa.decoder import DecodedStream, decode
 from ..runtime.scheduler import Schedule
 from .findings import Collector
 from .rules import RULES
@@ -49,24 +42,25 @@ _FAR = 1 << 62  # "no free-gate write" sentinel position
 
 
 def check_program(
-    data: bytes, collector: Optional[Collector] = None
+    data: Union[bytes, DecodedStream], collector: Optional[Collector] = None
 ) -> Collector:
-    """Hazard-check a packed PyTFHE binary without constructing a netlist.
+    """Lint a packed PyTFHE binary without constructing a netlist.
 
-    Node indices are the serialized 1-based kind of paper Fig. 6; a
-    gate may only read indices defined strictly earlier in the stream,
-    which is exactly the read-before-write discipline of the result
-    plane.
-
-    A header carrying the format-1 marker routes the stream to the
-    extended-format lint: format-1 words reuse the marker nibbles, so
-    the format-0 walk would flag every extended gate as garbage.
+    :func:`repro.isa.decode` classifies the stream (either format) and
+    lists its defects; each becomes a finding of the defect's ``IS``
+    rule (or ``MB002`` for a table op whose table the stream lacks), in
+    stream order.  Only the findings the per-rule cap admits have their
+    message rendered, so a hostile stream costs array work, not a
+    Python walk.  A :class:`~repro.isa.DecodedStream` is linted as is.
     """
-    if is_mb_binary(data):
-        from .mb import check_program_mb
-
-        return check_program_mb(data, collector)
-    return check_program_flat(data, collector)
+    col = collector if collector is not None else Collector()
+    stream = data if isinstance(data, DecodedStream) else decode(data)
+    for rule_id, total, first in stream.by_rule(col.max_per_rule):
+        rule = RULES[rule_id]
+        for i in first[: col.admit(rule, total)].tolist():
+            message, node, offset, hint = stream.describe(i)
+            col.add(rule, message, node=node, offset=offset, fix_hint=hint)
+    return col
 
 
 # ======================================================================
@@ -294,182 +288,5 @@ def check_schedule(
             f"output {pos_i} ({netlist.output_names[pos_i]!r}) reads slot "
             f"{out}, which no scheduled instruction writes",
             node=out,
-        )
-    return col
-
-
-# ======================================================================
-# Format-0 instruction-stream walk
-# ======================================================================
-def check_program_flat(
-    data: bytes, collector: Optional[Collector] = None
-) -> Collector:
-    """Lenient lint of a format-0 packed binary, one array sweep."""
-    col = collector if collector is not None else Collector()
-    if len(data) % INSTRUCTION_BYTES:
-        col.add(
-            RULES["IS001"],
-            f"binary length {len(data)} is not a multiple of "
-            f"{INSTRUCTION_BYTES} bytes",
-            fix_hint="the stream is truncated or padded",
-        )
-        return col
-    if not data:
-        col.add(RULES["IS001"], "binary is empty (no header instruction)")
-        return col
-
-    field0, field1, nibble = decode_words(data)
-
-    header_nibble = int(nibble[0])
-    header_f0 = int(field0[0])
-    claimed_gates = int(field1[0])
-    if header_nibble != 0 or header_f0 != 0:
-        col.add(
-            RULES["IS001"],
-            "first instruction is not a well-formed header "
-            f"(nibble={header_nibble:#x}, field0={header_f0})",
-            offset=0,
-        )
-
-    # Body classification (word positions 1..; offsets are absolute).
-    nib = nibble[1:]
-    f1 = field1[1:]
-    f0 = field0[1:]
-    n_body = len(nib)
-    gate_count = 0
-    if n_body:
-        marked = f0 == FIELD_ALL_ONES
-        is_input = marked & (nib == INPUT_MARKER)
-        is_output = marked & (nib == OUTPUT_MARKER)
-        decodes = KNOWN_CODE[nib]
-        is_gate = ~is_input & ~is_output & decodes
-        garbage = ~is_input & ~is_output & ~decodes
-
-        positions = np.arange(1, n_body + 1, dtype=np.int64)
-        offsets = positions * INSTRUCTION_BYTES
-
-        # Section state *before* each word: 0=inputs, 1=gates, 2=outputs.
-        # Gates and outputs change state; inputs and garbage do not.
-        ev = np.where(is_gate, 1, np.where(is_output, 2, 0))
-        ev_at = np.where(ev > 0, np.arange(n_body, dtype=np.int64), -1)
-        last_ev = np.maximum.accumulate(ev_at)
-        prev_ev = np.concatenate(([-1], last_ev[:-1]))
-        state_before = np.where(prev_ev < 0, 0, ev[np.maximum(prev_ev, 0)])
-
-        # 1-based node index: inputs, gates, and garbage all consume a
-        # slot; the count *before* each word bounds what it may read.
-        consumes = (~is_output).astype(np.int64)
-        defined_after = np.cumsum(consumes)
-        defined_before = defined_after - consumes
-        gate_count = int((is_gate | garbage).sum())
-
-        # IS001 — garbage nibbles, in stream order.
-        bad = np.nonzero(garbage)[0]
-        keep = col.admit(RULES["IS001"], len(bad))
-        for k in bad[:keep]:
-            col.add(
-                RULES["IS001"],
-                f"unknown instruction nibble {int(nib[k]):#x}",
-                offset=int(offsets[k]),
-            )
-
-        # IS003 — section-order violations, in stream order.
-        late_input = is_input & (state_before != 0)
-        late_gate = is_gate & (state_before == 2)
-        viol = np.nonzero(late_input | late_gate)[0]
-        keep = col.admit(RULES["IS003"], len(viol))
-        for k in viol[:keep]:
-            if late_input[k]:
-                state = "gates" if state_before[k] == 1 else "outputs"
-                col.add(
-                    RULES["IS003"],
-                    f"input instruction after {state} began",
-                    offset=int(offsets[k]),
-                )
-            else:
-                col.add(
-                    RULES["IS003"],
-                    f"gate instruction ({Gate(int(nib[k])).name}) after "
-                    "outputs began",
-                    offset=int(offsets[k]),
-                )
-
-        # IS006 — outputs referencing undefined nodes.
-        bad_out = np.nonzero(
-            is_output & ~((f1 >= 1) & (f1 <= defined_before))
-        )[0]
-        keep = col.admit(RULES["IS006"], len(bad_out))
-        for k in bad_out[:keep]:
-            col.add(
-                RULES["IS006"],
-                f"output references node {int(f1[k])}; the stream defines "
-                f"nodes 1..{int(defined_before[k])}",
-                offset=int(offsets[k]),
-            )
-
-        # Gate operand lint: field0 is slot 0, field1 slot 1.
-        g_arity = np.where(is_gate, CODE_ARITY[nib].astype(np.int64), 0)
-        node_of = defined_after  # a gate's own 1-based node index
-        req0 = is_gate & (g_arity >= 1)
-        req1 = is_gate & (g_arity >= 2)
-        mark0 = f0 == FIELD_ALL_ONES
-        mark1 = f1 == FIELD_ALL_ONES
-
-        def _is005(k: int, slot: int) -> None:
-            gate = Gate(int(nib[k]))
-            node = int(node_of[k])
-            label = "field0" if slot == 0 else "field1"
-            if (mark0[k] if slot == 0 else mark1[k]):
-                col.add(
-                    RULES["IS005"],
-                    f"gate {node} ({gate.name}, arity {gate.arity}) "
-                    f"carries the unused-operand marker in {label}",
-                    node=node,
-                    offset=int(offsets[k]),
-                )
-            else:
-                value = int(f0[k]) if slot == 0 else int(f1[k])
-                col.add(
-                    RULES["IS005"],
-                    f"gate {node} ({gate.name}, arity {gate.arity}) "
-                    f"carries operand {value} in unused {label}",
-                    node=node,
-                    offset=int(offsets[k]),
-                )
-
-        col.admit_slots(
-            RULES["IS005"],
-            (req0 & mark0) | (is_gate & ~req0 & ~mark0),
-            (req1 & mark1) | (is_gate & ~req1 & ~mark1),
-            _is005,
-        )
-
-        def _is004(k: int, slot: int) -> None:
-            gate = Gate(int(nib[k]))
-            node = int(node_of[k])
-            value = int(f0[k]) if slot == 0 else int(f1[k])
-            col.add(
-                RULES["IS004"],
-                f"gate {node} ({gate.name}) reads node {value}, which "
-                f"is not defined before it (defined: 1..{node - 1})",
-                node=node,
-                offset=int(offsets[k]),
-                fix_hint="operands must reference strictly earlier "
-                "instructions",
-            )
-
-        col.admit_slots(
-            RULES["IS004"],
-            req0 & ~mark0 & ~((f0 >= 1) & (f0 < node_of)),
-            req1 & ~mark1 & ~((f1 >= 1) & (f1 < node_of)),
-            _is004,
-        )
-
-    if gate_count != claimed_gates:
-        col.add(
-            RULES["IS002"],
-            f"header claims {claimed_gates} gates, stream holds "
-            f"{gate_count}",
-            offset=0,
         )
     return col

@@ -119,8 +119,9 @@ _CATALOG: List[Rule] = [
     # --------------------------------------------------- instruction stream
     Rule(
         "IS001", Severity.ERROR, "malformed instruction stream",
-        "The packed binary cannot be decoded: bad length, missing "
-        "header, or an unknown instruction nibble.",
+        "The packed binary cannot be decoded (bad length, missing "
+        "header, unknown nibble, broken table segment) or is not in "
+        "canonical form (junk in a marker field or a table's padding).",
     ),
     Rule(
         "IS002", Severity.ERROR, "header gate-count mismatch",

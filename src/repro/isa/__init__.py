@@ -1,27 +1,31 @@
-"""The PyTFHE instruction set: binary encoding and (dis)assembly."""
+"""The PyTFHE instruction set: binary encoding, the stream decoder and
+(dis)assembly."""
 
 from .assembler import assemble, binary_size_bytes, disassemble
+from .decoder import (
+    DecodedStream,
+    Instruction,
+    decode,
+    decode_instruction,
+    iter_instructions,
+)
 from .disassembler import format_program
 from .encoding import (
     FIELD_ALL_ONES,
     INPUT_MARKER,
     INSTRUCTION_BYTES,
-    Instruction,
     MAX_NODE_INDEX,
     OUTPUT_MARKER,
-    decode_instruction,
     decode_words,
     encode_gate,
     encode_header,
     encode_input,
     encode_output,
     encode_words,
-    is_mb_binary,
-    iter_instructions,
 )
 
 __all__ = [
-    "format_program",
+    "DecodedStream",
     "FIELD_ALL_ONES",
     "INPUT_MARKER",
     "INSTRUCTION_BYTES",
@@ -30,6 +34,7 @@ __all__ = [
     "OUTPUT_MARKER",
     "assemble",
     "binary_size_bytes",
+    "decode",
     "decode_instruction",
     "decode_words",
     "disassemble",
@@ -38,6 +43,6 @@ __all__ = [
     "encode_input",
     "encode_output",
     "encode_words",
-    "is_mb_binary",
+    "format_program",
     "iter_instructions",
 ]

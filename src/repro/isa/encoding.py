@@ -8,9 +8,10 @@ Every instruction is 128 bits, serialized little-endian:
 * bits ``[127:66]`` — 62-bit field 0 (input-0 index).
 
 :func:`encode_words` / :func:`decode_words` convert whole streams
-between bytes and ``(field0, field1, nibble)`` columns; every reader
-and writer in the tree (assembler, disassembler, listing, stream
-lints) goes through them.
+between bytes and ``(field0, field1, nibble)`` columns: the assembler
+writes through the one, and the stream decoder
+(:mod:`repro.isa.decoder`), which every reader is built on, reads
+through the other.
 
 **Format 0** (the paper's format; every boolean program):
 
@@ -62,10 +63,10 @@ unambiguous together with an all-ones field 0; format 1 claims the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, TypeVar
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from ..gatetypes import OP_LIN, Gate
 
@@ -88,6 +89,11 @@ INPUT_PREC_BITS = 10
 #: Table entries are 10-bit, six per field, twelve per data word.
 ENTRY_BITS = 10
 ENTRIES_PER_WORD = 2 * (FIELD_BITS // ENTRY_BITS)
+#: Bit offset of each entry inside one 62-bit field.
+ENTRY_SHIFTS = ENTRY_BITS * np.arange(ENTRIES_PER_WORD // 2, dtype=np.int64)
+
+_Count = TypeVar("_Count", int, np.ndarray)
+_U2, _U3, _U4, _U15, _U60 = (np.uint64(k) for k in (2, 3, 4, TYPE_MASK, 60))
 
 _PREC_BITS = 9
 _COEFF_BITS = 8
@@ -100,7 +106,7 @@ _CONST_BIAS = 1 << (_CONST_BITS - 1)
 # ----------------------------------------------------------------------
 # The 128-bit word <-> (field0, field1, nibble)
 # ----------------------------------------------------------------------
-def encode_words(field0, field1, nibble) -> bytes:
+def encode_words(field0: ArrayLike, field1: ArrayLike, nibble: ArrayLike) -> bytes:
     """Pack ``(field0, field1, nibble)`` columns into 128-bit words."""
     f0 = np.asarray(field0, dtype=np.uint64)
     f1 = np.asarray(field1, dtype=np.uint64)
@@ -113,29 +119,26 @@ def encode_words(field0, field1, nibble) -> bytes:
     return halves.tobytes()
 
 
-def decode_words(data: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unpack a word stream into int64 ``(field0, field1, nibble)``."""
+def table_data_words(entries: _Count) -> _Count:
+    """Data words a table of ``entries`` (>= 0) entries occupies."""
+    return (entries + ENTRIES_PER_WORD - 1) // ENTRIES_PER_WORD
+
+
+def decode_words(data: bytes) -> np.ndarray:
+    """Unpack a word stream into the int64 rows ``(field0, field1, nibble)``."""
     if len(data) % INSTRUCTION_BYTES:
         raise ValueError(
             f"binary length {len(data)} is not a multiple of "
             f"{INSTRUCTION_BYTES} bytes"
         )
-    halves = np.frombuffer(data, dtype="<u8").reshape(-1, 2)
-    lo, hi = halves[:, 0], halves[:, 1]
-    field1 = (lo >> np.uint64(4)) | ((hi & np.uint64(0x3)) << np.uint64(60))
-    return (
-        (hi >> np.uint64(2)).astype(np.int64),
-        field1.astype(np.int64),
-        (lo & np.uint64(TYPE_MASK)).astype(np.int64),
-    )
-
-
-def is_mb_binary(data: bytes) -> bool:
-    """True when ``data`` starts with a format-1 header word."""
-    if len(data) < INSTRUCTION_BYTES:
-        return False
-    field0, _, nibble = decode_words(data[:INSTRUCTION_BYTES])
-    return nibble[0] == 0 and field0[0] == MB_FORMAT_VERSION
+    lo, hi = np.frombuffer(data, dtype="<u8").reshape(-1, 2).T
+    rows = np.empty((3, len(lo)), dtype=np.uint64)
+    np.right_shift(hi, _U2, out=rows[0])
+    np.right_shift(lo, _U4, out=rows[1])
+    rows[1] |= (hi & _U3) << _U60
+    np.bitwise_and(lo, _U15, out=rows[2])
+    # Every field is below 2**62, so the int64 view is exact.
+    return rows.view(np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -152,6 +155,14 @@ _EXT_LAYOUT = (
 )
 _EXT_WIDTHS = np.array([[bits] for _, bits in _EXT_LAYOUT], dtype=np.int64)
 _EXT_SHIFTS = np.cumsum(_EXT_WIDTHS, axis=0) - _EXT_WIDTHS
+_EXT_MASKS = (1 << _EXT_WIDTHS) - 1
+#: The unpacked fields behind each decoded column (the payload is the
+#: LIN constant and the table id), and the offsets that turn them into
+#: op codes, signed coefficients and 0-based operands.
+_EXT_ROWS = [0, 1, 2, 3, 4, 4, 5]
+_EXT_OFFSETS = np.array(
+    [[OP_LIN], [0], [-_COEFF_BIAS], [-_COEFF_BIAS], [-_CONST_BIAS], [0], [-1]]
+)
 
 
 def check_range(label: str, values: np.ndarray, lo: int, hi: int) -> None:
@@ -163,7 +174,15 @@ def check_range(label: str, values: np.ndarray, lo: int, hi: int) -> None:
         )
 
 
-def encode_ext_field1(ops, prec, kx, ky, kconst, table_id, in1) -> np.ndarray:
+def encode_ext_field1(
+    ops: ArrayLike,
+    prec: np.ndarray,
+    kx: ArrayLike,
+    ky: ArrayLike,
+    kconst: np.ndarray,
+    table_id: np.ndarray,
+    in1: ArrayLike,
+) -> np.ndarray:
     """Field 1 of multi-bit gate words from their netlist columns."""
     ops = np.asarray(ops, dtype=np.int64)
     fields = np.stack(
@@ -187,60 +206,25 @@ def encode_ext_field1(ops, prec, kx, ky, kconst, table_id, in1) -> np.ndarray:
     return np.bitwise_or.reduce(fields << _EXT_SHIFTS, axis=0)
 
 
-def decode_ext_field1(field1: np.ndarray):
+def decode_ext_field1(field1: np.ndarray) -> np.ndarray:
     """Inverse of :func:`encode_ext_field1`.
 
-    Returns the ``(ops, prec, kx, ky, kconst, table_id, in1)`` columns;
-    ``kconst`` is 0 on table ops and ``table_id`` -1 on LIN.
+    Returns the ``(ops, prec, kx, ky, kconst, table_id, in1)`` columns
+    as the rows of one array; ``kconst`` is 0 on table ops and
+    ``table_id`` -1 on LIN.
     """
     field1 = np.asarray(field1, dtype=np.int64)
-    subop, prec, kx, ky, payload, in1 = (field1 >> _EXT_SHIFTS) & (
-        (1 << _EXT_WIDTHS) - 1
-    )
-    ops = subop + OP_LIN
-    is_lin = ops == OP_LIN
-    return (
-        ops,
-        prec,
-        kx - _COEFF_BIAS,
-        ky - _COEFF_BIAS,
-        np.where(is_lin, payload - _CONST_BIAS, 0),
-        np.where(is_lin, -1, payload),
-        in1 - 1,
-    )
+    fields = (field1 >> _EXT_SHIFTS) & _EXT_MASKS
+    out = fields[_EXT_ROWS] + _EXT_OFFSETS
+    is_lin = fields[0] == 0
+    out[4] *= is_lin
+    np.copyto(out[5], -1, where=is_lin)
+    return out
 
 
 # ----------------------------------------------------------------------
-# One-word helpers (the Fig. 5/6 conformance surface)
+# One-word encoders (the Fig. 5/6 conformance surface)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Instruction:
-    """One decoded 128-bit instruction."""
-
-    kind: str  # "header" | "input" | "gate" | "output"
-    gate: Optional[Gate] = None
-    field0: int = 0
-    field1: int = 0
-
-    @property
-    def total_gates(self) -> int:
-        if self.kind != "header":
-            raise TypeError("total_gates is only defined on headers")
-        return self.field1
-
-    @property
-    def operands(self) -> "tuple[int, int]":
-        if self.kind != "gate":
-            raise TypeError("operands are only defined on gate instructions")
-        return self.field0, self.field1
-
-    @property
-    def output_node(self) -> int:
-        if self.kind != "output":
-            raise TypeError("output_node is only defined on outputs")
-        return self.field1
-
-
 def encode_header(total_gates: int) -> bytes:
     if total_gates > MAX_NODE_INDEX:
         raise ValueError("too many gates for the 62-bit index space")
@@ -264,31 +248,3 @@ def encode_output(node: int) -> bytes:
     if node > MAX_NODE_INDEX:
         raise ValueError("output index out of range")
     return encode_words([FIELD_ALL_ONES], [node], [OUTPUT_MARKER])
-
-
-def decode_instruction(raw: bytes, is_first: bool = False) -> Instruction:
-    if len(raw) != INSTRUCTION_BYTES:
-        raise ValueError(f"instruction must be {INSTRUCTION_BYTES} bytes")
-    field0, field1, nibble = (int(col[0]) for col in decode_words(raw))
-    if is_first:
-        if field0 != 0 or nibble != 0:
-            raise ValueError("malformed header instruction")
-        return Instruction(kind="header", field1=field1)
-    if field0 == FIELD_ALL_ONES and nibble == INPUT_MARKER:
-        return Instruction(kind="input", field0=field0, field1=field1)
-    if field0 == FIELD_ALL_ONES and nibble == OUTPUT_MARKER:
-        return Instruction(kind="output", field0=field0, field1=field1)
-    try:
-        gate = Gate(nibble)
-    except ValueError as exc:
-        raise ValueError(f"unknown gate nibble {nibble:#x}") from exc
-    return Instruction(kind="gate", gate=gate, field0=field0, field1=field1)
-
-
-def iter_instructions(data: bytes) -> Iterator[Instruction]:
-    if len(data) % INSTRUCTION_BYTES:
-        raise ValueError("binary length is not a multiple of 16 bytes")
-    for offset in range(0, len(data), INSTRUCTION_BYTES):
-        yield decode_instruction(
-            data[offset : offset + INSTRUCTION_BYTES], is_first=offset == 0
-        )

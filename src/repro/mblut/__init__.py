@@ -28,7 +28,6 @@ bootstraps (one sum + one carry LUT per 3-bit digit).
 from ..gatetypes import MB_OPS, OP_B2D, OP_D2B, OP_LIN, OP_LUT
 from ..isa import assemble as assemble_mb
 from ..isa import disassemble as disassemble_mb
-from ..isa import is_mb_binary
 from .client import MbIoMap, decrypt_mb_outputs, encrypt_mb_inputs
 from .synth import MultiBitValue, SynthesisReport, synthesize
 
@@ -45,6 +44,5 @@ __all__ = [
     "decrypt_mb_outputs",
     "disassemble_mb",
     "encrypt_mb_inputs",
-    "is_mb_binary",
     "synthesize",
 ]

@@ -1,12 +1,13 @@
 """Reference analyzer walks: the formulation the array sweeps replaced.
 
-The three per-gate object walks — structural lint over a plain-list
-:class:`CircuitFacts`, the schedule replay, and the format-0
-instruction-stream walk — spelled out one gate, one operand, one word
-at a time, so the vectorized checkers in :mod:`repro.analyze` have
-something independent to be compared with (``test_equivalence.py``
-asserts bit-identical reports).  Test-only; never fast.  The walks
-speak the boolean :class:`~repro.gatetypes.Gate` vocabulary only.
+The per-gate object walks — structural lint over a plain-list
+:class:`CircuitFacts`, the schedule replay, and the format-0 and
+format-1 instruction-stream walks — spelled out one gate, one operand,
+one word at a time, so the vectorized checkers in :mod:`repro.analyze`
+have something independent to be compared with
+(``test_equivalence.py``).  Test-only; never fast.  All but the
+format-1 walk speak the boolean :class:`~repro.gatetypes.Gate`
+vocabulary only.
 """
 
 from dataclasses import dataclass, field
@@ -14,14 +15,18 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analyze.findings import Collector
 from repro.analyze.rules import RULES
-from repro.gatetypes import Gate
+from repro.gatetypes import OP_LIN, TABLE_OPS, Gate, op_name
 from repro.hdl.netlist import NO_INPUT, Netlist
 from repro.isa.encoding import (
+    ENTRIES_PER_WORD,
     FIELD_ALL_ONES,
     INPUT_MARKER,
     INSTRUCTION_BYTES,
+    MB_FORMAT_VERSION,
     OUTPUT_MARKER,
     TYPE_MASK,
+    decode_ext_field1,
+    decode_words,
 )
 from repro.runtime.scheduler import Schedule
 
@@ -557,6 +562,221 @@ def check_program_legacy(
                     fix_hint="operands must reference strictly earlier "
                     "instructions",
                 )
+    if gate_count != claimed_gates:
+        col.add(
+            RULES["IS002"],
+            f"header claims {claimed_gates} gates, stream holds "
+            f"{gate_count}",
+            offset=0,
+        )
+    return col
+
+
+def check_program_mb(
+    data: bytes, collector: Optional[Collector] = None
+) -> Collector:
+    """Lenient lint of a multi-bit (format-1) packed binary.
+
+    Mirrors the boolean stream walk — section order, operand
+    back-references, arity, output targets, gate-count coherence —
+    plus the format-1 specifics: table segments must be sequential and
+    complete, and every table op must resolve its table id (MB002 at
+    the stream level).  A corrupt stream yields findings with byte
+    offsets, never a parse exception.
+    """
+    col = collector if collector is not None else Collector()
+    if len(data) % INSTRUCTION_BYTES or not data:
+        col.add(
+            RULES["IS001"],
+            f"binary length {len(data)} is not a multiple of "
+            f"{INSTRUCTION_BYTES} bytes",
+            fix_hint="the stream is truncated or padded",
+        )
+        return col
+    columns = decode_words(data)
+    ext_columns = [c.tolist() for c in decode_ext_field1(columns[1])]
+    words: List[Tuple[int, int, int]] = list(
+        zip(*(c.tolist() for c in columns))
+    )
+    header_f0, claimed_gates, header_nibble = words[0]
+    if header_nibble != 0 or header_f0 != MB_FORMAT_VERSION:
+        col.add(
+            RULES["IS001"],
+            "first instruction is not a multi-bit format header "
+            f"(nibble={header_nibble:#x}, field0={header_f0})",
+            offset=0,
+        )
+
+    state = "inputs"
+    defined = 0  # 1-based node count defined so far
+    gate_count = 0
+    tables_seen = 0
+    #: (offset, node, op code, table id) of table ops, checked at end.
+    table_refs: List[Tuple[int, int, int, int]] = []
+    pos = 1
+    while pos < len(words):
+        field0, field1, nibble = words[pos]
+        offset = pos * INSTRUCTION_BYTES
+        if nibble == INPUT_MARKER and field0 == FIELD_ALL_ONES:
+            if state != "inputs":
+                col.add(
+                    RULES["IS003"],
+                    f"input instruction after {state} began",
+                    offset=offset,
+                )
+            defined += 1
+            pos += 1
+            continue
+        if nibble == INPUT_MARKER:
+            # Table segment: header + ceil(count/12) data words.
+            if state not in ("outputs", "tables"):
+                col.add(
+                    RULES["IS003"],
+                    "table segment before the outputs section",
+                    offset=offset,
+                )
+            state = "tables"
+            tid, count = field0 - 1, field1
+            if tid != tables_seen:
+                col.add(
+                    RULES["IS001"],
+                    f"table segment declares id {tid}, expected "
+                    f"{tables_seen} (ids are sequential)",
+                    offset=offset,
+                )
+            tables_seen += 1
+            n_data = -(-count // ENTRIES_PER_WORD)
+            available = len(words) - pos - 1
+            if n_data > available:
+                col.add(
+                    RULES["IS001"],
+                    f"table {tid} is truncated: {count} entries need "
+                    f"{n_data} data words, stream has {available}",
+                    offset=offset,
+                )
+                return col
+            for d in range(n_data):
+                if words[pos + 1 + d][2] != INPUT_MARKER:
+                    col.add(
+                        RULES["IS001"],
+                        f"table {tid} data word {d} has nibble "
+                        f"{words[pos + 1 + d][2]:#x}",
+                        offset=(pos + 1 + d) * INSTRUCTION_BYTES,
+                    )
+            pos += 1 + n_data
+            continue
+        if nibble == OUTPUT_MARKER and field0 == FIELD_ALL_ONES:
+            if state == "tables":
+                col.add(
+                    RULES["IS003"],
+                    "output instruction after tables began",
+                    offset=offset,
+                )
+            state = "outputs"
+            if not (1 <= field1 <= defined):
+                col.add(
+                    RULES["IS006"],
+                    f"output references node {field1}; the stream "
+                    f"defines nodes 1..{defined}",
+                    offset=offset,
+                )
+            pos += 1
+            continue
+        # A gate word: extended (0x3 + real field0) or boolean.
+        if state in ("outputs", "tables"):
+            col.add(
+                RULES["IS003"],
+                f"gate instruction after {state} began",
+                offset=offset,
+            )
+        state = "gates"
+        defined += 1
+        gate_count += 1
+        node = defined
+        if nibble == OUTPUT_MARKER:
+            code, _prec, _kx, _ky, _kc, tid, in1 = (
+                c[pos] for c in ext_columns
+            )
+            if not (1 <= field0 < node):
+                col.add(
+                    RULES["IS004"],
+                    f"gate {node} ({op_name(code)}) reads node {field0}, "
+                    f"which is not defined before it "
+                    f"(defined: 1..{node - 1})",
+                    node=node,
+                    offset=offset,
+                )
+            if in1 != NO_INPUT:
+                if code != OP_LIN:
+                    col.add(
+                        RULES["IS005"],
+                        f"gate {node} ({op_name(code)}, unary) carries "
+                        f"a second operand ({in1 + 1})",
+                        node=node,
+                        offset=offset,
+                    )
+                elif not (1 <= in1 + 1 < node):
+                    col.add(
+                        RULES["IS004"],
+                        f"gate {node} (LIN) reads node {in1 + 1}, "
+                        f"which is not defined before it "
+                        f"(defined: 1..{node - 1})",
+                        node=node,
+                        offset=offset,
+                    )
+            if code in TABLE_OPS:
+                table_refs.append((offset, node, code, tid))
+            pos += 1
+            continue
+        try:
+            gate = Gate(nibble)
+        except ValueError:
+            col.add(
+                RULES["IS001"],
+                f"unknown instruction nibble {nibble:#x}",
+                offset=offset,
+            )
+            pos += 1
+            continue
+        for slot, value in (("field0", field0), ("field1", field1)):
+            required = gate.arity >= (1 if slot == "field0" else 2)
+            if value == FIELD_ALL_ONES:
+                if required:
+                    col.add(
+                        RULES["IS005"],
+                        f"gate {node} ({gate.name}, arity {gate.arity}) "
+                        f"carries the unused-operand marker in {slot}",
+                        node=node,
+                        offset=offset,
+                    )
+            elif not required:
+                col.add(
+                    RULES["IS005"],
+                    f"gate {node} ({gate.name}, arity {gate.arity}) "
+                    f"carries operand {value} in unused {slot}",
+                    node=node,
+                    offset=offset,
+                )
+            elif not (1 <= value < node):
+                col.add(
+                    RULES["IS004"],
+                    f"gate {node} ({gate.name}) reads node {value}, "
+                    f"which is not defined before it "
+                    f"(defined: 1..{node - 1})",
+                    node=node,
+                    offset=offset,
+                )
+        pos += 1
+
+    for offset, node, code, tid in table_refs:
+        if not (0 <= tid < tables_seen):
+            col.add(
+                RULES["MB002"],
+                f"gate {node} ({op_name(code)}) references table "
+                f"{tid}; the stream carries tables 0..{tables_seen - 1}",
+                node=node,
+                offset=offset,
+            )
     if gate_count != claimed_gates:
         col.add(
             RULES["IS002"],

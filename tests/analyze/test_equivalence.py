@@ -1,26 +1,38 @@
 """Property test: the array checkers match the reference walks.
 
-The vectorized checkers claim *bit-identical* reports to the per-gate
-object walks they replaced — same findings, same messages, same
-suppressed counts — on valid circuits and on adversarially malformed
-subjects alike.  The walks live on in :mod:`legacy_oracle` precisely to
-serve as the oracle here.
+The vectorized structural and schedule checkers claim *bit-identical*
+reports to the per-gate object walks they replaced — same findings,
+same messages, same suppressed counts — on valid circuits and on
+adversarially malformed subjects alike.  The stream lint reports every
+finding the two stream walks report; its only extra findings are the
+canonical-form ones the walks never looked for.  The walks live on in
+:mod:`legacy_oracle` precisely to serve as the oracle here.
 """
+
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analyze import FlatCircuitFacts, check_schedule, check_structure
-from repro.analyze.hazards import check_program_flat
+from repro.analyze import (
+    Collector,
+    FlatCircuitFacts,
+    check_program,
+    check_schedule,
+    check_structure,
+)
 from repro.gatetypes import TWO_INPUT_GATES, Gate
 from repro.hdl.netlist import NO_INPUT, Netlist
-from repro.isa.assembler import assemble
+from repro.isa import INSTRUCTION_BYTES, decode
 from repro.runtime.scheduler import Level, Schedule, build_schedule
 
+from ..isa.test_roundtrip_property import corrupted_programs
+from ..isa.test_roundtrip_property import netlists as program_netlists
 from .legacy_oracle import (
     CircuitFacts,
     check_program_legacy,
+    check_program_mb,
     check_schedule_legacy,
     check_structure_legacy,
 )
@@ -124,17 +136,6 @@ def corrupted_schedules(draw):
     return netlist, Schedule(netlist=netlist, levels=levels)
 
 
-@st.composite
-def corrupted_binaries(draw):
-    """An assembled program with a handful of bytes rewritten."""
-    data = bytearray(assemble(draw(netlists())))
-    num_flips = draw(st.integers(min_value=0, max_value=6))
-    for _ in range(num_flips):
-        pos = draw(st.integers(min_value=0, max_value=len(data) - 1))
-        data[pos] = draw(st.integers(min_value=0, max_value=255))
-    return bytes(data)
-
-
 def report_of(col):
     return col.into_report("equiv", ["test"]).as_dict()
 
@@ -180,9 +181,51 @@ def test_schedule_engines_agree_on_scrambled_schedules(case):
     assert report_of(flat) == report_of(legacy)
 
 
-@given(corrupted_binaries())
-@settings(max_examples=50, deadline=None)
-def test_stream_engines_agree_on_corrupted_binaries(data):
-    flat = check_program_flat(data)
-    legacy = check_program_legacy(data)
-    assert report_of(flat) == report_of(legacy)
+#: Messages of the canonical-form defects the stream walks never checked.
+CANONICAL_ONLY = (
+    "not the all-ones marker",
+    "carries bits outside its entries",
+    "format-1 header on a program without",
+)
+
+
+def stream_findings(col):
+    """Findings as comparable tuples; fix hints are advice, not findings
+    (the format-1 walk gives IS004 none)."""
+    return Counter((f.rule, f.message, f.node, f.offset) for f in col.findings)
+
+
+def framing_words(data):
+    """The header and table-header words: they decide how the words
+    after them are read."""
+    return {0} | set(decode(data).heads.tolist())
+
+
+@given(
+    st.one_of(
+        corrupted_programs(netlists()),
+        corrupted_programs(program_netlists(typed=True, moduli=(4, 8, 16))),
+    )
+)
+@settings(max_examples=120, deadline=None)
+def test_stream_engines_agree_on_corrupted_binaries(case):
+    original, data = case
+    words = range(0, max(len(original), len(data)), INSTRUCTION_BYTES)
+    touched = {
+        at // INSTRUCTION_BYTES
+        for at in words
+        if original[at : at + INSTRUCTION_BYTES]
+        != data[at : at + INSTRUCTION_BYTES]
+    }
+    # The oracle walk of the format the header names.
+    format1 = decode(data[:INSTRUCTION_BYTES]).fmt == 1
+    oracle = check_program_mb if format1 else check_program_legacy
+    want = stream_findings(oracle(data, Collector(max_per_rule=0)))
+    got = stream_findings(check_program(data, Collector(max_per_rule=0)))
+    assert not want - got
+    reframed = touched & (framing_words(original) | framing_words(data))
+    for rule, message, _node, offset in got - want:
+        assert rule == "IS001" and any(m in message for m in CANONICAL_ONLY)
+        assert touched
+        if "format-1 header" not in message:
+            assert offset // INSTRUCTION_BYTES in touched or reframed

@@ -5,10 +5,13 @@ LIN/LUT/B2D/D2B ops and tables (format 1), drawn by one strategy — the
 packed 128-bit program must (a) lint clean at the stream level, (b)
 disassemble back to a netlist whose schedule replays without a single
 hazard finding, (c) preserve reference semantics, and (d) round-trip
-column for column and byte for byte.
+column for column and byte for byte.  And for any corruption of such a
+binary, (e) ``disassemble`` accepts it exactly when the stream lint has
+no error, and then re-assembles it to the same bytes.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +25,15 @@ from repro.gatetypes import (
     Gate,
 )
 from repro.hdl.netlist import NO_INPUT, Netlist
+from repro.isa import (
+    encode_gate,
+    encode_header,
+    encode_input,
+    encode_output,
+    format_program,
+)
 from repro.isa.assembler import assemble, disassemble
+from repro.isa.encoding import FIELD_ALL_ONES, encode_words
 from repro.tfhe.params import TFHE_TEST
 
 from ..hdl.netlist_oracle import (
@@ -157,6 +168,18 @@ def netlists(draw, moduli=(4, 8, 16), max_gates=24, typed=False):
     )
 
 
+@st.composite
+def corrupted_programs(draw, source):
+    """``(original, corrupted)``: a binary of a ``source`` netlist with
+    up to six bytes rewritten."""
+    original = assemble(draw(source))
+    data = bytearray(original)
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        pos = draw(st.integers(min_value=0, max_value=len(data) - 1))
+        data[pos] = draw(st.integers(min_value=0, max_value=255))
+    return original, bytes(data)
+
+
 @given(netlists())
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_produces_zero_hazards(netlist):
@@ -222,3 +245,56 @@ def test_roundtrip_noise_certification_is_total(netlist):
     ]
     if analysis.noise is not None and analysis.noise.levels:
         assert analysis.noise.worst.margin_sigmas > 0
+
+
+def _accepts(data):
+    """``disassemble``'s verdict, checked against the stream lint."""
+    assert isinstance(format_program(data), str)
+    errors = check_program(data).into_report("fuzz", ["stream"]).errors()
+    try:
+        netlist = disassemble(data)
+    except ValueError:
+        assert errors
+        return False
+    assert not errors
+    assert assemble(netlist) == data
+    return True
+
+
+@given(
+    st.one_of(
+        corrupted_programs(netlists()),
+        corrupted_programs(netlists(typed=True, moduli=(4, 16))),
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_disassemble_accepts_exactly_the_canonical_binaries(case):
+    _accepts(case[1])
+
+
+STRAY_CONST1 = encode_words([1], [FIELD_ALL_ONES], [int(Gate.CONST1)])
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        encode_header(2) + encode_input() + STRAY_CONST1
+        + encode_gate(Gate.NOT, 1, 1) + encode_output(3),
+        encode_header(0) + encode_words([FIELD_ALL_ONES], [5], [0xF])
+        + encode_output(1),
+    ],
+    ids=["stray-operands", "format0-input-field1"],
+)
+def test_non_canonical_binaries_are_refused(data):
+    assert not _accepts(data)
+
+
+def test_table_padding_is_refused():
+    netlist = Netlist(
+        1, [OP_LUT], [0], [NO_INPUT], [1], input_prec=[4], input_bound=[3],
+        prec=[4], table_id=[0], tables=[[1, 2, 3, 0]],
+    )
+    data = bytearray(assemble(netlist))
+    assert _accepts(bytes(data))
+    data[-2] |= 0x40  # entry 4 of the table's only data word: padding
+    assert not _accepts(bytes(data))

@@ -8,7 +8,6 @@ from repro.analyze import (
     analyze_binary,
     analyze_netlist,
     check_program,
-    check_program_mb,
 )
 from repro.analyze.cache import netlist_digest
 from repro.analyze.noisecert import certify_noise
@@ -195,16 +194,25 @@ class TestCacheDigest:
 
 class TestStreamLint:
     def test_clean_binary(self):
-        col = check_program_mb(assemble(adder_mb()))
-        assert not col.findings
-
-    def test_check_program_dispatches(self):
         col = check_program(assemble(adder_mb()))
         assert not col.findings
 
+    def test_check_program_dispatches(self):
+        """The header's format marker decides how the words are read:
+        under a format-0 header, multi-bit gate words are garbage."""
+        data = bytearray(assemble(adder_mb()))
+        word = int.from_bytes(data[:INSTRUCTION_BYTES], "little")
+        word &= ~(1 << 66)  # header field 0 (the format marker): 1 -> 0
+        data[:INSTRUCTION_BYTES] = word.to_bytes(INSTRUCTION_BYTES, "little")
+        col = check_program(bytes(data))
+        assert any(
+            f.rule == "IS001" and "unknown instruction nibble 0x3" in f.message
+            for f in col.findings
+        )
+
     def test_truncated_stream(self):
         data = assemble(adder_mb())
-        col = check_program_mb(data[:-7])
+        col = check_program(data[:-7])
         assert [f for f in col.findings if f.rule == "IS001"]
 
     def test_gate_count_mismatch(self):
@@ -213,7 +221,7 @@ class TestStreamLint:
         word = int.from_bytes(data[:INSTRUCTION_BYTES], "little")
         word += 1 << 4
         data[:INSTRUCTION_BYTES] = word.to_bytes(INSTRUCTION_BYTES, "little")
-        col = check_program_mb(bytes(data))
+        col = check_program(bytes(data))
         assert [f for f in col.findings if f.rule == "IS002"]
 
     def test_analyze_binary_runs_mb_family(self):

@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.gatetypes import OP_LIN, OP_LUT
 from repro.hdl.arith import ripple_add
 from repro.hdl.builder import CircuitBuilder
 from repro.hdl.netlist import Netlist
-from repro.isa import assemble, binary_size_bytes, disassemble, is_mb_binary
+from repro.isa import (
+    assemble,
+    binary_size_bytes,
+    decode,
+    disassemble,
+    iter_instructions,
+)
 from repro.mblut import assemble_mb, disassemble_mb, synthesize
 
 
@@ -27,11 +34,11 @@ def mb_binary(mb_netlist):
 
 class TestRoundTrip:
     def test_format_detection(self, mb_binary):
-        assert is_mb_binary(mb_binary)
+        assert decode(mb_binary).fmt == 1
         bd = CircuitBuilder()
         x, y = bd.inputs(2)
         bd.output(bd.and_(x, y))
-        assert not is_mb_binary(assemble(bd.build()))
+        assert decode(assemble(bd.build())).fmt == 0
 
     def test_assemble_dispatches(self, mb_netlist, mb_binary):
         # The mblut names are aliases of the one codec.
@@ -73,6 +80,25 @@ class TestRoundTrip:
         assert np.array_equal(
             mb_netlist.evaluate(messages), back.evaluate(messages)
         )
+
+    def test_iter_instructions_reads_format1(self, mb_netlist, mb_binary):
+        rows = list(iter_instructions(mb_binary))
+        assert [r.offset for r in rows] == list(range(0, len(mb_binary), 16))
+        kinds = [r.kind for r in rows]
+        assert kinds.count("input") == mb_netlist.num_inputs
+        assert kinds.count("output") == mb_netlist.num_outputs
+        assert kinds.count("table") == len(mb_netlist.tables)
+        assert "table-data" in kinds
+        gates = [r for r in rows if r.kind == "gate"]
+        assert [r.op for r in gates] == mb_netlist.ops.tolist()
+        # Operands use the Fig. 6 numbering: netlist index + 1.
+        assert [r.in0 for r in gates] == [
+            None if i < 0 else i + 1 for i in mb_netlist.in0.tolist()
+        ]
+        lin = next(r for r in gates if r.op == OP_LIN)
+        assert lin.gate is None and lin.in1 is not None and lin.prec == 16
+        lut = next(r for r in gates if r.op == OP_LUT)
+        assert 0 <= lut.table_id < len(mb_netlist.tables)
 
     def test_double_roundtrip_is_stable(self, mb_binary):
         assert assemble(disassemble(mb_binary)) == mb_binary
