@@ -105,19 +105,19 @@ def analyze_netlist(
 ) -> Analysis:
     """Run the configured analysis families over one netlist.
 
-    The netlist's own columns pick the families.  A multi-bit netlist
-    (a digit wire, a LIN/LUT op or a table) gets the MB coherence
-    checks; the boolean-only structural and dataflow families skip it
-    (the constructor enforces the structural invariants, and bit-level
-    constant propagation has no digit semantics yet).  Hazard replay,
-    noise certification and cost certification run over the whole op
-    vocabulary either way.
+    The netlist's own columns pick the families.  A netlist with a
+    digit wire or a table gets the MB coherence checks; the bit-level
+    structural and dataflow families skip it (the constructor enforces
+    the structural invariants, and bit-level constant propagation has no
+    digit semantics yet).  A netlist of bits and MAJ3/XOR3 cells is a
+    bit-level netlist.  Hazard replay, noise certification and cost
+    certification run over the whole op vocabulary either way.
     """
     col = Collector(max_per_rule=config.max_findings_per_rule)
     families: List[str] = []
     certificate: Optional[NoiseCertificate] = None
     cost_cert: Optional[CostCertificate] = None
-    boolean = not netlist.is_multibit
+    boolean = not netlist.has_digits
     with _get_obs().tracer.span(
         "analyze:netlist", cat="compile", circuit=netlist.name,
         gates=netlist.num_gates,

@@ -345,13 +345,14 @@ def _profile_of(boot_hist: np.ndarray) -> ParallelismProfile:
     widths = boot_hist[boot_hist > 0]
     if not widths.size:
         return ParallelismProfile(0, 0, 0, 0.0, 0.0, 0.0)
+    p50, p90 = (float(p) for p in np.percentile(widths, (50, 90)))
     return ParallelismProfile(
         gates=int(widths.sum()),
         depth=int(widths.size),
         max_width=int(widths.max()),
         mean_width=float(widths.mean()),
-        width_p50=float(np.percentile(widths, 50)),
-        width_p90=float(np.percentile(widths, 90)),
+        width_p50=p50,
+        width_p90=p90,
     )
 
 

@@ -15,17 +15,17 @@ Two subjects are checked:
   byte offsets instead of a parse exception; this module only maps the
   decoder's defect kinds to rules.
 
-The schedule check replays whole levels as numpy array transforms.
-The vectorized replay preserves the execution model exactly — per
-level, the bootstrapped batch reads, then commits in parallel, then
-free gates run in listed order — it just evaluates each phase with
-array masks instead of a Python loop; the per-gate reference walks in
+The schedule check replays the whole schedule in one pass of array
+transforms.  It preserves the execution model exactly — per level, the
+bootstrapped batch reads, then commits in parallel, then free gates run
+in listed order — by giving every entry a read and a write time on one
+clock; the per-gate reference walks in
 ``tests/analyze/legacy_oracle.py`` produce bit-identical reports.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -36,9 +36,6 @@ from ..runtime.scheduler import Schedule
 from .findings import Collector
 from .rules import RULES
 
-_NEVER = -1  # slot not written yet
-_INPUT_LEVEL = -2  # slot pre-written with a circuit input
-_FAR = 1 << 62  # "no free-gate write" sentinel position
 
 
 def check_program(
@@ -86,190 +83,147 @@ def check_schedule(
     schedule: Schedule,
     collector: Optional[Collector] = None,
 ) -> Collector:
-    """Race/coverage-check ``schedule`` against ``netlist``."""
+    """Race/coverage-check ``schedule`` against ``netlist``.
+
+    One pass over the schedule's entries, in execution order: level by
+    level, the bootstrapped batch, then the free gates.  Each entry gets
+    a read time and a write time on one clock — a batch reads together,
+    then commits together, then each free gate reads and writes in
+    turn — so a read is unwritten exactly when its slot's first write
+    comes later.
+    """
     col = collector if collector is not None else Collector()
     n_in = netlist.num_inputs
     num_nodes = netlist.num_nodes
     ops = netlist.ops
-    in0, in1 = netlist.in0, netlist.in1
-    arity = CODE_ARITY[ops].astype(np.int64)
     bootstraps = netlist.needs_bootstrap
+    levels = schedule.levels
+    batches = [np.asarray(lv.bootstrapped, dtype=np.int64) for lv in levels]
+    frees = [np.asarray(lv.free, dtype=np.int64) for lv in levels]
+    n_batch = np.array([len(b) for b in batches], dtype=np.int64)
+    n_free = np.array([len(f) for f in frees], dtype=np.int64)
+    # Entries level by level, batch then free.
+    gate = np.concatenate(
+        [part for pair in zip(batches, frees) for part in pair]
+        or [np.zeros(0, dtype=np.int64)]
+    )
+    position = np.repeat(np.arange(len(levels)), n_batch + n_free)
+    in_batch = np.concatenate(
+        [np.repeat((True, False), (b, f)) for b, f in zip(n_batch, n_free)]
+        or [np.zeros(0, dtype=bool)]
+    )
+    level_index = np.array([lv.index for lv in levels], dtype=np.int64)[position]
+    # The clock: a level starts at ``clock``; its batch reads at +0 and
+    # writes at +1, and its j-th free gate reads at +2+2j, writes at +3+2j.
+    clock = np.concatenate(([0], np.cumsum(2 + 2 * n_free)))[position]
+    rank = np.arange(len(gate)) - np.repeat(
+        np.cumsum(n_batch + n_free) - (n_batch + n_free), n_batch + n_free
+    )
+    free_rank = rank - n_batch[position]
+    read_t = np.where(in_batch, clock, clock + 2 + 2 * free_rank)
+    write_t = np.where(in_batch, clock + 1, read_t + 1)
+    node = n_in + gate
 
-    written_at = np.full(num_nodes, _NEVER, dtype=np.int64)
-    written_at[:n_in] = _INPUT_LEVEL
-    write_count = np.zeros(num_nodes, dtype=np.int64)
-    # Reusable per-level scratch (reset after each level).
-    batch_mask = np.zeros(num_nodes, dtype=bool)
-    free_first = np.full(num_nodes, _FAR, dtype=np.int64)
+    never = np.iinfo(np.int64).max
+    first_write = np.full(num_nodes, never, dtype=np.int64)
+    first_write[:n_in] = -1
+    np.minimum.at(first_write, node, write_t)
 
     def name_of(gate_idx: int) -> str:
         return op_name(int(ops[gate_idx]))
 
-    def commit_writes(gates_arr: np.ndarray, level_index: int) -> None:
-        """Apply a write section (HZ002 + result-plane state update)."""
-        wn = n_in + gates_arr
-        occ = _cumcount(wn)
-        base = write_count[wn]
-        new_count = base + occ + 1
-        viol = np.nonzero(new_count > 1)[0]
-        keep = col.admit(RULES["HZ002"], len(viol))
-        for k in viol[:keep]:
-            node = int(wn[k])
-            col.add(
-                RULES["HZ002"],
-                f"result-plane slot {node} is written {int(new_count[k])} "
-                f"times (gate {node} scheduled again at level "
-                f"{level_index})",
-                node=node,
-                level=level_index,
-                fix_hint="each gate must appear in exactly one level, once",
-            )
-        np.add.at(write_count, wn, 1)
-        first = (base == 0) & (occ == 0)
-        written_at[wn[first]] = level_index
-
-    def reads_of(
-        gates_arr: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-slot (read-mask, safe operand values) for a gate list."""
-        ar = arity[gates_arr]
-        a, b = in0[gates_arr], in1[gates_arr]
-        read0 = (ar >= 1) & (a >= 0) & (a < num_nodes)
-        read1 = (ar == 2) & (b >= 0) & (b < num_nodes)
-        return read0, np.where(read0, a, 0), read1, np.where(read1, b, 0)
-
-    def emit_reads(
-        gates_arr: np.ndarray,
-        bad0: np.ndarray,
-        av: np.ndarray,
-        bad1: np.ndarray,
-        bv: np.ndarray,
-        rule_id: str,
-        render: Callable[[int, int], None],
-    ) -> None:
-        """Render ``(gate index, operand)`` per offending read slot."""
-        col.admit_slots(
-            RULES[rule_id], bad0, bad1,
-            lambda p, slot: render(
-                int(gates_arr[p]), int(bv[p] if slot else av[p])
-            ),
+    # HZ006 — misclassified gates, in execution order.
+    misplaced = np.nonzero(bootstraps[gate] != in_batch)[0]
+    for e in misplaced[: col.admit(RULES["HZ006"], len(misplaced))].tolist():
+        g, n = int(gate[e]), int(node[e])
+        col.add(
+            RULES["HZ006"],
+            f"free gate {n} ({name_of(g)}) is listed in level "
+            f"{int(level_index[e])}'s bootstrapped batch"
+            if in_batch[e]
+            else f"bootstrapped gate {n} ({name_of(g)}) is listed in "
+            f"level {int(level_index[e])}'s free batch",
+            node=n,
+            level=int(level_index[e]),
         )
 
-    for level in schedule.levels:
-        level_index = level.index
-        batch = np.asarray(level.bootstrapped, dtype=np.int64)
-        free = np.asarray(level.free, dtype=np.int64)
-        batch_mask[n_in + batch] = True
-
-        # HZ006 — misclassified gates, batch side first.
-        mis_b = batch[~bootstraps[batch]]
-        keep = col.admit(RULES["HZ006"], len(mis_b))
-        for g in mis_b[:keep]:
-            node = int(n_in + g)
-            col.add(
-                RULES["HZ006"],
-                f"free gate {node} ({name_of(int(g))}) is listed in level "
-                f"{level_index}'s bootstrapped batch",
-                node=node,
-                level=level_index,
-            )
-
-        # Batch reads happen before any of this level's writes commit.
-        read0, av, read1, bv = reads_of(batch)
-        un0 = read0 & (written_at[av] == _NEVER)
-        un1 = read1 & (written_at[bv] == _NEVER)
-        race0, race1 = un0 & batch_mask[av], un1 & batch_mask[bv]
-
-        def _hz004(gate_idx: int, operand: int) -> None:
-            node = n_in + gate_idx
-            col.add(
-                RULES["HZ004"],
-                f"bootstrapped gate {node} ({name_of(gate_idx)}) reads "
-                f"slot {operand}, which is written by the same "
-                f"level-{level_index} batch — parallel "
-                "read/write race",
-                node=node,
-                level=level_index,
-                fix_hint="the producer must land in an earlier "
-                "level",
-            )
-
-        emit_reads(batch, race0, av, race1, bv, "HZ004", _hz004)
-
-        def _hz003_batch(gate_idx: int, operand: int) -> None:
-            node = n_in + gate_idx
-            col.add(
-                RULES["HZ003"],
-                f"gate {node} ({name_of(gate_idx)}) reads slot "
-                f"{operand}, which is never written before "
-                f"level {level_index}",
-                node=node,
-                level=level_index,
-                fix_hint="schedule the producer in an earlier "
-                "level",
-            )
-
-        emit_reads(
-            batch, un0 & ~race0, av, un1 & ~race1, bv, "HZ003", _hz003_batch
+    # Reads: a slot the op reads, in range, whose first write is later.
+    arity = CODE_ARITY[ops[gate]]
+    operand = np.stack((netlist.in0[gate], netlist.in1[gate]))
+    reads = np.stack((arity >= 1, arity == 2))
+    reads &= (operand >= 0) & (operand < num_nodes)
+    operand = np.where(reads, operand, 0)
+    unwritten = reads & (first_write[operand] > read_t)
+    # A batch read of a slot its own batch writes races the write.
+    race = unwritten & in_batch
+    if race.any():
+        batch_key = position[in_batch] * num_nodes + node[in_batch]
+        race[race] = np.isin(
+            (position * num_nodes + operand)[race], batch_key
         )
 
-        # The bootstrapped batch commits in parallel, then free gates
-        # run in listed order (executors' contract).
-        commit_writes(batch, level_index)
-
-        # HZ006 — free side.
-        mis_f = free[bootstraps[free]]
-        keep = col.admit(RULES["HZ006"], len(mis_f))
-        for g in mis_f[:keep]:
-            node = int(n_in + g)
-            col.add(
-                RULES["HZ006"],
-                f"bootstrapped gate {node} ({name_of(int(g))}) is listed in "
-                f"level {level_index}'s free batch",
-                node=node,
-                level=level_index,
-            )
-
-        # A free gate's read is legal iff the slot was written before
-        # this level's free section, or an earlier-listed free gate
-        # first-writes it.
-        free_nodes = n_in + free
-        np.minimum.at(
-            free_first, free_nodes, np.arange(len(free), dtype=np.int64)
+    def _hz004(e: int, slot: int) -> None:
+        n, level = int(node[e]), int(level_index[e])
+        col.add(
+            RULES["HZ004"],
+            f"bootstrapped gate {n} ({name_of(int(gate[e]))}) reads "
+            f"slot {int(operand[slot, e])}, which is written by the same "
+            f"level-{level} batch — parallel read/write race",
+            node=n,
+            level=level,
+            fix_hint="the producer must land in an earlier level",
         )
-        read0, av, read1, bv = reads_of(free)
-        pos = np.arange(len(free), dtype=np.int64)
-        un0 = read0 & (written_at[av] == _NEVER) & ~(free_first[av] < pos)
-        un1 = read1 & (written_at[bv] == _NEVER) & ~(free_first[bv] < pos)
 
-        def _hz003_free(gate_idx: int, operand: int) -> None:
-            node = n_in + gate_idx
-            col.add(
-                RULES["HZ003"],
-                f"free gate {node} ({name_of(gate_idx)}) reads slot "
-                f"{operand}, which is not yet written at its "
-                f"position in level {level_index}",
-                node=node,
-                level=level_index,
-                fix_hint="free gates execute in listed order; the "
-                "producer must come first",
+    col.admit_slots(RULES["HZ004"], race[0], race[1], _hz004)
+
+    def _hz003(e: int, slot: int) -> None:
+        n, level = int(node[e]), int(level_index[e])
+        g, read = int(gate[e]), int(operand[slot, e])
+        if in_batch[e]:
+            message = (
+                f"gate {n} ({name_of(g)}) reads slot {read}, which is "
+                f"never written before level {level}"
             )
+            hint = "schedule the producer in an earlier level"
+        else:
+            message = (
+                f"free gate {n} ({name_of(g)}) reads slot {read}, which "
+                f"is not yet written at its position in level {level}"
+            )
+            hint = (
+                "free gates execute in listed order; the producer must "
+                "come first"
+            )
+        col.add(RULES["HZ003"], message, node=n, level=level, fix_hint=hint)
 
-        emit_reads(free, un0, av, un1, bv, "HZ003", _hz003_free)
-        commit_writes(free, level_index)
+    stale = unwritten & ~race
+    col.admit_slots(RULES["HZ003"], stale[0], stale[1], _hz003)
 
-        batch_mask[n_in + batch] = False
-        free_first[free_nodes] = _FAR
+    # HZ002 — every write of a slot after its first, in commit order.
+    rewritten = np.nonzero(np.bincount(node, minlength=num_nodes)[node] > 1)[0]
+    count = np.ones(len(node), dtype=np.int64)
+    count[rewritten] += _cumcount(node[rewritten])
+    again = np.nonzero(count > 1)[0]
+    for e in again[: col.admit(RULES["HZ002"], len(again))].tolist():
+        n, level = int(node[e]), int(level_index[e])
+        col.add(
+            RULES["HZ002"],
+            f"result-plane slot {n} is written {int(count[e])} "
+            f"times (gate {n} scheduled again at level {level})",
+            node=n,
+            level=level,
+            fix_hint="each gate must appear in exactly one level, once",
+        )
 
-    never = np.nonzero(write_count[n_in:] == 0)[0]
-    keep = col.admit(RULES["HZ001"], len(never))
-    for g in never[:keep]:
-        node = int(n_in + g)
+    missing = np.nonzero(first_write[n_in:] == never)[0]
+    keep = col.admit(RULES["HZ001"], len(missing))
+    for g in missing[:keep]:
+        n = int(n_in + g)
         col.add(
             RULES["HZ001"],
-            f"gate {node} ({name_of(int(g))}) appears in "
+            f"gate {n} ({name_of(int(g))}) appears in "
             "no schedule level; its slot is never written",
-            node=node,
+            node=n,
             fix_hint="rebuild the schedule with "
             "runtime.build_schedule",
         )
@@ -277,7 +231,7 @@ def check_schedule(
     outs = netlist.outputs
     out_valid = (outs >= 0) & (outs < num_nodes)
     dead_out = np.nonzero(
-        out_valid & (written_at[np.where(out_valid, outs, 0)] == _NEVER)
+        out_valid & (first_write[np.where(out_valid, outs, 0)] == never)
     )[0]
     keep = col.admit(RULES["HZ005"], len(dead_out))
     for p in dead_out[:keep]:

@@ -14,7 +14,13 @@ ciphertext exists, it propagates the analytic noise model of
 * each bootstrapped gate decides against its own margin: ``1/8`` for
   boolean gates (whose worst linear combination, XOR, doubles both
   operands) and B2D, ``1/(4p)`` — half a slice — for a LUT/D2B over a
-  modulus-``p`` digit.
+  modulus-``p`` digit, and ``1/8`` for a cell's SIGN, over the phase
+  its LIN chain sums (``3σ²`` for MAJ3, ``12σ²`` for XOR3).  A SIGN
+  whose phase can land on a decision boundary (0 or 1/2) has margin 0:
+  its phase is ``Σ cᵢ·(±1) + K`` eighths, which is ``Σ cᵢ + K`` modulo
+  ``2^(v+1)`` for ``2^v`` the largest power of two dividing every
+  ``cᵢ`` and ``K``, so it is off the boundaries exactly when ``v ≤ 1``
+  and that residue is not a multiple of ``2^(v+1)``.
 
 A level's margin is the minimum over its gates, expressed in sigmas of
 the decision noise; a level below the configured threshold fails
@@ -30,11 +36,12 @@ from typing import List, Optional
 import numpy as np
 
 from ..gatetypes import (
-    CODE_USES_TABLE,
+    CODE_ARITY,
     NO_INPUT,
     OP_D2B,
     OP_LIN,
     OP_LUT,
+    OP_SIGN,
     Gate,
     op_name,
 )
@@ -166,6 +173,45 @@ def _wire_variances(
         var[nodes] = settled
 
 
+def _off_boundary(netlist: Netlist, signs: np.ndarray) -> np.ndarray:
+    """Per SIGN gate ``signs``: its phase never lands on 0 or 1/2.
+
+    Per node, ``v`` (the 2-adic valuation of every coefficient and the
+    constant of its phase, capped at 2) and ``r = Σ cᵢ + K mod 8``; a bit
+    wire is ``(0, 1)``.  The precision-0 LIN chains settle by a fixed
+    point, as the variances do.
+    """
+    n_in = netlist.num_inputs
+    cap = 2
+    v = np.zeros(netlist.num_nodes + 1, dtype=np.int64)
+    r = np.ones(netlist.num_nodes + 1, dtype=np.int64)
+    lin = np.nonzero((netlist.ops == OP_LIN) & (netlist.prec == 0))[0]
+    src0 = netlist.in0[lin]
+    src1 = netlist.in1[lin]
+    kx = netlist.kx[lin].astype(np.int64)
+    ky = np.where(src1 != NO_INPUT, netlist.ky[lin], 0).astype(np.int64)
+    kconst = netlist.kconst[lin].astype(np.int64)
+
+    def valuation(k: np.ndarray) -> np.ndarray:
+        """2-adic valuation, capped (a zero term adds nothing: ``cap``)."""
+        return np.where(k & 1, 0, np.where(k & 2, 1, cap))
+
+    vx, vy, vk = valuation(kx), valuation(ky), valuation(kconst)
+    nodes = n_in + lin
+    while True:
+        settled_v = np.minimum(
+            np.minimum(vx + v[src0], vy + v[src1]), vk
+        ).clip(max=cap)
+        settled_r = (kx * r[src0] + ky * r[src1] + kconst) & 7
+        if np.array_equal(settled_v, v[nodes]) and np.array_equal(
+            settled_r, r[nodes]
+        ):
+            break
+        v[nodes], r[nodes] = settled_v, settled_r
+    phase = netlist.in0[signs]
+    return (v[phase] < cap) & ((r[phase] >> v[phase]) & 1 == 1)
+
+
 def certify_noise(
     netlist: Netlist,
     schedule: Schedule,
@@ -190,8 +236,9 @@ def certify_noise(
     gates = np.nonzero(netlist.needs_bootstrap)[0]
     codes = netlist.ops[gates]
     src0 = netlist.in0[gates]
-    # A bootstrap is a boolean gate or a table op (LIN is free).
-    boolean = ~CODE_USES_TABLE[codes]
+    # A bootstrap is a 2-input boolean gate, or a table op or SIGN that
+    # rotates its one operand as is (LIN is free).
+    boolean = CODE_ARITY[codes] == 2
     src1 = np.where(boolean, netlist.in1[gates], 0)
     decision = np.where(
         boolean, 4.0 * (var[src0] + var[src1]), var[src0]
@@ -201,6 +248,9 @@ def certify_noise(
     if digit.any():
         p_in = netlist.node_precisions()[src0[digit]]
         margin[digit] = 1.0 / (4.0 * np.maximum(p_in, 2))
+    sign = np.nonzero(codes == OP_SIGN)[0]
+    if sign.size:
+        margin[sign] *= _off_boundary(netlist, gates[sign])
     with np.errstate(divide="ignore"):
         gate_z = margin / np.sqrt(decision)
     z = np.zeros(netlist.num_gates)

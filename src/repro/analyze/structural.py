@@ -23,10 +23,12 @@ from typing import Optional
 
 import numpy as np
 
-from ..gatetypes import NO_INPUT, Gate, op_name
+from ..gatetypes import NO_INPUT, OP_LIN, Gate, op_name
 from ..hdl.facts import FlatCircuitFacts
 from .findings import Collector
 from .rules import RULES
+
+_LAST_GATE = int(max(Gate))
 
 
 def check_structure(
@@ -58,7 +60,8 @@ def check_structure(
 
     # ---------------------------------------------------- operand rules
     req0 = known & (arity >= 1)
-    req1 = known & (arity == 2)
+    # A LIN may omit its second operand (``ky`` is then ignored).
+    req1 = known & (arity == 2) & (ops != OP_LIN)
     opt0 = known & ~(arity >= 1)
     opt1 = known & ~(arity == 2)
     present0 = in0 != NO_INPUT
@@ -136,8 +139,11 @@ def check_structure(
     col.admit_slots(RULES["SL001"], loop0, loop1, _sl001)
 
     # ------------------------------------------------------------ SL102
+    # Boolean gates only: a cell's LINs read the same operands with
+    # different coefficients, which this view does not see.
+    boolean = known & (ops <= _LAST_GATE)
     usable_count = flat.usable0.astype(np.int8) + flat.usable1
-    eligible = np.nonzero(known & (usable_count == arity))[0]
+    eligible = np.nonzero(boolean & (usable_count == arity))[0]
     if eligible.size:
         # Group identical (op, in0, in1) rows with a stable lexsort —
         # far cheaper than np.unique(axis=0)'s structured-array sort.
@@ -191,7 +197,7 @@ def check_structure(
     notnot = (
         known & (ops == int(Gate.NOT)) & range0 & (drv0 == int(Gate.NOT))
     )
-    binary = known & (arity == 2) & range0 & range1
+    binary = boolean & (arity == 2) & range0 & range1
     same = binary & (in0 == in1)
     with_const = binary & ~same & (const0 | const1)
     foldable = np.nonzero(is_buf | notnot | same | with_const)[0]

@@ -91,9 +91,15 @@ OP_B2D = 0x12
 #: Digit-to-boolean bridge bootstrap: digit -> gate-encoded bit
 #: (table has one 0/1 entry per input slice).
 OP_D2B = 0x13
+#: Sign bootstrap of a gate-encoded phase: the one bootstrap of a
+#: one-bootstrap cell (MAJ3, XOR3), whose operand is a LIN chain over
+#: bit wires.  Its output is the bit ``phase in (0, 1/2)``.
+OP_SIGN = 0x14
 
 #: All multi-bit op codes.
 MB_OPS = frozenset((OP_LIN, OP_LUT, OP_B2D, OP_D2B))
+#: The ops of a one-bootstrap cell (LIN on bit wires, then SIGN).
+CELL_OPS = (OP_LIN, OP_SIGN)
 #: Multi-bit ops that blind-rotate a serialized table.
 TABLE_OPS = (OP_LUT, OP_B2D, OP_D2B)
 
@@ -121,8 +127,12 @@ _OP_SPEC: Dict[int, Tuple[int, bool]] = {
     OP_LUT: (1, True),
     OP_B2D: (1, True),
     OP_D2B: (1, True),
+    OP_SIGN: (1, True),
 }
-_MB_NAMES = {OP_LIN: "LIN", OP_LUT: "LUT", OP_B2D: "B2D", OP_D2B: "D2B"}
+_MB_NAMES = {
+    OP_LIN: "LIN", OP_LUT: "LUT", OP_B2D: "B2D", OP_D2B: "D2B",
+    OP_SIGN: "SIGN",
+}
 
 #: Size of the lookup tables below (one past the largest op code).
 NUM_CODES = max(_OP_SPEC) + 1
@@ -184,6 +194,21 @@ for _gate, _fn in _TRUTH.items():
     CODE_TRUTH[_gate] = sum(
         _fn(a, b) << (2 * a + b) for a in (0, 1) for b in (0, 1)
     )
+
+
+#: ``CODE_LINEAR_FORM[code] = (ka, kb, eighths)`` for every bootstrapped
+#: op: it decides the sign of ``ka*in0 + kb*in1 + eighths/8`` over its
+#: operands' ``±1/8`` phases.  A table op (LUT/B2D/D2B) and a cell's SIGN
+#: rotate their one operand as is: ``(1, 0, 0)``.
+CODE_LINEAR_FORM = np.zeros((NUM_CODES, 3), dtype=np.int64)
+CODE_LINEAR_FORM[[*TABLE_OPS, OP_SIGN]] = (1, 0, 0)
+CODE_LINEAR_FORM[
+    [Gate.AND, Gate.NAND, Gate.OR, Gate.NOR, Gate.XOR, Gate.XNOR,
+     Gate.ANDNY, Gate.ANDYN, Gate.ORNY, Gate.ORYN]
+] = [
+    (1, 1, -1), (-1, -1, 1), (1, 1, 1), (-1, -1, -1), (2, 2, 2),
+    (-2, -2, -2), (-1, 1, -1), (1, -1, -1), (-1, 1, 1), (1, -1, 1),
+]
 
 
 #: Gate obtained by complementing the *output* of each gate.

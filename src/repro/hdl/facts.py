@@ -177,13 +177,8 @@ class FlatCircuitFacts:
     # Dependency rounds + bootstrap levels (vectorized Kahn)
     # ------------------------------------------------------------------
     def _traverse(self) -> None:
-        n_in, num_nodes = self.num_inputs, self.num_nodes
+        n_in = self.num_inputs
         u0, u1 = self.usable0, self.usable1
-        # An unusable slot reads a spare node past the end: level 0.
-        src0 = np.where(u0, self.in0, num_nodes)
-        src1 = np.where(u1, self.in1, num_nodes)
-        node_levels = np.zeros(num_nodes + 1, dtype=np.int64)
-        bootstraps = self.needs_bootstrap
         indptr, readers = self.fanout()
         # A gate is ready once its usable *gate* fanins are all final;
         # input fanins are final from the start.
@@ -194,10 +189,6 @@ class FlatCircuitFacts:
         while ready.size:
             rounds.append(ready)
             nodes = n_in + ready
-            node_levels[nodes] = (
-                np.maximum(node_levels[src0[ready]], node_levels[src1[ready]])
-                + bootstraps[ready]
-            )
             # Concatenate the CSR ranges of this round's nodes: arange
             # shifted by each range's start minus its output position.
             starts = indptr[nodes]
@@ -218,7 +209,6 @@ class FlatCircuitFacts:
             first[1:] = ready[1:] != ready[:-1]
             ready = ready[first]
         self._rounds = rounds
-        self._node_levels = node_levels[:num_nodes]
 
     @property
     def rounds(self) -> List[np.ndarray]:
@@ -245,27 +235,50 @@ class FlatCircuitFacts:
         BFS round (Algorithm 1 of the paper) in which it can execute.
         """
         if self._node_levels is None:
-            self._traverse()
-        assert self._node_levels is not None
+            num_nodes = self.num_nodes
+            # An unusable slot reads a spare node past the end: level 0.
+            src0 = np.where(self.usable0, self.in0, num_nodes)
+            src1 = np.where(self.usable1, self.in1, num_nodes)
+            levels = np.zeros(num_nodes + 1, dtype=np.int64)
+            bootstraps = self.needs_bootstrap
+            for ready in self.rounds:
+                levels[self.num_inputs + ready] = (
+                    np.maximum(levels[src0[ready]], levels[src1[ready]])
+                    + bootstraps[ready]
+                )
+            self._node_levels = levels[:num_nodes]
         return self._node_levels
 
     # ------------------------------------------------------------------
     # Reverse reachability
     # ------------------------------------------------------------------
     def output_reachable(self) -> np.ndarray:
-        """Per-node bool: node reaches some in-range output backward."""
+        """Per-node bool: node reaches some in-range output backward.
+
+        A breadth-first walk back from the outputs over usable edges:
+        each step reads the operands of the gates it reached last, so it
+        needs neither the fanout nor the dependency rounds.
+        """
         mask = np.zeros(self.num_nodes, dtype=bool)
         outs = self.outputs
-        mask[outs[(outs >= 0) & (outs < self.num_nodes)]] = True
+        frontier = outs[(outs >= 0) & (outs < self.num_nodes)]
+        mask[frontier] = True
         n_in = self.num_inputs
         in0, in1 = self.in0, self.in1
         u0, u1 = self.usable0, self.usable1
-        for bucket in reversed(self.rounds):
-            live = bucket[mask[n_in + bucket]]
-            if not live.size:
-                continue
-            mask[in0[live[u0[live]]]] = True
-            mask[in1[live[u1[live]]]] = True
+        frontier = frontier[frontier >= n_in] - n_in
+        while frontier.size:
+            reached = np.concatenate(
+                (in0[frontier[u0[frontier]]], in1[frontier[u1[frontier]]])
+            )
+            reached = reached[~mask[reached]]
+            mask[reached] = True
+            # Once each (two gates may read one node): sorted, deduped.
+            frontier = np.sort(reached[reached >= n_in])
+            first = np.empty(len(frontier), dtype=bool)
+            first[:1] = True
+            first[1:] = frontier[1:] != frontier[:-1]
+            frontier = frontier[first] - n_in
         return mask
 
     def __repr__(self) -> str:

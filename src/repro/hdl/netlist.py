@@ -34,6 +34,14 @@ A boolean netlist is the degenerate case — no tables, every precision
 zero — and pays nothing for the columns it does not use: they are
 zero-stride read-only views of one scalar.
 
+A *cell* is a one-bootstrap gate over up to three bits (MAJ3, XOR3,
+mapped by :mod:`repro.synth.cells`): a chain of precision-0 LINs on
+bit wires, read by one SIGN.  A bit wire's phase is ``±1/8``; a
+precision-0 LIN holds a phase in eighths, ``kx*in0 + ky*in1 + kconst``
+over its operands' phases, and SIGN decides ``phase in (0, 1/2)``.  A
+netlist of bits and cells has no digit wire (``has_digits`` is False)
+but is still written in format 1 (``is_multibit``).
+
 Construction validates **structure** only (known op codes, operand
 direction, column lengths, table existence).  Semantic soundness —
 noise margins, digit ranges staying inside the modulus, tables agreeing
@@ -49,6 +57,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..gatetypes import (
+    CODE_ARITY,
+    CODE_BOOTSTRAPS,
+    CODE_LINEAR_FORM,
     CODE_TRUTH,
     CODE_USES_TABLE,
     KNOWN_CODE,
@@ -56,6 +67,7 @@ from ..gatetypes import (
     NUM_CODES,
     OP_B2D,
     OP_LIN,
+    OP_SIGN,
     Gate,
     op_name,
 )
@@ -67,6 +79,16 @@ _EVALUATE_PLANE_ELEMENTS = 1 << 22
 
 #: Op codes above this are multi-bit ops.
 _LAST_GATE_CODE = int(max(Gate))
+
+#: Linear forms of the free boolean ops over phases (none decides).
+_FREE_FORMS = {
+    Gate.NOT: (-1, 0, 0), Gate.BUF: (1, 0, 0),
+    Gate.CONST0: (0, 0, -1), Gate.CONST1: (0, 0, 1),
+}
+
+#: A bootstrap's output phase by its input phase modulo 8 (eighths):
+#: +1 on (0, 1/2), else -1.
+_DECIDE = np.array([-1, 1, 1, 1, -1, -1, -1, -1], dtype=np.int64)
 
 _ZERO32, _NONE32 = np.int32(0), np.int32(-1)
 _ZERO64, _ONE64 = np.int64(0), np.int64(1)
@@ -135,6 +157,7 @@ class Netlist:
         table_id: Optional[Sequence[int]] = None,
         tables: Sequence[Sequence[int]] = (),
         io=None,
+        validate: bool = True,
     ):
         self.num_inputs = n_in = int(num_inputs)
         self.name = name
@@ -163,23 +186,38 @@ class Netlist:
         #: Client-side bit <-> wire contract of a synthesized netlist
         #: (:class:`repro.mblut.MbIoMap`); never serialized.
         self.io = io
+        self._plan: Optional[tuple] = None
         self.input_names = input_names or [f"in{i}" for i in range(n_in)]
         self.output_names = output_names or [
             f"out{i}" for i in range(len(self.outputs))
         ]
         #: The cached derived columns (levels, rounds, operand masks).
         #: Built over the full-width op codes: narrowing first would
-        #: wrap 262 to XOR before it could be rejected.
-        self.facts = self._validated_facts(codes)
+        #: wrap 262 to XOR before it could be rejected.  ``validate``
+        #: False skips the checks for columns a caller has already
+        #: proven (the stream decoder's).
+        self.facts = (
+            self._validated_facts(codes)
+            if validate
+            else FlatCircuitFacts(
+                name, n_in, codes, self.in0, self.in1, self.outputs,
+                self.input_names, self.output_names,
+            )
+        )
         self.ops = self.facts.ops = codes.astype(np.uint8)
-        #: True when any wire is a digit, any op is multi-bit, or a
-        #: table exists: the circuit needs format-1 words and the
-        #: multi-bit analysis families.  A plain boolean netlist is not.
-        self.is_multibit = bool(
+        #: True when any wire is a digit or a table exists: the circuit
+        #: needs the multi-bit analysis families and its plaintext
+        #: values are messages, not bits.
+        self.has_digits = bool(
             self.tables
             or (input_prec is not None and self.input_prec.any())
             or (prec is not None and self.prec.any())
-            or (n_gates and self.ops.max() > _LAST_GATE_CODE)
+        )
+        #: True when the circuit has a digit wire or any op beyond the
+        #: boolean gates (a cell's LIN/SIGN included): it needs
+        #: format-1 words.  A plain boolean netlist is not.
+        self.is_multibit = self.has_digits or bool(
+            n_gates and self.ops.max() > _LAST_GATE_CODE
         )
 
     # ------------------------------------------------------------------
@@ -350,16 +388,17 @@ class Netlist:
 
         ``inputs`` has shape ``(num_inputs,)`` or ``(batch, num_inputs)``;
         the result has shape ``(num_outputs,)`` or ``(batch, num_outputs)``.
-        A boolean netlist takes and returns bools.  A multi-bit netlist
-        takes per-wire integer messages — boolean wires carry 0/1, digit
-        wires their message in ``[0, p)`` — and returns one integer per
+        A netlist without digit wires (cells included) takes and returns
+        bools.  A netlist with digit wires takes per-wire integer
+        messages — boolean wires carry 0/1, digit wires their message
+        in ``[0, p)`` — and returns one integer per
         output wire; LUT indices are reduced modulo the table length,
         the torus wraparound an uncertified circuit would hit (certified
         circuits, MB001 clean, never rely on it).  This is the reference
         semantics every backend must agree with.
         """
         arr = np.asarray(inputs)
-        if not self.is_multibit:
+        if not self.has_digits:
             arr = arr.astype(bool)
         arr = arr.astype(np.int64)
         single = arr.ndim == 1
@@ -370,15 +409,109 @@ class Netlist:
                 f"expected {self.num_inputs} inputs, got {arr.shape[1]}"
             )
         step = max(1, _EVALUATE_PLANE_ELEMENTS // max(self.num_nodes, 1))
+        # Bits and cells evaluate as phases; digits as messages.
+        plane = (
+            self._evaluate_phases
+            if self.is_multibit and not self.has_digits
+            else self._evaluate_plane
+        )
         out = np.concatenate(
             [
-                self._evaluate_plane(arr[start : start + step])
+                plane(arr[start : start + step])
                 for start in range(0, max(len(arr), 1), step)
             ]
         )
-        if not self.is_multibit:
+        if not self.has_digits:
             out = out.astype(bool)
         return out[0] if single else out
+
+    def _phase_plan(self) -> tuple:
+        """Every gate as one linear form over up to three nodes' phases,
+        ``Σ coef·phase + const``, decided (a bootstrapped op: the bit
+        ``phase in (0, 1/2)``, phase ±1) or kept (a free op).
+
+        A SIGN folds the LIN chain it reads into its own form, so a
+        MAJ3/XOR3 cell ``SIGN(LIN(LIN(p, q), c))`` is one form over p, q
+        and c, and a LIN only a SIGN reads is never evaluated.  Returns
+        the gates' node ids in evaluation-round order, the round bounds,
+        and their forms; built once (the netlist is immutable).
+        """
+        if self._plan is not None:
+            return self._plan
+        n_in, num_nodes, n_gates = self.num_inputs, self.num_nodes, self.num_gates
+        spare = num_nodes  # a zero row of the plane
+        ops = self.ops
+        arity = CODE_ARITY[ops]
+        paired = (arity == 2) & (self.in1 != NO_INPUT)
+        src = np.stack((
+            np.where(arity >= 1, self.in0, spare),
+            np.where(paired, self.in1, spare),
+            np.full(n_gates, spare),
+        ))
+        form = CODE_LINEAR_FORM[ops].T.astype(np.int32)
+        for code, free in _FREE_FORMS.items():
+            form[:, ops == code] = np.array(free, np.int32)[:, None]
+        lin = ops == OP_LIN
+        form[0, lin] = self.kx[lin]
+        form[1, lin] = self.ky[lin] * paired[lin]
+        form[2, lin] = self.kconst[lin]
+        coef = np.concatenate((form[:2], np.zeros((1, n_gates), np.int32)))
+        const = form[2]
+        # Fold a SIGN's first source while it is a LIN and the SIGN has
+        # a free slot: twice covers LIN(LIN(p, q), c).
+        is_lin = np.append(np.zeros(n_in, bool), np.append(lin, False))
+        sign = np.nonzero(ops == OP_SIGN)[0]
+        for _ in range(2):
+            at = sign[is_lin[src[0, sign]] & (src[2, sign] == spare)]
+            inner = src[0, at] - n_in
+            k = coef[0, at]
+            src[:, at] = (src[0, inner], src[1, inner], src[1, at])
+            coef[:, at] = (k * coef[0, inner], k * coef[1, inner], coef[1, at])
+            const[at] += k * const[inner]
+        # Evaluate every gate but the LINs nothing evaluated reads.
+        needed = np.zeros(num_nodes + 1, bool)
+        needed[self.outputs] = True
+        evaluate = ~lin
+        while True:
+            needed[src[:, evaluate].ravel()] = True
+            grown = lin & needed[n_in:-1] & ~evaluate
+            if not grown.any():
+                break
+            evaluate |= grown
+        # Evaluation rounds: one past the deepest source.
+        depth = np.zeros(num_nodes + 1, np.int64)
+        for ready in self.facts.rounds:
+            ready = ready[evaluate[ready]]
+            depth[n_in + ready] = depth[src[:, ready]].max(axis=0) + 1
+        gates = np.nonzero(evaluate)[0]
+        gates = gates[np.argsort(depth[n_in + gates], kind="stable")]
+        bounds = np.searchsorted(
+            depth[n_in + gates], np.arange(1, int(depth.max(initial=0)) + 2)
+        )
+        self._plan = (
+            (n_in + gates).astype(np.int32), bounds.tolist(),
+            src[:, gates].astype(np.int32), coef[:, gates, None],
+            const[gates, None], CODE_BOOTSTRAPS[ops[gates]][:, None],
+        )
+        return self._plan
+
+    def _evaluate_phases(self, arr: np.ndarray) -> np.ndarray:
+        """A netlist of bits and cells over a ``(nodes, batch)`` plane of
+        phases in eighths (a bit is ±1), one round of forms at a time."""
+        nodes, bounds, src, coef, const, boot = self._phase_plan()
+        phase = np.zeros((self.num_nodes + 1, len(arr)), dtype=np.int64)
+        phase[: self.num_inputs] = 2 * arr.T - 1
+        lo = 0
+        for hi in bounds:
+            lin = (
+                coef[0, lo:hi] * phase[src[0, lo:hi]]
+                + coef[1, lo:hi] * phase[src[1, lo:hi]]
+                + coef[2, lo:hi] * phase[src[2, lo:hi]]
+                + const[lo:hi]
+            )
+            phase[nodes[lo:hi]] = np.where(boot[lo:hi], _DECIDE[lin & 7], lin)
+            lo = hi
+        return (_DECIDE[phase[self.outputs] & 7] > 0).T
 
     def _evaluate_plane(self, arr: np.ndarray) -> np.ndarray:
         """One dependency round at a time over a ``(nodes, batch)`` plane."""

@@ -24,7 +24,15 @@ from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..gatetypes import CODE_ARITY, CODE_USES_TABLE, NO_INPUT, OP_LIN, Gate, op_name
+from ..gatetypes import (
+    CODE_ARITY,
+    CODE_USES_TABLE,
+    NO_INPUT,
+    OP_LIN,
+    OP_SIGN,
+    Gate,
+    op_name,
+)
 from ..hdl.netlist import Netlist
 from .encoding import (
     ENTRIES_PER_WORD,
@@ -76,7 +84,8 @@ Defect = enum.IntEnum(
     "Defect",
     "LENGTH EMPTY HEADER FORMAT GARBAGE INPUT_FIELD1 TABLE_ID TABLE_TRUNCATED "
     "TABLE_NIBBLE TABLE_PADDING GATE_COUNT LATE_INPUT LATE_GATE LATE_OUTPUT "
-    "EARLY_TABLE READ0 READ1 MARKER0 STRAY0 MARKER1 STRAY1 OUTPUT_REF TABLE_REF",
+    "EARLY_TABLE READ0 READ1 MARKER0 STRAY0 MARKER1 STRAY1 OUTPUT_REF TABLE_REF "
+    "UNREAD_FIELD",
     start=0,
 )
 
@@ -115,12 +124,15 @@ DEFECTS: Tuple[Tuple[str, str], ...] = (
     ("IS006", "output references node {f1}; the stream defines nodes 1..{node}"),
     ("MB002", _GATE + ") references table {table_id}; the stream carries "
               "tables 0..{last_table}"),
+    ("IS001", _GATE + ") sets {unread} in fields its op does not read"),
 )
 _UNNAMED = (Defect.LENGTH, Defect.HEADER, Defect.GARBAGE)  # no row to yield
 _HINTS = {Defect.LENGTH: "the stream is truncated or padded",
           Defect.READ0: _EARLIER, Defect.READ1: _EARLIER}
 #: Rules whose findings name the gate's node.
 _NODE_RULES = ("IS004", "IS005", "MB002")
+#: Defects that name the gate's node under a rule that does not.
+_NODE_DEFECTS = (Defect.UNREAD_FIELD,)
 
 
 class Instruction(NamedTuple):
@@ -246,6 +258,13 @@ class DecodedStream:
                 else f"unary) carries a second operand ({int(self.in1[pos])})"
             ),
             value=int((self.in1 if code is Defect.READ1 else self.in0)[pos]),
+            unread=", ".join(
+                f"{label}={int(column[pos])}"
+                for label, column in (
+                    ("kx", self.kx), ("ky", self.ky), ("precision", self.prec)
+                )
+                if column[pos] and (label != "precision" or op == OP_SIGN)
+            ),
         )
         if code in (Defect.TABLE_NIBBLE, Defect.TABLE_PADDING):
             head = int(self.heads[context["index"] - 1])
@@ -260,7 +279,7 @@ class DecodedStream:
             context["state"] = SECTIONS[int(opened[at[-1]]) if at.size else 0]
         return (
             template.format(**context),
-            node if rule in _NODE_RULES else None,
+            node if rule in _NODE_RULES or code in _NODE_DEFECTS else None,
             pos * INSTRUCTION_BYTES,
             _HINTS.get(code),
         )
@@ -296,15 +315,24 @@ class DecodedStream:
             )
             entries = (entries[:, :, None] >> ENTRY_SHIFTS) & _ENTRY_MASK
             counts = self.field1[self.heads].tolist()
-            columns = {c: getattr(self, c)[gates] for c in _GATE_COLUMNS}
-            columns.update(
-                input_prec=self.prec[inputs],
-                input_bound=self.bound[inputs],
-                tables=[
-                    entries[head - first + 1 :].reshape(-1)[:count]
-                    for head, count in zip(self.heads.tolist(), counts)
-                ],
-            )
+            # A column at its default everywhere stays a zero-stride view.
+            columns = {
+                c: values
+                for c, default in zip(_GATE_COLUMNS, _COLUMN_DEFAULTS[:5, 0])
+                for values in [getattr(self, c)[gates]]
+                if (values != default).any()
+            }
+            input_prec, input_bound = self.prec[inputs], self.bound[inputs]
+            if input_prec.any():
+                columns.update(input_prec=input_prec, input_bound=input_bound)
+            elif (input_bound != 1).any():
+                columns.update(input_bound=input_bound)
+            columns["tables"] = [
+                entries[head - first + 1 :].reshape(-1)[:count]
+                for head, count in zip(self.heads.tolist(), counts)
+            ]
+        # The decode has proven every op known, every operand an earlier
+        # node, every table id and every output: nothing to re-check.
         return Netlist(
             num_inputs=int(np.count_nonzero(inputs)),
             ops=self.op[gates],
@@ -312,6 +340,7 @@ class DecodedStream:
             in1=np.maximum(self.in1[gates] - 1, NO_INPUT),
             outputs=self.field1[self.kind == OUTPUT] - 1,
             name=name,
+            validate=False,
             **columns,
         )
 
@@ -401,12 +430,20 @@ def decode(data: bytes) -> DecodedStream:
         np.copyto(prec, field1 & ((1 << INPUT_PREC_BITS) - 1), where=is_input)
         np.copyto(bound, field1 >> INPUT_PREC_BITS, where=is_input)
         if ext.any():
-            decoded = decode_ext_field1(field1)
-            np.copyto(op, decoded[0], where=ext)
-            np.copyto(cols[:5], decoded[1:6], where=ext)
+            at = np.nonzero(ext)[0]
+            decoded = decode_ext_field1(field1[at])
+            op[at] = decoded[0]
+            cols[:5, at] = decoded[1:6]
             in1 = decoded[6] + 1  # 1-based; 0 = no second operand
             in1[in1 == 0] = -1
-            np.copyto(operands[1], in1, where=ext)
+            operands[1, at] = in1
+            # Canonical form: only a LIN reads kx/ky, and a SIGN has no
+            # precision.
+            ext_op, ext_prec, ext_kx, ext_ky = decoded[:4]
+            bad[Defect.UNREAD_FIELD, at] = (ext_op != OP_LIN) & (
+                (ext_kx != 0) | (ext_ky != 0)
+                | ((ext_op == OP_SIGN) & (ext_prec != 0))
+            )
 
     if n:
         bad[Defect.HEADER, 0] = not (

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..gatetypes import OP_LIN, op_name
+from ..gatetypes import OP_LIN, OP_SIGN, op_name
 from .decoder import Instruction, decode
 from .encoding import INSTRUCTION_BYTES, MB_FORMAT_VERSION
 
@@ -23,6 +23,8 @@ def _text(row: Instruction, fmt: int) -> str:
     if row.kind == "gate" and row.gate is not None:
         a, b = ("-" if x is None else x for x in row.operands)
         return f"gate    {row.gate.name:6s} in0={a} in1={b}"
+    if row.kind == "gate" and row.op == OP_SIGN:
+        return f"gate    sign   in0={row.in0}"
     if row.kind == "gate" and row.op is not None:
         detail = f"p={row.prec} in0={row.in0}"
         if row.in1 is not None:

@@ -55,6 +55,11 @@ unambiguous together with an all-ones field 0; format 1 claims the
                              LUT/B2D/D2B (16 bits)
       [61:43] in1 + 1      second operand, 0 = none (19 bits)
 
+  A cell's SIGN is the D2B subop with the all-ones table id (no table):
+  the sign of its operand's phase.  A canonical word sets no field its
+  op does not read: kx = ky = 0 on LUT/B2D/D2B/SIGN, and precision 0 on
+  SIGN (the decoder flags the rest).  A cell's LIN is a precision-0 LIN.
+
 * **table segment** — after the outputs: per table one header word
   (nibble ``0xF``, field 0 = ``table_id + 1`` — a real value, never
   all-ones — field 1 = entry count) followed by data words (nibble
@@ -68,7 +73,7 @@ from typing import Optional, TypeVar
 import numpy as np
 from numpy.typing import ArrayLike
 
-from ..gatetypes import OP_LIN, Gate
+from ..gatetypes import OP_D2B, OP_LIN, OP_SIGN, Gate
 
 INSTRUCTION_BYTES = 16
 FIELD_BITS = 62
@@ -101,6 +106,9 @@ _CONST_BITS = 16
 _IN1_BITS = 19
 _COEFF_BIAS = 1 << (_COEFF_BITS - 1)
 _CONST_BIAS = 1 << (_CONST_BITS - 1)
+#: Subop and table-id field of a SIGN word: D2B with no table.
+_SIGN_SUBOP = OP_D2B - OP_LIN
+SIGN_TABLE_FIELD = (1 << _CONST_BITS) - 1
 
 
 # ----------------------------------------------------------------------
@@ -185,40 +193,53 @@ def encode_ext_field1(
 ) -> np.ndarray:
     """Field 1 of multi-bit gate words from their netlist columns."""
     ops = np.asarray(ops, dtype=np.int64)
-    fields = np.stack(
-        (
-            ops - OP_LIN,
-            prec,
-            np.asarray(kx, dtype=np.int64) + _COEFF_BIAS,
-            np.asarray(ky, dtype=np.int64) + _COEFF_BIAS,
-            np.where(ops == OP_LIN, kconst + _CONST_BIAS, table_id),
-            np.asarray(in1, dtype=np.int64) + 1,
-        )
-    ).astype(np.int64)
-    overflow = (fields < 0) | (fields >> _EXT_WIDTHS != 0)
-    if overflow.any():
-        row, at = (int(i[0]) for i in np.nonzero(overflow))
-        label, bits = _EXT_LAYOUT[row]
-        raise ValueError(
-            f"{label} of multi-bit gate {at} does not fit its {bits}-bit "
-            f"format-1 field (biased value {int(fields[row, at])})"
-        )
-    return np.bitwise_or.reduce(fields << _EXT_SHIFTS, axis=0)
+    sign = ops == OP_SIGN
+    fields = (
+        np.where(sign, _SIGN_SUBOP, ops - OP_LIN),
+        prec,
+        np.asarray(kx, dtype=np.int64) + _COEFF_BIAS,
+        np.asarray(ky, dtype=np.int64) + _COEFF_BIAS,
+        np.where(
+            ops == OP_LIN,
+            kconst + _CONST_BIAS,
+            np.where(sign, SIGN_TABLE_FIELD, table_id),
+        ),
+        np.asarray(in1, dtype=np.int64) + 1,
+    )
+    packed = np.zeros(len(ops), dtype=np.int64)
+    for (label, bits), shift, field in zip(
+        _EXT_LAYOUT, _EXT_SHIFTS[:, 0].tolist(), fields
+    ):
+        field = np.asarray(field, dtype=np.int64)
+        if field.size and (field.min() < 0 or field.max() >> bits):
+            at = int(np.argmax((field < 0) | (field >> bits != 0)))
+            raise ValueError(
+                f"{label} of multi-bit gate {at} does not fit its {bits}-bit "
+                f"format-1 field (biased value {int(field[at])})"
+            )
+        packed |= field << shift
+    return packed
 
 
 def decode_ext_field1(field1: np.ndarray) -> np.ndarray:
     """Inverse of :func:`encode_ext_field1`.
 
     Returns the ``(ops, prec, kx, ky, kconst, table_id, in1)`` columns
-    as the rows of one array; ``kconst`` is 0 on table ops and
-    ``table_id`` -1 on LIN.
+    as the rows of one array; ``kconst`` is 0 on table ops and SIGN, and
+    ``table_id`` -1 on LIN and SIGN.
     """
     field1 = np.asarray(field1, dtype=np.int64)
-    fields = (field1 >> _EXT_SHIFTS) & _EXT_MASKS
-    out = fields[_EXT_ROWS] + _EXT_OFFSETS
-    is_lin = fields[0] == 0
+    out = np.empty((7, field1.size), dtype=np.int64)
+    for row, (field, offset) in enumerate(zip(_EXT_ROWS, _EXT_OFFSETS[:, 0])):
+        np.right_shift(field1, int(_EXT_SHIFTS[field, 0]), out=out[row])
+        out[row] &= int(_EXT_MASKS[field, 0])
+        out[row] += int(offset)
+    subop = out[0] - OP_LIN
+    is_lin = subop == 0
+    sign = (subop == _SIGN_SUBOP) & (out[5] == SIGN_TABLE_FIELD)
     out[4] *= is_lin
-    np.copyto(out[5], -1, where=is_lin)
+    out[0][sign] = OP_SIGN
+    out[5][is_lin | sign] = -1
     return out
 
 

@@ -263,7 +263,7 @@ def bootstrap_level(
     binary disassembled in a worker.  Every op is a row of one
     :func:`~repro.tfhe.lut.programmable_bootstrap` call: its input is
     ``ka*in0 + kb*in1 + eighths/8``
-    (:data:`~repro.tfhe.gates.LINEAR_FORM`) and its test polynomial comes
+    (:data:`~repro.gatetypes.CODE_LINEAR_FORM`) and its test polynomial comes
     from :func:`level_test_polynomials`.  Returns the ciphertext bytes
     gathered from and scattered to the plane: the operands each op
     reads, plus its output.
@@ -310,38 +310,67 @@ def free_gates(
     """Evaluate one level's free gates (CONST/BUF/NOT/LIN), in place.
 
     Gate order is topological, so a free gate may read another free
-    gate of the same level; hence one gate at a time.
+    gate of the same level (a cell's LIN chain): the gates run in waves,
+    each wave every gate none of whose operands is still pending,
+    evaluated as whole arrays.
     """
     n_in = netlist.num_inputs
-    for gate_idx in gate_ids.tolist():
-        code = int(netlist.ops[gate_idx])
-        node = n_in + gate_idx
-        src = int(netlist.in0[gate_idx])
-        if code == _BUF:
-            a[node] = a[src]
-            b[node] = b[src]
-        elif code == _NOT:
-            a[node] = wrap_int32(-a[src].astype(np.int64))
-            b[node] = wrap_int32(-b[src].astype(np.int64))
-        elif code == _CONST0 or code == _CONST1:
-            const = trivial_bit(code == _CONST1, params)
-            a[node] = const.a
-            b[node] = const.b
-        elif code == OP_LIN:
-            other = int(netlist.in1[gate_idx])
-            out = IntegerEncoding(int(netlist.prec[gate_idx])).lin_combine(
-                LweCiphertext(a[src], b[src]),
-                None
-                if other == NO_INPUT
-                else LweCiphertext(a[other], b[other]),
-                int(netlist.kx[gate_idx]),
-                int(netlist.ky[gate_idx]),
-                int(netlist.kconst[gate_idx]),
-            )
-            a[node] = out.a
-            b[node] = out.b
-        else:  # pragma: no cover - the schedule lists free gates only
-            raise AssertionError(f"{op_name(code)} is not a free gate")
+    ids = np.asarray(gate_ids, dtype=np.int64)
+    arity = CODE_ARITY[netlist.ops[ids]]
+    src0 = np.where(arity >= 1, netlist.in0[ids], NO_INPUT)
+    src1 = np.where(arity == 2, netlist.in1[ids], NO_INPUT)
+    pending = np.zeros(netlist.num_nodes + 1, dtype=bool)
+    pending[n_in + ids] = True
+    while ids.size:
+        ready = ~(pending[src0] | pending[src1])
+        _free_wave(netlist, a, b, ids[ready], src0[ready], src1[ready], params)
+        pending[n_in + ids[ready]] = False
+        ids, src0, src1 = ids[~ready], src0[~ready], src1[~ready]
+
+
+def _free_wave(
+    netlist: Netlist,
+    a: np.ndarray,
+    b: np.ndarray,
+    ids: np.ndarray,
+    src0: np.ndarray,
+    src1: np.ndarray,
+    params,
+) -> None:
+    """Free gates ``ids`` whose operands are all on the plane."""
+    codes = netlist.ops[ids]
+    nodes = netlist.num_inputs + ids
+    for code in (_CONST0, _CONST1):
+        const = nodes[codes == code]
+        ct = trivial_bit(code == _CONST1, params)
+        a[const] = ct.a
+        b[const] = ct.b
+    copy = codes == _BUF
+    a[nodes[copy]] = a[src0[copy]]
+    b[nodes[copy]] = b[src0[copy]]
+    neg = codes == _NOT
+    a[nodes[neg]] = wrap_int32(-a[src0[neg]].astype(np.int64))
+    b[nodes[neg]] = wrap_int32(-b[src0[neg]].astype(np.int64))
+    lin = np.nonzero(codes == OP_LIN)[0]
+    if not lin.size:
+        return
+    g, x, y = ids[lin], src0[lin], src1[lin]
+    paired = y != NO_INPUT
+    kx = netlist.kx[g].astype(np.int64)
+    ky = np.where(paired, netlist.ky[g], 0).astype(np.int64)
+    y = np.where(paired, y, x)
+    kconst = netlist.kconst[g].astype(np.int64)
+    p = netlist.prec[g].astype(np.int64)
+    # A digit LIN re-centers on its slice (IntegerEncoding.lin_combine);
+    # a cell's LIN adds its constant in eighths of the torus.
+    digit = ((2 * kconst + 1 - kx - ky) << 32) // (4 * np.maximum(p, 1))
+    offset = np.where(p > 0, digit, kconst * np.int64(MU_GATE))
+    a[nodes[lin]] = wrap_int32(
+        kx[:, None, None] * a[x] + ky[:, None, None] * a[y]
+    )
+    b[nodes[lin]] = wrap_int32(
+        kx[:, None] * b[x] + ky[:, None] * b[y] + offset[:, None]
+    )
 
 
 #: What a bootstrap step reports for each task it ran on a worker:

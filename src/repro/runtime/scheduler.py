@@ -89,20 +89,22 @@ def build_schedule(netlist: Netlist) -> Schedule:
     n_in = netlist.num_inputs
     gate_levels = node_levels[n_in:]
     # The mask spans the boolean gate vocabulary and the multi-bit
-    # codes alike (LUT/B2D/D2B bootstrap, LIN is free).
+    # codes alike (LUT/B2D/D2B/SIGN bootstrap, LIN is free).
     needs = netlist.needs_bootstrap
     max_level = int(gate_levels.max()) if netlist.num_gates else 0
-    levels: List[Level] = []
-    order = np.arange(netlist.num_gates)
-    for lv in range(max_level + 1):
-        at_level = gate_levels == lv
-        levels.append(
-            Level(
-                index=lv,
-                bootstrapped=order[at_level & needs],
-                free=order[at_level & ~needs],
-            )
+    # One stable sort by (level, free after bootstrapped) lists every
+    # level's two gate lists in gate order.
+    key = 2 * gate_levels + ~needs
+    order = np.argsort(key, kind="stable")
+    bounds = np.searchsorted(key[order], np.arange(2 * max_level + 3)).tolist()
+    levels: List[Level] = [
+        Level(
+            index=lv,
+            bootstrapped=order[bounds[2 * lv] : bounds[2 * lv + 1]],
+            free=order[bounds[2 * lv + 1] : bounds[2 * lv + 2]],
         )
+        for lv in range(max_level + 1)
+    ]
     # Drop trailing empty levels (level 0 may hold only free gates).
     while levels and levels[-1].width == 0 and len(levels[-1].free) == 0:
         levels.pop()

@@ -59,9 +59,10 @@ def check_equivalence(
     ``second`` may be a synthesized multi-bit netlist; it is then
     evaluated through its synthesis I/O map (``evaluate_bits``), so both
     sides speak the *source* netlist's boolean bit contract and the
-    rewrite is checked against the boolean oracle it came from.
+    rewrite is checked against the boolean oracle it came from.  A
+    netlist of bits and cells is compared as it is.
     """
-    if not second.is_multibit:
+    if not second.has_digits:
         shape = (second.num_inputs, second.num_outputs)
         evaluate = second.evaluate
     elif second.io is None:

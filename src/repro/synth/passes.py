@@ -1,24 +1,29 @@
 """Netlist optimization passes — the augmented-Yosys stage of the flow.
 
 All passes are rewrites from :class:`Netlist` to :class:`Netlist`.
-``optimize`` and its special cases ``structural_hash`` and
-``dead_gate_elimination`` return exactly the netlist a
-:class:`~repro.hdl.builder.CircuitBuilder` with the same switches would
-build if every output-reachable gate were re-emitted through it in gate
-order: the builder's local rules are the one specification.  They are
-applied as column sweeps over the netlist's arrays, visiting only the
-dependency rounds that hold a gate a rule touches (DESIGN.md §1.4), so
-a netlist the builder already normalized — every elaborated program —
-costs one reachability sweep and one ``cumsum`` compaction.
+``optimize`` is two stages.  The first — alone in its special cases
+``structural_hash`` and ``dead_gate_elimination`` — returns exactly the
+netlist a :class:`~repro.hdl.builder.CircuitBuilder` with the same
+switches would build if every output-reachable gate were re-emitted
+through it in gate order: the builder's local rules are the one
+specification.  They are applied as column sweeps over the netlist's
+arrays, visiting only the dependency rounds that hold a gate a rule
+touches (DESIGN.md §1.4), so a netlist the builder already normalized —
+every elaborated program — costs one reachability sweep and one
+``cumsum`` compaction.  The second maps the result onto one-bootstrap
+MAJ3/XOR3 cells (:mod:`repro.synth.cells`).  A cell's LIN and SIGN ops
+pass through the first stage as they are: no rule reads or rewrites
+them, only their operands are renumbered.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..gatetypes import (
+    CELL_OPS,
     CODE_ARITY,
     CODE_TRUTH,
     INVERT_A,
@@ -32,9 +37,14 @@ from ..hdl.builder import CircuitBuilder
 from ..hdl.facts import FlatCircuitFacts
 from ..hdl.netlist import NO_INPUT, Netlist
 from ..obs import get as _get_obs
+from . import cells
 
 _CONST0, _CONST1 = int(Gate.CONST0), int(Gate.CONST1)
 _NOT, _BUF = int(Gate.NOT), int(Gate.BUF)
+_LAST_GATE = int(max(Gate))
+#: ``_IS_CELL[code]``: the op is a cell's LIN or SIGN.
+_IS_CELL = np.zeros(NUM_CODES, dtype=bool)
+_IS_CELL[list(CELL_OPS)] = True
 
 
 def _code_map(table: Dict[Gate, Gate]) -> np.ndarray:
@@ -92,11 +102,14 @@ def _compact(
     outputs: np.ndarray,
     keep: np.ndarray,
     share: bool,
+    origin: Optional[np.ndarray] = None,
 ) -> Netlist:
     """The ``keep`` gates of ``(ops, in0, in1)``, in order and renumbered.
 
     Unused operand slots must already hold ``NO_INPUT``.  With ``share``
     the swappable gates get the builder's operand order (``in0 < in1``).
+    A cell op takes its coefficients from the source gate ``origin``
+    names (by default the gate at its own position).
     """
     n_in, n_gates = source.num_inputs, len(ops)
     new_id = np.empty(n_in + n_gates + 1, dtype=np.int64)
@@ -108,11 +121,22 @@ def _compact(
     b = new_id[in1[keep]]
     if share:
         ops, a, b = _canonical(ops, a, b)
+    coefficients = {}
+    if source.is_multibit:
+        at = np.nonzero(keep)[0] if origin is None else origin[keep]
+        cell = _IS_CELL[ops]
+        at = np.where(cell, at, 0)
+        for column in ("kx", "ky", "kconst"):
+            values = getattr(source, column)
+            coefficients[column] = np.where(cell, values[at], 0).astype(
+                values.dtype
+            )
     return Netlist(
         n_in, ops, a, b, new_id[outputs],
         input_names=list(source.input_names),
         output_names=list(source.output_names),
         name=source.name,
+        **coefficients,
     )
 
 
@@ -142,6 +166,7 @@ class _Sweep:
         self.const_of = np.full(size + 1, -1, dtype=np.int64)
         self.not_of = np.full(size + 1, -1, dtype=np.int64)
         self.is_const = (ops == _CONST0) | (ops == _CONST1)
+        self.is_cell = _IS_CELL[ops]
         self.const_of[n_in:n_nodes][self.is_const] = (
             ops[self.is_const].astype(np.int64) - _CONST0
         )
@@ -173,7 +198,7 @@ class _Sweep:
             a_const = const_of[a] >= 0
             touched |= ops == _BUF
             touched |= (ops == _NOT) & (a_const | (not_of[a] >= 0))
-            touched |= (CODE_ARITY[ops] == 2) & (
+            touched |= (CODE_ARITY[ops] == 2) & (ops <= _LAST_GATE) & (
                 a_const | (const_of[b] >= 0) | (a == b)
             )
         if self.absorb:
@@ -183,7 +208,7 @@ class _Sweep:
         # Structural duplicates, one sort over the packed keys: each
         # duplicate of the earliest gate with its key is touched, and the
         # sweep shares it with that gate.
-        shared = live & ~touched
+        shared = live & ~touched & ~self.is_cell
         if not self.share:
             shared &= self.is_const
         gates = np.nonzero(shared)[0]
@@ -219,6 +244,13 @@ class _Sweep:
             ]
             if not todo.size:
                 continue
+            # A cell op keeps its node and form; only its operands move.
+            cell = self.is_cell[todo]
+            if cell.any():
+                kept = todo[cell]
+                self.form_a[n_in + kept] = label[in0[kept]]
+                self.form_b[n_in + kept] = label[in1[kept]]
+                todo = todo[~cell]
             label[n_in + todo] = self._request(
                 ops[todo], label[in0[todo]], label[in1[todo]]
             )
@@ -243,7 +275,8 @@ class _Sweep:
             self.netlist.name, n_in, out_ops, out_a, out_b, outputs
         ).output_reachable()[n_in:]
         return _compact(
-            self.netlist, out_ops, out_a, out_b, outputs, keep, self.share
+            self.netlist, out_ops, out_a, out_b, outputs, keep, self.share,
+            origin=np.where(nodes < n_nodes, nodes - n_in, 0),
         )
 
     # -- the builder's rules, vectorized over one round's requests ------
@@ -390,12 +423,12 @@ def _rewrite(
     )
     live = facts.output_reachable()[n_in:]
     ops = netlist.ops
-    foreign = live & (ops > int(max(Gate)))
+    foreign = live & (ops > _LAST_GATE) & ~_IS_CELL[ops]
     if foreign.any():
         idx = int(np.argmax(foreign))
         raise ValueError(
             f"gate index {idx} is {op_name(int(ops[idx]))}: the synthesis "
-            f"passes rewrite boolean gates only"
+            f"passes rewrite boolean gates and cells only"
         )
     arity = facts.arity
     in0 = np.where(arity >= 1, netlist.in0, NO_INPUT)
@@ -424,16 +457,21 @@ def optimize(
     fold_constants: bool = True,
     share_structure: bool = True,
     absorb_inverters: bool = True,
+    map_cells: bool = True,
 ) -> Netlist:
-    """The full PyTFHE synthesis pipeline on an existing netlist."""
+    """The full PyTFHE synthesis pipeline on an existing netlist: the
+    builder's rules, then (``map_cells``) the MAJ3/XOR3 cell mapping.
+    ``map_cells=False`` keeps the paper's 2-input library."""
     with _get_obs().tracer.span(
         "synth:optimize", cat="compile", gates_in=netlist.num_gates,
         fold_constants=fold_constants, share_structure=share_structure,
-        absorb_inverters=absorb_inverters,
+        absorb_inverters=absorb_inverters, map_cells=map_cells,
     ) as sp:
         result, cse_hits = _rewrite(
             netlist, fold_constants, share_structure, absorb_inverters
         )
+        if map_cells:
+            result = cells.map_cells(result)
         sp.args["gates_out"] = result.num_gates
         sp.args["cse_hits"] = cse_hits
     _record_pass("optimize", netlist, result, cse_hits=cse_hits)
@@ -441,12 +479,13 @@ def optimize(
 
 
 def structural_hash(netlist: Netlist) -> Netlist:
-    """CSE only (no folding, no absorption)."""
+    """CSE only (no folding, no absorption, no cell mapping)."""
     return optimize(
         netlist,
         fold_constants=False,
         share_structure=True,
         absorb_inverters=False,
+        map_cells=False,
     )
 
 

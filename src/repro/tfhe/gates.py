@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..gatetypes import BOOTSTRAPPED_GATES, NUM_CODES, TABLE_OPS, Gate
+from ..gatetypes import BOOTSTRAPPED_GATES, CODE_LINEAR_FORM, Gate
 from .bootstrap import bootstrap_to_extracted
 from .keys import CloudKey
 from .keyswitch import keyswitch_apply
@@ -25,26 +25,6 @@ from .torus import fraction_to_torus, wrap_int32
 
 #: Message levels for the binary gate encoding: True = +1/8, False = -1/8.
 MU_GATE = fraction_to_torus(1, 8)
-
-#: ``LINEAR_FORM[code] = (ka, kb, eighths)`` for every bootstrapped op:
-#: its pre-bootstrap sample is ``ka*in0 + kb*in1 + (0, eighths/8)``.  A
-#: table op (LUT/B2D/D2B) rotates its one operand as is: ``(1, 0, 0)``.
-LINEAR_FORM = np.zeros((NUM_CODES, 3), dtype=np.int64)
-LINEAR_FORM[list(TABLE_OPS)] = (1, 0, 0)
-for _gate, _form in (
-    (Gate.AND, (1, 1, -1)),
-    (Gate.NAND, (-1, -1, 1)),
-    (Gate.OR, (1, 1, 1)),
-    (Gate.NOR, (-1, -1, -1)),
-    (Gate.XOR, (2, 2, 2)),
-    (Gate.XNOR, (-2, -2, -2)),
-    (Gate.ANDNY, (-1, 1, -1)),
-    (Gate.ANDYN, (1, -1, -1)),
-    (Gate.ORNY, (-1, 1, 1)),
-    (Gate.ORYN, (1, -1, 1)),
-):
-    LINEAR_FORM[_gate] = _form
-
 
 def trivial_bit(value: bool, params) -> LweCiphertext:
     """Noiseless encryption of a boolean constant (±1/8)."""
@@ -58,9 +38,10 @@ def gate_linear_input(
     """Pre-bootstrap sample(s) of bootstrapped op(s) ``codes``.
 
     ``codes`` is one op code or one per sample of ``ca``/``cb``; each
-    sample is ``ka*ca + kb*cb + eighths/8`` by :data:`LINEAR_FORM`.
+    sample is ``ka*ca + kb*cb + eighths/8`` by
+    :data:`~repro.gatetypes.CODE_LINEAR_FORM`.
     """
-    ka, kb, eighths = LINEAR_FORM[codes].T
+    ka, kb, eighths = CODE_LINEAR_FORM[codes].T
     a = (
         ca.a.astype(np.int64) * ka[..., None]
         + cb.a.astype(np.int64) * kb[..., None]

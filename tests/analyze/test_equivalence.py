@@ -136,6 +136,43 @@ def corrupted_schedules(draw):
     return netlist, Schedule(netlist=netlist, levels=levels)
 
 
+@st.composite
+def mutated_schedules(draw):
+    """A clean schedule with gates dropped, duplicated or moved to
+    another level, role or position: the faults a broken scheduler
+    makes, on top of an otherwise legal plan."""
+    netlist = draw(netlists())
+    clean = build_schedule(netlist).levels
+    count = len(clean) + draw(st.integers(min_value=0, max_value=1))
+    placed = []  # (level, role, sort key, gate)
+    for i, level in enumerate(clean):
+        for role, gates in ((0, level.bootstrapped), (1, level.free)):
+            for rank, g in enumerate(gates.tolist()):
+                action = draw(st.sampled_from(["keep", "drop", "dup", "move"]))
+                if action in ("keep", "dup"):
+                    placed.append((i, role, 2 * rank, g))
+                if action in ("dup", "move"):
+                    placed.append((
+                        draw(st.integers(min_value=0, max_value=count - 1)),
+                        draw(st.integers(min_value=0, max_value=1)),
+                        draw(st.integers(min_value=-1, max_value=2 * netlist.num_gates)),
+                        g,
+                    ))
+    placed.sort(key=lambda entry: entry[:3])
+    levels = []
+    for i in range(count):
+        role_gates = [
+            np.asarray(
+                [g for lv, r, _, g in placed if lv == i and r == role],
+                dtype=np.int64,
+            )
+            for role in (0, 1)
+        ]
+        index = clean[i].index if i < len(clean) else i
+        levels.append(Level(index, *role_gates))
+    return netlist, Schedule(netlist=netlist, levels=levels)
+
+
 def report_of(col):
     return col.into_report("equiv", ["test"]).as_dict()
 
@@ -181,11 +218,26 @@ def test_schedule_engines_agree_on_scrambled_schedules(case):
     assert report_of(flat) == report_of(legacy)
 
 
+@given(mutated_schedules())
+@settings(max_examples=80, deadline=None)
+def test_schedule_engines_agree_on_mutated_schedules(case):
+    netlist, schedule = case
+    assert report_of(check_schedule(netlist, schedule)) == report_of(
+        check_schedule_legacy(netlist, schedule)
+    )
+    small = Collector(max_per_rule=2)  # the cap keeps the same first two
+    legacy = Collector(max_per_rule=2)
+    assert report_of(check_schedule(netlist, schedule, small)) == report_of(
+        check_schedule_legacy(netlist, schedule, legacy)
+    )
+
+
 #: Messages of the canonical-form defects the stream walks never checked.
 CANONICAL_ONLY = (
     "not the all-ones marker",
     "carries bits outside its entries",
     "format-1 header on a program without",
+    "in fields its op does not read",
 )
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from repro.analyze import Collector, certify_noise
 from repro.bench import mnist_workload, vip_workloads
-from repro.gatetypes import NO_INPUT, Gate
+from repro.gatetypes import NO_INPUT, OP_LIN, OP_SIGN, Gate
 from repro.hdl.builder import CircuitBuilder
 from repro.hdl.netlist import Netlist
 from repro.runtime.scheduler import build_schedule
@@ -140,20 +140,25 @@ def test_sweep_equals_the_per_gate_walk_on_typed_netlists(netlist):
         )
 
 
-def _boolean_programs():
+def _workloads():
     workloads = sorted(vip_workloads().items())
     workloads.append(("mnist_S", mnist_workload("S")))
-    for name, workload in workloads:
+    return workloads
+
+
+def _boolean_programs():
+    for name, workload in _workloads():
         yield name, workload.netlist
-        yield f"{name}/opt", optimize(workload.netlist)
+        yield f"{name}/opt", optimize(workload.netlist, map_cells=False)
 
 
 @pytest.mark.parametrize("params", [TFHE_TEST, TFHE_DEFAULT_128],
                          ids=lambda p: p.name)
 def test_vip_programs_keep_the_closed_form_verdicts(params):
-    """18 VIP programs and MNIST_S, raw and optimized, against the old
-    per-level closed form: the same levels, widths, fresh flags, worst
-    margin and NB findings, and never less margin on any level."""
+    """18 VIP programs and MNIST_S, raw and optimized onto the 2-input
+    library, against the old per-level closed form: the same levels,
+    widths, fresh flags, worst margin and NB findings, and never less
+    margin on any level."""
     risen = 0
     for name, netlist in _boolean_programs():
         schedule = build_schedule(netlist)
@@ -179,3 +184,57 @@ def test_vip_programs_keep_the_closed_form_verdicts(params):
             oracle.nb_verdicts(bound)
         ), name
     assert risen  # the sweep is exact where the closed form is worst-case
+
+
+def test_mapped_programs_certify_at_six_sigma():
+    """Every VIP program and MNIST_S, mapped onto MAJ3/XOR3 cells,
+    certifies at >= 6 sigma at tfhe-default-128.  A cell's SIGN decides
+    at 1/8 over its LIN sum: XOR3's 12 sigma^2 puts the worst margin at
+    sqrt(8/12) of the 2-input library's where a program has one."""
+    for name, workload in _workloads():
+        two_input = optimize(workload.netlist, map_cells=False)
+        mapped = optimize(workload.netlist)
+        got = certify_noise(mapped, build_schedule(mapped), TFHE_DEFAULT_128)
+        base = certify_noise(
+            two_input, build_schedule(two_input), TFHE_DEFAULT_128
+        )
+        assert got.worst.margin_sigmas >= 6.0, name
+        assert got.worst.margin_sigmas >= base.worst.margin_sigmas * (
+            (8 / 12) ** 0.5 - 1e-3
+        ), name
+
+
+def _cell(kx, ky, kconst=0, phase_ky=1):
+    """One SIGN over ``LIN(LIN(a, b, kx, ky), c, 1, phase_ky) + kconst``."""
+    return Netlist(
+        3,
+        [OP_LIN, OP_LIN, OP_SIGN],
+        [0, 3, 4],
+        [1, 2, NO_INPUT],
+        [5],
+        kx=[kx, 1, 0],
+        ky=[ky, phase_ky, 0],
+        kconst=[0, kconst, 0],
+    )
+
+
+@pytest.mark.parametrize(
+    "cell, safe",
+    [
+        (_cell(1, 1), True),  # MAJ3: phases ±1, ±3
+        (_cell(-2, -2, phase_ky=-2), True),  # XOR3: phases ±2, ±6
+        (_cell(1, -1, phase_ky=-1), True),  # MAJ3 of negated inputs
+        (_cell(1, 1, phase_ky=0), False),  # a + b: phase 0
+        (_cell(2, 2, phase_ky=0), False),  # 2(a + b): phases 0, ±4
+        (_cell(4, 4, phase_ky=4), False),  # 4(a+b+c): phase 4 always
+        (_cell(1, 1, kconst=1), False),  # a+b+c+1: phases 0 and 4
+    ],
+)
+def test_sign_on_a_boundary_has_no_margin(cell, safe):
+    """A SIGN whose phase can land on 0 or 1/2 fails NB001; MAJ3 and
+    XOR3 never can."""
+    col = Collector()
+    cert = certify_noise(cell, build_schedule(cell), TFHE_DEFAULT_128,
+                         collector=col)
+    assert (cert.worst.margin_sigmas > 6.0) == safe
+    assert any(f.rule == "NB001" for f in col.findings) == (not safe)

@@ -6,32 +6,39 @@ packed 128-bit program must (a) lint clean at the stream level, (b)
 disassemble back to a netlist whose schedule replays without a single
 hazard finding, (c) preserve reference semantics, and (d) round-trip
 column for column and byte for byte.  And for any corruption of such a
-binary, (e) ``disassemble`` accepts it exactly when the stream lint has
-no error, and then re-assembles it to the same bytes.
+binary — boolean, multi-bit or mapped onto MAJ3/XOR3 cells — (e)
+``disassemble`` accepts it exactly when the stream lint has no error,
+and then re-assembles it to the same bytes.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analyze import analyze_binary, check_program
+from repro.bench import vip_workload
 from repro.gatetypes import (
     OP_B2D,
     OP_D2B,
     OP_LIN,
     OP_LUT,
+    OP_SIGN,
     TWO_INPUT_GATES,
     Gate,
 )
+from repro.hdl import arith
+from repro.hdl.builder import CircuitBuilder
 from repro.hdl.netlist import NO_INPUT, Netlist
 from repro.isa import (
+    decode,
     encode_gate,
     encode_header,
     encode_input,
     encode_output,
     format_program,
 )
+from repro.synth import optimize
 from repro.isa.assembler import assemble, disassemble
 from repro.isa.encoding import FIELD_ALL_ONES, encode_words
 from repro.tfhe.params import TFHE_TEST
@@ -248,28 +255,112 @@ def test_roundtrip_noise_certification_is_total(netlist):
 
 
 def _accepts(data):
-    """``disassemble``'s verdict, checked against the stream lint."""
+    """``disassemble``'s verdict, checked against the stream lint and
+    the decoder: a stream with a defect is refused, and a netlist built
+    from a clean one without re-validation passes the validating
+    constructor too."""
     assert isinstance(format_program(data), str)
     errors = check_program(data).into_report("fuzz", ["stream"]).errors()
+    defects = decode(data).defect_pos.size
     try:
         netlist = disassemble(data)
     except ValueError:
-        assert errors
+        assert errors and defects
         return False
-    assert not errors
+    assert not errors and not defects
     assert assemble(netlist) == data
+    validated = Netlist(
+        netlist.num_inputs, netlist.ops, netlist.in0, netlist.in1,
+        netlist.outputs, input_prec=netlist.input_prec,
+        input_bound=netlist.input_bound, prec=netlist.prec, kx=netlist.kx,
+        ky=netlist.ky, kconst=netlist.kconst, table_id=netlist.table_id,
+        tables=netlist.tables,
+    )
+    assert assemble(validated) == data
     return True
+
+
+@st.composite
+def mapped_programs(draw):
+    """Boolean programs ``optimize`` maps onto MAJ3/XOR3 cells: an add,
+    a subtract (negated inputs) or a popcount of a few bits."""
+    bd = CircuitBuilder(name="mapped")
+    width = draw(st.integers(min_value=3, max_value=5))
+    a, b = bd.inputs(width), bd.inputs(width)
+    kind = draw(st.sampled_from(["add", "sub", "popcount"]))
+    if kind == "add":
+        bits = arith.ripple_add(bd, a, b, width=width + 1, signed=False)
+    elif kind == "sub":
+        bits = arith.ripple_sub(bd, a, b, width=width, signed=True)
+    else:
+        bits = arith.popcount(bd, a + b)
+    for bit in bits:
+        bd.output(bit)
+    netlist = optimize(bd.build())
+    assume(OP_SIGN in netlist.ops.tolist())
+    return netlist
 
 
 @given(
     st.one_of(
         corrupted_programs(netlists()),
         corrupted_programs(netlists(typed=True, moduli=(4, 16))),
+        corrupted_programs(mapped_programs()),
     )
 )
 @settings(max_examples=150, deadline=None)
 def test_disassemble_accepts_exactly_the_canonical_binaries(case):
     _accepts(case[1])
+
+
+def _adder8_p16():
+    from repro import TensorSpec, compile_function
+    from repro.chiseltorch.dtypes import UInt
+    from repro.mblut import synthesize
+
+    adder = compile_function(
+        lambda x, y: x + y,
+        [TensorSpec("x", (), UInt(8)), TensorSpec("y", (), UInt(8))],
+        name="adder8",
+    )
+    return synthesize(adder.netlist, modulus=16)
+
+
+#: Bit offsets, in the 128-bit word, of field 1's kx / ky / precision
+#: slices (field 1 starts at bit 4).
+_KX_BIT, _KY_BIT, _PREC_BIT = 4 + 11, 4 + 19, 4 + 2
+
+
+def _flip(data, word, bit):
+    out = bytearray(data)
+    out[16 * word + bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("bit", [_KX_BIT, _KY_BIT], ids=["kx", "ky"])
+def test_unread_coefficients_of_a_table_op_are_refused(bit):
+    """Flipping a bit of kx or ky in a LUT word used to load and
+    re-assemble to the flipped bytes: one program, two ids."""
+    netlist = _adder8_p16()
+    data = assemble(netlist)
+    stream = decode(data)
+    word = int(np.flatnonzero(stream.op == OP_LUT)[0])
+    assert _accepts(data)
+    corrupt = _flip(data, word, bit)
+    assert not _accepts(corrupt)
+    message = str(pytest.raises(ValueError, disassemble, corrupt).value)
+    assert "in fields its op does not read" in message
+
+
+@pytest.mark.parametrize(
+    "bit", [_KX_BIT, _KY_BIT, _PREC_BIT], ids=["kx", "ky", "precision"]
+)
+def test_a_sign_word_reads_no_coefficient_and_no_precision(bit):
+    netlist = optimize(vip_workload("hamming_distance").netlist)
+    data = assemble(netlist)
+    word = int(np.flatnonzero(decode(data).op == OP_SIGN)[0])
+    assert _accepts(data)
+    assert not _accepts(_flip(data, word, bit))
 
 
 STRAY_CONST1 = encode_words([1], [FIELD_ALL_ONES], [int(Gate.CONST1)])

@@ -1,10 +1,12 @@
 """The column passes and the int-coded builder against the replay oracle.
 
-``optimize``/``structural_hash``/``dead_gate_elimination`` must return,
-column for column, what re-emitting every output-reachable gate through
-the enum-per-gate builder returns (``replay_oracle``), with the same
-structural-sharing hit count; and ``CircuitBuilder`` must answer every
-request with the node id that builder answers.
+``optimize``'s rewrite stage (``map_cells=False``), ``structural_hash``
+and ``dead_gate_elimination`` must return, column for column, what
+re-emitting every output-reachable gate through the enum-per-gate
+builder returns (``replay_oracle``), with the same structural-sharing
+hit count; ``optimize`` is that result mapped onto cells; and
+``CircuitBuilder`` must answer every request with the node id that
+builder answers.
 """
 
 import itertools
@@ -27,6 +29,7 @@ from repro.synth import (
     reachable_mask,
     structural_hash,
 )
+from repro.synth.cells import map_cells
 
 from .replay_oracle import (
     ReplayBuilder,
@@ -106,7 +109,7 @@ def raw_netlists(draw):
 
 def assert_columns_equal(got: Netlist, want: Netlist) -> None:
     assert got.num_inputs == want.num_inputs
-    for column in ("ops", "in0", "in1", "outputs"):
+    for column in ("ops", "in0", "in1", "outputs", "kx", "ky", "kconst"):
         np.testing.assert_array_equal(
             getattr(got, column), getattr(want, column), err_msg=column
         )
@@ -115,9 +118,9 @@ def assert_columns_equal(got: Netlist, want: Netlist) -> None:
     assert got.name == want.name
 
 
-def optimize_with_hits(netlist, *switches):
+def optimize_with_hits(netlist, *switches, map_cells=True):
     with observe() as ob:
-        result = optimize(netlist, *switches)
+        result = optimize(netlist, *switches, map_cells=map_cells)
     hits = ob.metrics.counter_value("synth_cse_hits", **{"pass": "optimize"})
     return result, int(hits)
 
@@ -129,9 +132,14 @@ class TestPassesMatchReplay:
         reference_input = without_unused_slots(netlist)
         for switches in SWITCHES:
             want, want_hits = optimize_reference(reference_input, *switches)
-            got, got_hits = optimize_with_hits(netlist, *switches)
+            got, got_hits = optimize_with_hits(
+                netlist, *switches, map_cells=False
+            )
             assert_columns_equal(got, want)
             assert got_hits == want_hits, switches
+            mapped, mapped_hits = optimize_with_hits(netlist, *switches)
+            assert_columns_equal(mapped, map_cells(want))
+            assert mapped_hits == want_hits, switches
 
     @given(raw_netlists())
     @settings(max_examples=60, deadline=None)
