@@ -149,3 +149,28 @@ def test_default_passes_run_through_the_mapping():
 def test_a_mapped_netlist_is_mapped_once():
     mapped = optimize(_adders())
     assert map_cells(mapped) is mapped
+
+
+def test_the_rewrite_stage_renumbers_a_cells_operands():
+    """A cell reading a gate the builder's rules fold: the cell keeps
+    its coefficients and reads the folded answer."""
+    from repro.gatetypes import Gate
+
+    # in: a, b, d;  4: CONST1;  5: AND(d, 1) -> d;  6: LIN(a, 5);
+    # 7: LIN(6, b);  8: SIGN(7) = MAJ3(a, d, NOT b)
+    netlist = Netlist(
+        3,
+        [Gate.CONST1, Gate.AND, OP_LIN, OP_LIN, OP_SIGN],
+        [NO_INPUT, 2, 0, 5, 6],
+        [NO_INPUT, 3, 4, 1, NO_INPUT],
+        [7],
+        kx=[0, 0, 1, 1, 0],
+        ky=[0, 0, 1, -1, 0],
+    )
+    result = optimize(netlist)
+    assert result.ops.tolist() == [OP_LIN, OP_LIN, OP_SIGN]
+    assert result.kx.tolist() == [1, 1, 0]
+    assert result.ky.tolist() == [1, -1, 0]
+    np.testing.assert_array_equal(
+        result.evaluate(TRIPLES), netlist.evaluate(TRIPLES)
+    )
