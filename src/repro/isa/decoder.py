@@ -12,8 +12,11 @@ of the stream grammar as a :class:`Defect`, each of which belongs to one
 A stream without defects is *canonical*: its netlist re-assembles to
 the same bytes, so a program has one content-addressed id.  That is why
 an operand in an unused slot, junk in field 1 of a format-0 input word,
-bits outside a table's entries and a format-1 header on a program that
-format 0 can express are defects too.
+bits outside a table's entries, a set kx/ky on a LUT/B2D/D2B/SIGN word
+or a precision on a SIGN word, and a format-1 header on a program that
+format 0 can express are defects too.  A defect-free decode has proven
+what ``Netlist`` would check, so :meth:`DecodedStream.netlist` builds it
+without re-validating.
 """
 
 from __future__ import annotations
