@@ -340,37 +340,36 @@ def _free_wave(
     """Free gates ``ids`` whose operands are all on the plane."""
     codes = netlist.ops[ids]
     nodes = netlist.num_inputs + ids
-    for code in (_CONST0, _CONST1):
-        const = nodes[codes == code]
-        ct = trivial_bit(code == _CONST1, params)
-        a[const] = ct.a
-        b[const] = ct.b
-    copy = codes == _BUF
-    a[nodes[copy]] = a[src0[copy]]
-    b[nodes[copy]] = b[src0[copy]]
-    neg = codes == _NOT
-    a[nodes[neg]] = wrap_int32(-a[src0[neg]].astype(np.int64))
-    b[nodes[neg]] = wrap_int32(-b[src0[neg]].astype(np.int64))
-    lin = np.nonzero(codes == OP_LIN)[0]
-    if not lin.size:
-        return
-    g, x, y = ids[lin], src0[lin], src1[lin]
-    paired = y != NO_INPUT
-    kx = netlist.kx[g].astype(np.int64)
-    ky = np.where(paired, netlist.ky[g], 0).astype(np.int64)
-    y = np.where(paired, y, x)
-    kconst = netlist.kconst[g].astype(np.int64)
-    p = netlist.prec[g].astype(np.int64)
+    lin = codes == OP_LIN
+    if not lin.all():  # a cell's chain is LINs only
+        for code in (_CONST0, _CONST1):
+            const = nodes[codes == code]
+            ct = trivial_bit(code == _CONST1, params)
+            a[const] = ct.a
+            b[const] = ct.b
+        copy = codes == _BUF
+        a[nodes[copy]] = a[src0[copy]]
+        b[nodes[copy]] = b[src0[copy]]
+        neg = codes == _NOT
+        a[nodes[neg]] = wrap_int32(-a[src0[neg]].astype(np.int64))
+        b[nodes[neg]] = wrap_int32(-b[src0[neg]].astype(np.int64))
+        ids, nodes, src0, src1 = ids[lin], nodes[lin], src0[lin], src1[lin]
+        if not ids.size:
+            return
+    paired = src1 != NO_INPUT
+    kx = netlist.kx[ids].astype(np.int64)
+    ky = np.where(paired, netlist.ky[ids], 0).astype(np.int64)
+    y = np.where(paired, src1, src0)
+    kconst = netlist.kconst[ids].astype(np.int64)
+    p = netlist.prec[ids].astype(np.int64)
     # A digit LIN re-centers on its slice (IntegerEncoding.lin_combine);
     # a cell's LIN adds its constant in eighths of the torus.
-    digit = ((2 * kconst + 1 - kx - ky) << 32) // (4 * np.maximum(p, 1))
-    offset = np.where(p > 0, digit, kconst * np.int64(MU_GATE))
-    a[nodes[lin]] = wrap_int32(
-        kx[:, None, None] * a[x] + ky[:, None, None] * a[y]
-    )
-    b[nodes[lin]] = wrap_int32(
-        kx[:, None] * b[x] + ky[:, None] * b[y] + offset[:, None]
-    )
+    offset = kconst * np.int64(MU_GATE)
+    if p.any():
+        digit = ((2 * kconst + 1 - kx - ky) << 32) // (4 * np.maximum(p, 1))
+        offset = np.where(p > 0, digit, offset)
+    a[nodes] = wrap_int32(kx[:, None, None] * a[src0] + ky[:, None, None] * a[y])
+    b[nodes] = wrap_int32(kx[:, None] * b[src0] + ky[:, None] * b[y] + offset[:, None])
 
 
 #: What a bootstrap step reports for each task it ran on a worker:
