@@ -441,11 +441,11 @@ def _emit(
     ops[slot + 3], in0[slot + 3], in1[slot + 3] = OP_LIN, base, c
     kx[slot + 3], ky[slot + 3] = k, k * coeff[2][pair]
     ops[slot + 4], in0[slot + 4] = OP_SIGN, base + 3
-    # Valid by construction: kept gates keep their order, and a group's
-    # words sit before every reader of its roots and after its leaves.
+    # Kept gates keep their order, and a group's words sit before every
+    # reader of its roots and after its leaves; the constructor checks.
     return Netlist(
         n_in, ops, in0, in1, new_id[netlist.outputs],
         input_names=list(netlist.input_names),
         output_names=list(netlist.output_names),
-        name=netlist.name, kx=kx, ky=ky, validate=False,
+        name=netlist.name, kx=kx, ky=ky,
     )

@@ -457,21 +457,18 @@ def optimize(
     fold_constants: bool = True,
     share_structure: bool = True,
     absorb_inverters: bool = True,
-    map_cells: bool = True,
 ) -> Netlist:
     """The full PyTFHE synthesis pipeline on an existing netlist: the
-    builder's rules, then (``map_cells``) the MAJ3/XOR3 cell mapping.
-    ``map_cells=False`` keeps the paper's 2-input library."""
+    builder's rules, then the MAJ3/XOR3 cell mapping."""
     with _get_obs().tracer.span(
         "synth:optimize", cat="compile", gates_in=netlist.num_gates,
         fold_constants=fold_constants, share_structure=share_structure,
-        absorb_inverters=absorb_inverters, map_cells=map_cells,
+        absorb_inverters=absorb_inverters,
     ) as sp:
         result, cse_hits = _rewrite(
             netlist, fold_constants, share_structure, absorb_inverters
         )
-        if map_cells:
-            result = cells.map_cells(result)
+        result = cells.map_cells(result)
         sp.args["gates_out"] = result.num_gates
         sp.args["cse_hits"] = cse_hits
     _record_pass("optimize", netlist, result, cse_hits=cse_hits)
@@ -480,13 +477,14 @@ def optimize(
 
 def structural_hash(netlist: Netlist) -> Netlist:
     """CSE only (no folding, no absorption, no cell mapping)."""
-    return optimize(
-        netlist,
-        fold_constants=False,
-        share_structure=True,
-        absorb_inverters=False,
-        map_cells=False,
-    )
+    with _get_obs().tracer.span(
+        "synth:structural_hash", cat="compile", gates_in=netlist.num_gates,
+    ) as sp:
+        result, cse_hits = _rewrite(netlist, False, True, False)
+        sp.args["gates_out"] = result.num_gates
+        sp.args["cse_hits"] = cse_hits
+    _record_pass("structural_hash", netlist, result, cse_hits=cse_hits)
+    return result
 
 
 #: Decompositions of composite gates into the {AND, OR, NOT, XOR} base.

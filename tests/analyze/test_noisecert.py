@@ -15,6 +15,7 @@ from repro.synth import optimize
 from repro.tfhe.params import TFHE_DEFAULT_128, TFHE_MB_128, TFHE_TEST
 
 from ..isa import test_roundtrip_property as roundtrip
+from ..synth import two_input
 from . import noisecert_oracle as oracle
 
 
@@ -149,7 +150,7 @@ def _workloads():
 def _boolean_programs():
     for name, workload in _workloads():
         yield name, workload.netlist
-        yield f"{name}/opt", optimize(workload.netlist, map_cells=False)
+        yield f"{name}/opt", two_input(workload.netlist)
 
 
 @pytest.mark.parametrize("params", [TFHE_TEST, TFHE_DEFAULT_128],
@@ -192,11 +193,11 @@ def test_mapped_programs_certify_at_six_sigma():
     at 1/8 over its LIN sum: XOR3's 12 sigma^2 puts the worst margin at
     sqrt(8/12) of the 2-input library's where a program has one."""
     for name, workload in _workloads():
-        two_input = optimize(workload.netlist, map_cells=False)
+        library = two_input(workload.netlist)
         mapped = optimize(workload.netlist)
         got = certify_noise(mapped, build_schedule(mapped), TFHE_DEFAULT_128)
         base = certify_noise(
-            two_input, build_schedule(two_input), TFHE_DEFAULT_128
+            library, build_schedule(library), TFHE_DEFAULT_128
         )
         assert got.worst.margin_sigmas >= 6.0, name
         assert got.worst.margin_sigmas >= base.worst.margin_sigmas * (

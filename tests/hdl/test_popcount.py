@@ -15,6 +15,7 @@ from repro.hdl import arith
 from repro.hdl.builder import CircuitBuilder
 from repro.synth import optimize
 
+from ..synth import two_input
 from . import popcount_oracle
 
 WIDTHS = range(0, 65)
@@ -49,7 +50,7 @@ def test_counts_every_vector(n):
 
 
 def _gates_and_depth(generator, n):
-    stats = optimize(_netlist(generator, n)[0], map_cells=False).stats()
+    stats = two_input(_netlist(generator, n)[0]).stats()
     return stats.num_bootstrapped_gates, stats.bootstrap_depth
 
 
@@ -88,7 +89,7 @@ def test_thirty_two_bits():
     # on the 2-input library; its 26 full adders map onto MAJ3/XOR3
     # pairs (3 bootstraps fewer each): 62 bootstraps in 10 levels.
     netlist = _netlist(arith.popcount, 32)[0]
-    got = optimize(netlist, map_cells=False).stats()
+    got = two_input(netlist).stats()
     assert got.num_bootstrapped_gates == 140
     assert got.bootstrap_depth == 15
     mapped = optimize(netlist).stats()
@@ -121,4 +122,4 @@ def test_top_column_emits_no_carry():
     for node in arith.popcount(bd, bits):
         bd.output(node)
     netlist = bd.build()
-    assert optimize(netlist, map_cells=False).num_gates == netlist.num_gates
+    assert two_input(netlist).num_gates == netlist.num_gates

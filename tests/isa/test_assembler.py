@@ -18,6 +18,8 @@ from repro.isa import (
     iter_instructions,
 )
 
+from ..synth import two_input
+
 
 def _half_adder():
     bd = CircuitBuilder(name="half_adder")
@@ -173,9 +175,8 @@ def _hamming_optimized():
 
 def _hamming_two_input():
     from repro.bench import vip_workload
-    from repro.synth import optimize
 
-    return optimize(vip_workload("hamming_distance").netlist, map_cells=False)
+    return two_input(vip_workload("hamming_distance").netlist)
 
 
 def _mnist_s_reduced_optimized():

@@ -9,16 +9,20 @@ checked pass pipeline runs through it.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analyze import DEFAULT_PASSES, run_checked_passes
 from repro.bench import mnist_workload, vip_workload, vip_workloads
-from repro.gatetypes import OP_LIN, OP_SIGN
+from repro.gatetypes import OP_LIN, OP_SIGN, TWO_INPUT_GATES
 from repro.hdl import arith
 from repro.hdl.builder import CircuitBuilder
 from repro.hdl.netlist import NO_INPUT, Netlist
 from repro.isa import assemble, binary_size_bytes, disassemble
 from repro.synth import check_equivalence, optimize
 from repro.synth.cells import map_cells
+
+from . import two_input
 
 #: Every input triple, as rows (a, b, c).
 TRIPLES = ((np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1).astype(bool)
@@ -82,11 +86,60 @@ def test_adders_map_and_stay_exact():
     assert ops.count(OP_SIGN) > 0 and ops.count(OP_LIN) > 0
     result = check_equivalence(source, mapped)
     assert result.exhaustive and result.equivalent
-    two_input = optimize(source, map_cells=False)
+    library = two_input(source)
     assert (
         mapped.stats().num_bootstrapped_gates
-        < two_input.stats().num_bootstrapped_gates
+        < library.stats().num_bootstrapped_gates
     )
+
+
+@st.composite
+def adder_circuits(draw):
+    """Random circuits rich in full adders: adds, subtracts, popcounts
+    and single gates over the inputs and each other's bits, with outputs
+    on any node, cone internals included (so the mapper meets shared
+    and fanned-out cone gates)."""
+    bd = CircuitBuilder(name="random_adders")
+    pool = bd.inputs(draw(st.integers(min_value=3, max_value=8)))
+
+    def pick(count):
+        return [
+            pool[draw(st.integers(min_value=0, max_value=len(pool) - 1))]
+            for _ in range(count)
+        ]
+
+    n_in = len(pool)
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(["add", "sub", "popcount"] * 2 + ["gate"]))
+        width = draw(st.integers(min_value=2, max_value=4))
+        if kind == "add":
+            bits = arith.ripple_add(
+                bd, pick(width), pick(width), width=width + 1, signed=False
+            )
+        elif kind == "sub":
+            bits = arith.ripple_sub(
+                bd, pick(width), pick(width), width=width, signed=True
+            )
+        elif kind == "popcount":
+            bits = arith.popcount(bd, pick(width + 2))
+        else:
+            bits = [bd.gate(draw(st.sampled_from(TWO_INPUT_GATES)), *pick(2))]
+        pool = pool + list(bits)
+    last = bd.num_inputs + bd.num_gates - 1
+    extra = st.lists(st.integers(min_value=0, max_value=last), max_size=4)
+    for node in pool[n_in:] + draw(extra):
+        bd.output(node)
+    return bd.build()
+
+
+@given(adder_circuits())
+@settings(max_examples=150, deadline=None)
+def test_optimize_computes_its_source(source):
+    """The mapped netlist passes the validating constructor (``optimize``
+    builds it through it) and computes its source on every input."""
+    mapped = optimize(source)
+    result = check_equivalence(source, mapped)
+    assert result.exhaustive and result.equivalent, result
 
 
 def _programs():
@@ -96,13 +149,13 @@ def _programs():
 
 @pytest.mark.parametrize("name, source", list(_programs()))
 def test_vip_programs_map_exactly_without_growing(name, source):
-    two_input = optimize(source, map_cells=False)
+    library = two_input(source)
     mapped = optimize(source)
     assert check_equivalence(source, mapped, random_trials=256)
     # The binary never grows: a full adder's five gates become five
     # words, and a lone XOR3's extra word is paid for by MAJ3 savings.
-    assert binary_size_bytes(mapped) <= binary_size_bytes(two_input)
-    stats, base = mapped.stats(), two_input.stats()
+    assert binary_size_bytes(mapped) <= binary_size_bytes(library)
+    stats, base = mapped.stats(), library.stats()
     assert stats.num_bootstrapped_gates <= base.num_bootstrapped_gates
     assert stats.bootstrap_depth <= base.bootstrap_depth
     # Idempotent, and exact through the binary.
@@ -121,7 +174,7 @@ def test_mnist_programs_map_exactly(variant):
     mapped = optimize(source)
     assert check_equivalence(source, mapped, random_trials=32)
     assert binary_size_bytes(mapped) <= binary_size_bytes(
-        optimize(source, map_cells=False)
+        two_input(source)
     )
 
 

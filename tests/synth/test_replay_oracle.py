@@ -1,6 +1,6 @@
 """The column passes and the int-coded builder against the replay oracle.
 
-``optimize``'s rewrite stage (``map_cells=False``), ``structural_hash``
+``optimize``'s rewrite stage (``passes._rewrite``), ``structural_hash``
 and ``dead_gate_elimination`` must return, column for column, what
 re-emitting every output-reachable gate through the enum-per-gate
 builder returns (``replay_oracle``), with the same structural-sharing
@@ -118,9 +118,9 @@ def assert_columns_equal(got: Netlist, want: Netlist) -> None:
     assert got.name == want.name
 
 
-def optimize_with_hits(netlist, *switches, map_cells=True):
+def optimize_with_hits(netlist, *switches):
     with observe() as ob:
-        result = optimize(netlist, *switches, map_cells=map_cells)
+        result = optimize(netlist, *switches)
     hits = ob.metrics.counter_value("synth_cse_hits", **{"pass": "optimize"})
     return result, int(hits)
 
@@ -132,9 +132,7 @@ class TestPassesMatchReplay:
         reference_input = without_unused_slots(netlist)
         for switches in SWITCHES:
             want, want_hits = optimize_reference(reference_input, *switches)
-            got, got_hits = optimize_with_hits(
-                netlist, *switches, map_cells=False
-            )
+            got, got_hits = passes_mod._rewrite(netlist, *switches)
             assert_columns_equal(got, want)
             assert got_hits == want_hits, switches
             mapped, mapped_hits = optimize_with_hits(netlist, *switches)
