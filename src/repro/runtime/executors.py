@@ -34,7 +34,6 @@ from typing import Dict, Iterator, Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from ..gatetypes import (
-    CODE_ARITY,
     CODE_USES_TABLE,
     NUM_CODES,
     OP_B2D,
@@ -47,7 +46,7 @@ from ..gatetypes import (
 from ..hdl.netlist import NO_INPUT, Netlist
 from ..obs import Observability
 from ..obs import get as _get_obs
-from ..tfhe.gates import MU_GATE, gate_linear_input, trivial_bit
+from ..tfhe.gates import MU_GATE, trivial_bit
 from ..tfhe.keys import CloudKey
 from ..tfhe.lut import (
     IntegerEncoding,
@@ -208,6 +207,13 @@ def level_test_polynomials(
     """
     codes = netlist.ops[gate_ids]
     table = CODE_USES_TABLE[codes]
+    if not table.any():
+        # Bit gates and cells only: the one constant row.
+        return (
+            np.full((1, big_n), MU_GATE, dtype=np.int32),
+            np.zeros(len(gate_ids), dtype=np.intp),
+            np.zeros(1, dtype=np.int32),
+        )
     ids = gate_ids[table]
     precs = netlist.node_precisions()
     # (op, table, in_prec, out_prec); every boolean gate is all zeros.
@@ -262,25 +268,25 @@ def bootstrap_level(
     plane; ``netlist`` is the caller's own in process, the broadcast
     binary disassembled in a worker.  Every op is a row of one
     :func:`~repro.tfhe.lut.programmable_bootstrap` call: its input is
-    ``ka*in0 + kb*in1 + eighths/8``
-    (:data:`~repro.gatetypes.CODE_LINEAR_FORM`) and its test polynomial comes
-    from :func:`level_test_polynomials`.  Returns the ciphertext bytes
-    gathered from and scattered to the plane: the operands each op
-    reads, plus its output.
+    its :meth:`~repro.hdl.netlist.Netlist.linear_forms` form over up to
+    three operands (a cell's SIGN reads its leaves, its LINs folded in)
+    and its test polynomial comes from :func:`level_test_polynomials`.
+    Returns the ciphertext bytes gathered from and scattered to the
+    plane: the operands each op reads, plus its output.
     """
     requests, dim = a.shape[1:]
-    codes = netlist.ops[gate_ids]
-    arity = CODE_ARITY[codes]
-    in0 = netlist.in0[gate_ids]
-    # A unary op's second operand is multiplied by kb = 0: read in0.
-    in1 = np.where(arity == 2, netlist.in1[gate_ids], in0)
-
-    def gather(nodes: np.ndarray) -> LweCiphertext:
-        # The kernel sees one flat batch: ops x requests samples.
-        return LweCiphertext(a[nodes].reshape(-1, dim), b[nodes].reshape(-1))
-
-    linear = gate_linear_input(
-        np.repeat(codes, requests), gather(in0), gather(in1)
+    forms = netlist.linear_forms()
+    src, coef = forms.src[:, gate_ids], forms.coef[:, gate_ids]
+    lin_a = np.zeros((len(gate_ids), requests, dim), dtype=np.int64)
+    lin_b = np.zeros((len(gate_ids), requests), dtype=np.int64)
+    lin_b += forms.const[gate_ids, None] * np.int64(MU_GATE)
+    for nodes, k in zip(src, coef):
+        if k.any():
+            lin_a += k[:, None, None] * a[nodes]
+            lin_b += k[:, None] * b[nodes]
+    # The kernel sees one flat batch: ops x requests samples.
+    linear = LweCiphertext(
+        wrap_int32(lin_a.reshape(-1, dim)), wrap_int32(lin_b.reshape(-1))
     )
     rows, row_of, post = level_test_polynomials(
         netlist, gate_ids, cloud_key.params.tlwe_degree
@@ -296,7 +302,7 @@ def bootstrap_level(
     nodes = gate_ids + netlist.num_inputs
     a[nodes] = out.a.reshape(-1, requests, dim)
     b[nodes] = out.b.reshape(-1, requests)
-    samples = (int(arity.sum()) + len(gate_ids)) * requests
+    samples = (int(np.count_nonzero(coef)) + len(gate_ids)) * requests
     return samples * (dim + 1) * a.itemsize
 
 
@@ -310,66 +316,40 @@ def free_gates(
     """Evaluate one level's free gates (CONST/BUF/NOT/LIN), in place.
 
     Gate order is topological, so a free gate may read another free
-    gate of the same level (a cell's LIN chain): the gates run in waves,
-    each wave every gate none of whose operands is still pending,
-    evaluated as whole arrays.
+    gate of the same level; hence one gate at a time.  A cell's LINs
+    are not evaluated: :func:`bootstrap_level` folds them into its SIGN.
     """
     n_in = netlist.num_inputs
-    ids = np.asarray(gate_ids, dtype=np.int64)
-    arity = CODE_ARITY[netlist.ops[ids]]
-    src0 = np.where(arity >= 1, netlist.in0[ids], NO_INPUT)
-    src1 = np.where(arity == 2, netlist.in1[ids], NO_INPUT)
-    pending = np.zeros(netlist.num_nodes + 1, dtype=bool)
-    pending[n_in + ids] = True
-    while ids.size:
-        ready = ~(pending[src0] | pending[src1])
-        _free_wave(netlist, a, b, ids[ready], src0[ready], src1[ready], params)
-        pending[n_in + ids[ready]] = False
-        ids, src0, src1 = ids[~ready], src0[~ready], src1[~ready]
-
-
-def _free_wave(
-    netlist: Netlist,
-    a: np.ndarray,
-    b: np.ndarray,
-    ids: np.ndarray,
-    src0: np.ndarray,
-    src1: np.ndarray,
-    params,
-) -> None:
-    """Free gates ``ids`` whose operands are all on the plane."""
-    codes = netlist.ops[ids]
-    nodes = netlist.num_inputs + ids
-    lin = codes == OP_LIN
-    if not lin.all():  # a cell's chain is LINs only
-        for code in (_CONST0, _CONST1):
-            const = nodes[codes == code]
-            ct = trivial_bit(code == _CONST1, params)
-            a[const] = ct.a
-            b[const] = ct.b
-        copy = codes == _BUF
-        a[nodes[copy]] = a[src0[copy]]
-        b[nodes[copy]] = b[src0[copy]]
-        neg = codes == _NOT
-        a[nodes[neg]] = wrap_int32(-a[src0[neg]].astype(np.int64))
-        b[nodes[neg]] = wrap_int32(-b[src0[neg]].astype(np.int64))
-        ids, nodes, src0, src1 = ids[lin], nodes[lin], src0[lin], src1[lin]
-        if not ids.size:
-            return
-    paired = src1 != NO_INPUT
-    kx = netlist.kx[ids].astype(np.int64)
-    ky = np.where(paired, netlist.ky[ids], 0).astype(np.int64)
-    y = np.where(paired, src1, src0)
-    kconst = netlist.kconst[ids].astype(np.int64)
-    p = netlist.prec[ids].astype(np.int64)
-    # A digit LIN re-centers on its slice (IntegerEncoding.lin_combine);
-    # a cell's LIN adds its constant in eighths of the torus.
-    offset = kconst * np.int64(MU_GATE)
-    if p.any():
-        digit = ((2 * kconst + 1 - kx - ky) << 32) // (4 * np.maximum(p, 1))
-        offset = np.where(p > 0, digit, offset)
-    a[nodes] = wrap_int32(kx[:, None, None] * a[src0] + ky[:, None, None] * a[y])
-    b[nodes] = wrap_int32(kx[:, None] * b[src0] + ky[:, None] * b[y] + offset[:, None])
+    evaluated = netlist.linear_forms().evaluated
+    for gate_idx in gate_ids[evaluated[gate_ids]].tolist():
+        code = int(netlist.ops[gate_idx])
+        node = n_in + gate_idx
+        src = int(netlist.in0[gate_idx])
+        if code == _BUF:
+            a[node] = a[src]
+            b[node] = b[src]
+        elif code == _NOT:
+            a[node] = wrap_int32(-a[src].astype(np.int64))
+            b[node] = wrap_int32(-b[src].astype(np.int64))
+        elif code == _CONST0 or code == _CONST1:
+            const = trivial_bit(code == _CONST1, params)
+            a[node] = const.a
+            b[node] = const.b
+        elif code == OP_LIN:
+            other = int(netlist.in1[gate_idx])
+            out = IntegerEncoding(int(netlist.prec[gate_idx])).lin_combine(
+                LweCiphertext(a[src], b[src]),
+                None
+                if other == NO_INPUT
+                else LweCiphertext(a[other], b[other]),
+                int(netlist.kx[gate_idx]),
+                int(netlist.ky[gate_idx]),
+                int(netlist.kconst[gate_idx]),
+            )
+            a[node] = out.a
+            b[node] = out.b
+        else:  # pragma: no cover - the schedule lists free gates only
+            raise AssertionError(f"{op_name(code)} is not a free gate")
 
 
 #: What a bootstrap step reports for each task it ran on a worker:
