@@ -56,9 +56,11 @@ class Schedule:
 
 
 def shard_level(
-    gate_indices: np.ndarray, num_shards: int
+    gate_indices: np.ndarray, num_shards: int, min_gates: int = 1
 ) -> List[np.ndarray]:
-    """Split one level's gates into at most ``num_shards`` contiguous chunks.
+    """Split one level's gates into at most ``num_shards`` contiguous
+    chunks of at least ``min_gates`` gates each (one chunk when the
+    level is narrower).
 
     The worker pool plans every level with this helper before a run,
     with one shard more than it has helper processes: the last (the
@@ -67,13 +69,13 @@ def shard_level(
     ``i``, so only the level index crosses a pipe per level.  Empty
     chunks are dropped.
     """
-    if num_shards < 1:
-        raise ValueError("num_shards must be positive")
+    if num_shards < 1 or min_gates < 1:
+        raise ValueError("num_shards and min_gates must be positive")
     gate_indices = np.asarray(gate_indices)
     if not len(gate_indices):
         return []
     parts = np.array_split(
-        gate_indices, min(num_shards, len(gate_indices))
+        gate_indices, max(1, min(num_shards, len(gate_indices) // min_gates))
     )
     return [part for part in parts if len(part)]
 

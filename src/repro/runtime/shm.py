@@ -266,11 +266,29 @@ def _shm_worker_main(conn, worker_id: int, key_blob: bytes) -> None:
     conn.close()
 
 
+#: Per-sample external-product rows (``N * (k+1) * l``) whose work
+#: equals the fixed cost of one batched blind rotation, whatever its
+#: batch: ≈ 4 samples at ``tfhe-test`` (1 024 rows a sample, 1.5 ms
+#: against 0.38 ms a sample) and ≈ 1 at ``tfhe-default-128`` (6 144
+#: rows, 70 ms against 55 ms), timed on two vCPUs.
+_FIXED_COST_ROWS = 4096
+
+
+def min_shard_gates(params) -> int:
+    """Fewest gates worth a process of their own at ``params``: a
+    narrower shard pays a blind rotation's fixed cost, plus a pipe round
+    trip, for less work than that cost."""
+    rows = params.tlwe_degree * (params.tlwe_k + 1) * params.bs_decomp_length
+    return max(1, _FIXED_COST_ROWS // rows)
+
+
 class ShmActorPool:
     """Persistent workers sharing a ciphertext plane with the driver.
 
     ``num_workers`` counts helper processes (default: one per core but
-    this one); the coordinator bootstraps a shard of every level itself.
+    this one); the coordinator bootstraps a shard of every level itself,
+    the whole of a level too narrow to give every process ``min_shard``
+    gates (default :func:`min_shard_gates`).
     The pool broadcasts the serialized cloud key once, at start; each
     ``run()`` of the owning backend then costs one plan broadcast plus
     a few dozen bytes of level commands.  ``run_count`` and
@@ -285,6 +303,7 @@ class ShmActorPool:
         cloud_key: CloudKey,
         num_workers: Optional[int] = None,
         context=None,
+        min_shard: Optional[int] = None,
     ):
         from ..serialization import save_cloud_key
 
@@ -299,6 +318,7 @@ class ShmActorPool:
         self._cloud_key = cloud_key
         self.fingerprint = cloud_key.fingerprint()
         self.lwe_dimension = cloud_key.params.lwe_dimension
+        self.min_shard = min_shard or min_shard_gates(cloud_key.params)
         context = context or default_mp_context()
         self.start_method = context.get_start_method()
         # Start the shared-memory resource tracker *before* forking
@@ -374,7 +394,7 @@ class ShmActorPool:
                 if not level.width:
                     continue
                 *shards, own = shard_level(
-                    level.bootstrapped, self.num_workers + 1
+                    level.bootstrapped, self.num_workers + 1, self.min_shard
                 )
                 self._own_shards[level.index] = own
                 self._workers_by_level[level.index] = list(range(len(shards)))

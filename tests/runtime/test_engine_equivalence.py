@@ -51,7 +51,10 @@ def _random_netlist(seed, num_inputs=3, num_gates=12):
 
 @pytest.fixture(scope="module")
 def distributed(cloud_key):
-    with DistributedCpuBackend(cloud_key, num_workers=2) as backend:
+    # min_shard=1: every level splits over every process it can.
+    with DistributedCpuBackend(
+        cloud_key, num_workers=2, min_shard=1
+    ) as backend:
         yield backend
 
 
@@ -113,8 +116,28 @@ def hamming():
 
 @pytest.fixture(scope="module")
 def pools(cloud_key, distributed):
-    with DistributedCpuBackend(cloud_key, num_workers=1) as one:
+    with DistributedCpuBackend(
+        cloud_key, num_workers=1, min_shard=1
+    ) as one:
         yield {1: one, 2: distributed}
+
+
+def test_narrow_levels_run_on_the_coordinator(cloud_key, hamming, hamming_runs):
+    """By default a level gives each process at least
+    ``min_shard_gates`` gates (4 at tfhe-test): a narrower level runs on
+    the coordinator alone, with the same ciphertexts."""
+    netlist = hamming[1]["boolean"]
+    inputs, want = hamming_runs["boolean", 1]
+    with DistributedCpuBackend(cloud_key, num_workers=1) as backend:
+        assert backend.pool.min_shard == 4
+        got, report = backend.run(netlist, inputs)
+    assert np.array_equal(got.a, want.a)
+    assert np.array_equal(got.b, want.b)
+    widths = build_schedule(netlist).level_widths()
+    assert report.tasks_submitted == sum(
+        min(2, max(1, width // 4)) for width in widths
+    )
+    assert len(widths) < report.tasks_submitted < 2 * len(widths)
 
 
 @pytest.fixture(scope="module")

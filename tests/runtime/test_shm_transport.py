@@ -103,6 +103,24 @@ class TestShardLevel:
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ValueError):
             shard_level(np.arange(3), 0)
+        with pytest.raises(ValueError):
+            shard_level(np.arange(3), 2, 0)
+
+    def test_shards_hold_at_least_min_gates(self):
+        assert [len(s) for s in shard_level(np.arange(7), 2, 4)] == [7]
+        assert [len(s) for s in shard_level(np.arange(9), 2, 4)] == [5, 4]
+        assert [len(s) for s in shard_level(np.arange(9), 3, 3)] == [3, 3, 3]
+
+    def test_min_shard_follows_the_parameters(self):
+        """A batched blind rotation's fixed cost is ~4 gates at
+        tfhe-test and ~1 at the 128-bit sets."""
+        from repro.runtime.shm import min_shard_gates
+        from repro.tfhe.params import PARAMETER_SETS
+
+        assert {
+            name: min_shard_gates(params)
+            for name, params in PARAMETER_SETS.items()
+        } == {"tfhe-test": 4, "tfhe-default-128": 1, "tfhe-mb-128": 1}
 
 
 class TestMatchesInProcess:
@@ -188,7 +206,7 @@ class TestCrashSafety:
         """Boolean level, and a level holding LUT bootstraps."""
         _, cloud = test_keys
         circuit = request.getfixturevalue(circuit_name)
-        pool = ShmActorPool(cloud, num_workers=2)
+        pool = ShmActorPool(cloud, num_workers=2, min_shard=1)
         schedule = build_schedule(circuit)
         plane = pool.begin_run(circuit, schedule, 1)
         segment = plane.meta[0]
@@ -357,7 +375,9 @@ class TestChunkTracing:
     def level_spans(self, adder_circuit, test_keys, adder_ct):
         _, cloud = test_keys
         with obs.observe() as ob:
-            with DistributedCpuBackend(cloud, num_workers=2) as backend:
+            with DistributedCpuBackend(
+                cloud, num_workers=2, min_shard=1
+            ) as backend:
                 _, report = backend.run(adder_circuit, adder_ct)
         spans = [
             s for s in ob.tracer.iter_spans(cat="execute")
