@@ -448,8 +448,11 @@ class Netlist:
         it.  An unused slot reads ``NO_INPUT`` with coefficient 0.  Built
         once (the netlist is immutable).
         """
-        if self._forms is not None:
-            return self._forms
+        if self._forms is None:
+            self._forms = self._linear_forms()
+        return self._forms
+
+    def _linear_forms(self) -> LinearForms:
         n_in, n_gates, ops = self.num_inputs, self.num_gates, self.ops
         arity = CODE_ARITY[ops]
         paired = (arity == 2) & (self.in1 != NO_INPUT)
@@ -488,8 +491,7 @@ class Netlist:
             if not grown.any():
                 break
             evaluated |= grown
-        self._forms = LinearForms(src, coef, const, evaluated)
-        return self._forms
+        return LinearForms(src, coef, const, evaluated)
 
     def _phase_plan(self) -> list:
         """The rounds of :meth:`_evaluate_phases`, built once: per round
@@ -497,7 +499,9 @@ class Netlist:
         bootstrapped gates first, and how many of them bootstrap."""
         if self._plan is not None:
             return self._plan
-        src, coef, const, evaluated = self.linear_forms()
+        # The plan keeps what it needs: forms only it reads are not
+        # cached (MNIST_S's would hold ~4 MB).
+        src, coef, const, evaluated = self._forms or self._linear_forms()
         n_in = self.num_inputs
         # A round is one past the deepest source, over evaluated gates.
         depth = np.zeros(self.num_nodes + 1, dtype=np.int64)
@@ -512,14 +516,16 @@ class Netlist:
         bounds = np.searchsorted(key, 2 * np.arange(2, top + 2))
         # Phases only matter modulo 8, so int8 arithmetic (exact modulo
         # 256) is exact; a round with no three-operand form reads two.
+        # Indices stay intp: numpy casts any other index type per call.
         coef, const = coef.astype(np.int8), const.astype(np.int8)
+        nodes = np.arange(n_in, self.num_nodes, dtype=np.intp)
         plan, lo = [], 0
         for hi in bounds.tolist():
             if hi > lo:
                 at = gates[lo:hi]
                 slots = 3 if coef[2, at].any() else 2
                 plan.append((
-                    n_in + at, src[:slots, at], coef[:slots, at], const[at],
+                    nodes[at], src[:slots, at], coef[:slots, at], const[at],
                     int(np.searchsorted(key[lo:hi] & 1, 1)),
                 ))
             lo = hi
