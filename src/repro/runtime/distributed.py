@@ -68,8 +68,7 @@ class DistributedCpuBackend(CpuBackend):
 
     Pass an existing pool to share it between backends;
     ``DistributedCpuBackend.pool()`` builds one with a context-managed
-    lifetime.  ``min_shard`` is the fewest gates a level gives each
-    process (:class:`ShmActorPool`).
+    lifetime.
     """
 
     def __init__(
@@ -78,13 +77,10 @@ class DistributedCpuBackend(CpuBackend):
         num_workers: Optional[int] = None,
         pool: Optional[ShmActorPool] = None,
         obs: Optional[Observability] = None,
-        min_shard: Optional[int] = None,
     ):
         super().__init__(cloud_key, obs=obs)
         self._own_pool = pool is None
-        self.pool = pool or ShmActorPool(
-            cloud_key, num_workers, min_shard=min_shard
-        )
+        self.pool = pool or ShmActorPool(cloud_key, num_workers)
         self.name = (
             f"cpu-distributed-{self.pool.num_workers}w-{self.pool.transport}"
         )

@@ -288,7 +288,7 @@ class ShmActorPool:
     ``num_workers`` counts helper processes (default: one per core but
     this one); the coordinator bootstraps a shard of every level itself,
     the whole of a level too narrow to give every process ``min_shard``
-    gates (default :func:`min_shard_gates`).
+    gates (:func:`min_shard_gates` of the key's parameters).
     The pool broadcasts the serialized cloud key once, at start; each
     ``run()`` of the owning backend then costs one plan broadcast plus
     a few dozen bytes of level commands.  ``run_count`` and
@@ -303,7 +303,6 @@ class ShmActorPool:
         cloud_key: CloudKey,
         num_workers: Optional[int] = None,
         context=None,
-        min_shard: Optional[int] = None,
     ):
         from ..serialization import save_cloud_key
 
@@ -318,7 +317,8 @@ class ShmActorPool:
         self._cloud_key = cloud_key
         self.fingerprint = cloud_key.fingerprint()
         self.lwe_dimension = cloud_key.params.lwe_dimension
-        self.min_shard = min_shard or min_shard_gates(cloud_key.params)
+        #: Fewest gates a level gives each process it is split over.
+        self.min_shard = min_shard_gates(cloud_key.params)
         context = context or default_mp_context()
         self.start_method = context.get_start_method()
         # Start the shared-memory resource tracker *before* forking

@@ -51,10 +51,9 @@ def _random_netlist(seed, num_inputs=3, num_gates=12):
 
 @pytest.fixture(scope="module")
 def distributed(cloud_key):
-    # min_shard=1: every level splits over every process it can.
-    with DistributedCpuBackend(
-        cloud_key, num_workers=2, min_shard=1
-    ) as backend:
+    with DistributedCpuBackend(cloud_key, num_workers=2) as backend:
+        # Every level splits over every process it can.
+        backend.pool.min_shard = 1
         yield backend
 
 
@@ -116,9 +115,8 @@ def hamming():
 
 @pytest.fixture(scope="module")
 def pools(cloud_key, distributed):
-    with DistributedCpuBackend(
-        cloud_key, num_workers=1, min_shard=1
-    ) as one:
+    with DistributedCpuBackend(cloud_key, num_workers=1) as one:
+        one.pool.min_shard = 1
         yield {1: one, 2: distributed}
 
 

@@ -109,7 +109,8 @@ class TestDistributedObservability:
         self, adder_circuit, test_keys, rng
     ):
         _, cloud = test_keys
-        backend = DistributedCpuBackend(cloud, num_workers=2, min_shard=1)
+        backend = DistributedCpuBackend(cloud, num_workers=2)
+        backend.pool.min_shard = 1
         try:
             with obs.observe() as ob:
                 report = _run(backend, adder_circuit, test_keys[0], rng)

@@ -206,7 +206,8 @@ class TestCrashSafety:
         """Boolean level, and a level holding LUT bootstraps."""
         _, cloud = test_keys
         circuit = request.getfixturevalue(circuit_name)
-        pool = ShmActorPool(cloud, num_workers=2, min_shard=1)
+        pool = ShmActorPool(cloud, num_workers=2)
+        pool.min_shard = 1
         schedule = build_schedule(circuit)
         plane = pool.begin_run(circuit, schedule, 1)
         segment = plane.meta[0]
@@ -375,9 +376,8 @@ class TestChunkTracing:
     def level_spans(self, adder_circuit, test_keys, adder_ct):
         _, cloud = test_keys
         with obs.observe() as ob:
-            with DistributedCpuBackend(
-                cloud, num_workers=2, min_shard=1
-            ) as backend:
+            with DistributedCpuBackend(cloud, num_workers=2) as backend:
+                backend.pool.min_shard = 1
                 _, report = backend.run(adder_circuit, adder_ct)
         spans = [
             s for s in ob.tracer.iter_spans(cat="execute")
